@@ -4,6 +4,10 @@ Exact GF(2) rank arithmetic for the entropy of equal-superposition
 stabilizer states, a k x k toric-code front end with the published
 closed forms, and a dense statevector oracle for cross-validation at
 small sizes.
+
+The oracle names (`_ORACLE_NAMES`) are served by a module-level
+`__getattr__` (PEP 562): they load numpy on first use, so rank-only
+code never imports it.
 """
 
 from .engine import (
@@ -40,15 +44,6 @@ from .lattice import (
     region_from_sites,
     star_group,
 )
-from .oracle import (
-    basis_state_entropy_invariance,
-    build_ground_state,
-    concurrence,
-    off_diagonal_mass,
-    oracle_entropy,
-    reduced_density_matrix,
-    von_neumann_entropy,
-)
 from .states import (
     GroundStateCoeffs,
     alpha,
@@ -58,6 +53,26 @@ from .states import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset(
+    {
+        "basis_state_entropy_invariance",
+        "build_ground_state",
+        "concurrence",
+        "off_diagonal_mass",
+        "oracle_entropy",
+        "reduced_density_matrix",
+        "von_neumann_entropy",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BoundaryStats",

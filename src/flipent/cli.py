@@ -8,6 +8,9 @@ Exit codes: 0 success, 1 verification or closed-form mismatch, 2 input
 error, 3 resource cap exceeded.  Output for a fixed configuration
 (including seed) is byte-identical between runs: rows are sorted by
 partition descriptor and floats rendered via repr.
+
+The statevector oracle, and numpy with it, is imported only by
+``verify`` and on the ``--oracle`` paths.
 """
 
 from __future__ import annotations
@@ -27,9 +30,13 @@ from .engine import (
     entropy_equal_superposition,
     geometric_entropy,
     ground_degeneracy,
-    independent_generator_count,
 )
-from .errors import LatticeFormatError, ResourceLimitError
+from .errors import (
+    MAX_ORACLE_LINKS,
+    MAX_SUBSYSTEM_LINKS,
+    LatticeFormatError,
+    ResourceLimitError,
+)
 from .gf2 import DEFAULT_ENUM_MAX_RANK
 from .lattice import (
     BoundaryStats,
@@ -45,9 +52,7 @@ from .lattice import (
     random_simple_region,
     star_group,
 )
-from .oracle import MAX_ORACLE_LINKS, MAX_SUBSYSTEM_LINKS, oracle_entropy
 from .states import GroundStateCoeffs, closed_form_entropy
-from .verify import default_suite, max_deviation, verify_partitions
 
 COEFF_NORM_SLACK = 1e-6
 ORACLE_MATCH_TOL = 1e-9
@@ -113,8 +118,10 @@ def parse_partition_spec(lat: Lattice, spec: str) -> ParsedPartition:
         part = named_partition(lat, spec)
         return ParsedPartition(spec, part, boundary_stats(lat, part), spec, False)
     if spec.startswith("spin:"):
-        (link,) = _parse_int_list(spec[5:], "spin") or [None]
-        part = named_partition(lat, "single_spin", link)
+        ids = _parse_int_list(spec[5:], "spin")
+        if len(ids) != 1:
+            raise ValueError("spin: needs exactly one link id")
+        part = named_partition(lat, "single_spin", ids[0])
         return ParsedPartition(
             spec, part, boundary_stats(lat, part), "single_spin", False
         )
@@ -258,6 +265,8 @@ def cmd_entropy(args) -> int:
     if args.oracle:
         if lat.torus_k is None:
             raise ValueError("the statevector oracle needs a torus lattice")
+        from .oracle import oracle_entropy
+
         oracle_s = oracle_entropy(
             lat,
             coeffs,
@@ -326,6 +335,8 @@ def cmd_entropy(args) -> int:
 # verify command
 
 def cmd_verify(args) -> int:
+    from .verify import default_suite, max_deviation, verify_partitions
+
     lat = parse_lattice_spec(args.lattice)
     _, coeffs, is_basis = parse_state_spec(args.state)
     if not is_basis:
@@ -493,6 +504,8 @@ def cmd_scan(args) -> int:
         if args.oracle:
             if lat.torus_k is None:
                 raise ValueError("the statevector oracle needs a torus lattice")
+            from .oracle import oracle_entropy
+
             oracle_s = oracle_entropy(
                 lat,
                 GroundStateCoeffs.xi(0, 0),
@@ -529,6 +542,11 @@ def cmd_lattice_info(args) -> int:
     lat = parse_lattice_spec(args.lattice)
     stars = star_group(lat)
     plaqs = plaquette_group(lat)
+    independent = degeneracy = None
+    if lat.closed:
+        # one symplectic rank: degeneracy = 2**(n_links - independent)
+        degeneracy = ground_degeneracy(lat)
+        independent = lat.n_links - (degeneracy.bit_length() - 1)
     info = {
         "command": "lattice-info",
         "lattice": args.lattice,
@@ -539,10 +557,8 @@ def cmd_lattice_info(args) -> int:
         "torus_k": lat.torus_k,
         "star_rank": stars.rank(),
         "plaquette_rank": plaqs.rank(),
-        "independent_generators": independent_generator_count(lat)
-        if lat.closed
-        else None,
-        "ground_degeneracy": ground_degeneracy(lat) if lat.closed else None,
+        "independent_generators": independent,
+        "ground_degeneracy": degeneracy,
     }
     if args.format == "json":
         emit_json(info, sys.stdout)

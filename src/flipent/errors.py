@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types and oracle size caps shared across the package.
+
+The caps live here, not in `oracle`, so that the CLI can offer them as
+option defaults without importing numpy.
+"""
+
+#: statevector cap of the oracle, in links (2**n amplitudes)
+MAX_ORACLE_LINKS = 26
+#: partial-trace cap of the oracle, in links kept
+MAX_SUBSYSTEM_LINKS = 14
 
 
 class ResourceLimitError(RuntimeError):

@@ -21,10 +21,15 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import LatticeFormatError
+from .errors import LatticeFormatError, ResourceLimitError
 from .gf2 import FlipVector, Gf2Matrix, mask_from_indices
 
 DOCUMENT_HEADER = "LATTICE v1"
+
+#: Byte cap for `build_torus`.  The largest live structure of a k x k
+#: torus is the symplectic matrix of `ground_degeneracy`: 2k**2 rows of
+#: 4k**2 bits, about k**4 bytes.  1 GiB admits k <= 181.
+MAX_TORUS_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,11 @@ def build_torus(k: int) -> Lattice:
     """Build the k x k square-lattice torus (k**2 sites, 2*k**2 links)."""
     if k < 2:
         raise ValueError(f"torus size must be at least 2, got {k}")
+    if k**4 > MAX_TORUS_BYTES:
+        raise ResourceLimitError(
+            f"torus k={k} needs about {k**4} bytes, over the "
+            f"{MAX_TORUS_BYTES}-byte cap"
+        )
     n_links = 2 * k * k
     stars = []
     plaqs = []
@@ -171,21 +181,43 @@ def build_torus(k: int) -> Lattice:
 
 
 def validate_lattice(lat: Lattice) -> None:
-    """Check commutation (even star/plaquette overlap) and Euler count."""
-    star_masks = lat.star_masks()
-    plaq_masks = lat.plaquette_masks()
-    for s, sm in enumerate(star_masks):
-        for p, pm in enumerate(plaq_masks):
-            if (sm & pm).bit_count() % 2:
-                raise LatticeFormatError(
-                    f"star {s} and plaquette {p} share an odd number of links"
-                )
+    """Check commutation (even star/plaquette overlap) and Euler count.
+
+    Overlap parities are counted through link incidence: every (star,
+    link) incidence toggles each plaquette on that link.  That costs
+    O(sum over links of stars(l) * plaquettes(l)), linear in the link
+    count on bounded-degree lattices.  The error names the smallest odd
+    (star, plaquette) pair.
+    """
+    n = lat.n_links
+    stars = [_link_set(links, n) for links in lat.star_links]
+    link_plaquettes: list[list[int]] = [[] for _ in range(n)]
+    for p, links in enumerate(lat.plaquette_links):
+        for l in _link_set(links, n):
+            link_plaquettes[l].append(p)
+    for s, links in enumerate(stars):
+        odd: set[int] = set()
+        for l in links:
+            odd.symmetric_difference_update(link_plaquettes[l])
+        if odd:
+            raise LatticeFormatError(
+                f"star {s} and plaquette {min(odd)} share an odd number of links"
+            )
     if lat.genus is not None:
         chi = lat.n_sites - lat.n_links + lat.n_plaquettes
         if chi != 2 * (1 - lat.genus):
             raise LatticeFormatError(
                 f"Euler count {chi} inconsistent with genus {lat.genus}"
             )
+
+
+def _link_set(links: Iterable[int], n: int) -> set[int]:
+    # the distinct links of one star or plaquette, range-checked like
+    # `mask_from_indices`
+    for l in links:
+        if not 0 <= l < n:
+            raise ValueError(f"column index {l} out of range for width {n}")
+    return set(links)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,11 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import MAX_ORACLE_LINKS, MAX_SUBSYSTEM_LINKS, ResourceLimitError
 from .gf2 import DEFAULT_ENUM_MAX_RANK, FlipVector
 from .lattice import Lattice, Partition, ladder_operators, star_group
 from .states import GroundStateCoeffs
 
-MAX_ORACLE_LINKS = 26
-MAX_SUBSYSTEM_LINKS = 14
 EIG_NEGATIVE_TOL = 1e-10
 EIG_ZERO_TOL = 1e-12
 

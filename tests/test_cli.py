@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,6 +9,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from importlib import resources
 
+import flipent
 from flipent import Gf2Matrix, GroundStateCoeffs, named_partition
 from flipent.cli import main, parse_partition_spec, parse_state_spec
 from flipent.lattice import build_torus, lattice_to_document
@@ -48,6 +52,15 @@ class TestSpecParsers:
         for spec in ("blob", "rect:1,1", "pair:3", "links:", "spin:99"):
             with pytest.raises(ValueError):
                 parse_partition_spec(torus_k3, spec)
+
+    @pytest.mark.parametrize("spec", ["spin:", "spin:1,2"])
+    def test_spin_needs_one_link_exit_2(self, capsys, spec):
+        code, out, err = run_cli(
+            capsys, "entropy", "--lattice", "torus:k=3", "--partition", spec
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: spin: needs exactly one link id\n"
 
     def test_state_specs(self):
         _, c, basis = parse_state_spec("xi:1,0")
@@ -149,6 +162,14 @@ class TestEntropyCommand:
             "--max-links", "4",
         )
         assert code == 3
+
+    def test_torus_size_cap_exit_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "lattice-info", "--lattice", "torus:k=1000000"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: torus k=1000000 needs about")
 
 
 class TestVerifyCommand:
@@ -288,6 +309,26 @@ class TestLatticeInfoCommand:
         )
         assert code == 0
         assert json.loads(out)["genus"] == 1
+
+    def test_rank_only_commands_do_not_import_numpy(self):
+        code = (
+            "import sys\n"
+            "import flipent.cli\n"
+            "assert 'numpy' not in sys.modules, 'import flipent.cli'\n"
+            "assert flipent.cli.main(['lattice-info', '--lattice', 'torus:k=4']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'lattice-info'\n"
+            "from flipent import oracle_entropy, build_ground_state\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert oracle_entropy.__module__ == 'flipent.oracle'\n"
+            "assert build_ground_state.__module__ == 'flipent.oracle'\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flipent.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ground_degeneracy: 4" in proc.stdout
 
     def test_malformed_document_exit_2(self, capsys, tmp_path):
         doc = tmp_path / "broken.lat"

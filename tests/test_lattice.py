@@ -1,10 +1,13 @@
+import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
 from flipent import (
     FlipVector,
     LatticeFormatError,
+    ResourceLimitError,
     boundary_stats,
     build_torus,
     disk_region,
@@ -18,7 +21,14 @@ from flipent import (
     region_from_sites,
     star_group,
 )
-from flipent.lattice import Partition, torus_h, torus_v
+from flipent.lattice import (
+    MAX_TORUS_BYTES,
+    Lattice,
+    Partition,
+    torus_h,
+    torus_v,
+    validate_lattice,
+)
 
 
 def planar_patch_document():
@@ -92,6 +102,28 @@ class TestBuildTorus:
     def test_too_small(self):
         with pytest.raises(ValueError):
             build_torus(1)
+
+    def test_size_cap_raises_before_allocating(self):
+        # k=182 is the smallest size over the cap, and small enough to build
+        # if the check were missing
+        with pytest.raises(ResourceLimitError):
+            build_torus(182)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                build_torus(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_size_cap_admits_k128(self):
+        assert 128**4 <= MAX_TORUS_BYTES
+        assert build_torus(128).n_links == 2 * 128 * 128
+
+    def test_k48_unchanged_by_cap(self):
+        lat = build_torus(48)
+        assert (lat.n_sites, lat.n_links, lat.n_plaquettes) == (2304, 4608, 2304)
 
 
 class TestFlipGroups:
@@ -366,7 +398,135 @@ class TestDocuments:
         with pytest.raises(LatticeFormatError):
             parse_lattice_document(doc)
 
+    def test_odd_overlap_names_pair(self):
+        doc = (
+            "LATTICE v1 open\n"
+            "SITES\n0\n1\n2\n"
+            "LINKS\n0 1\n1 2\n"
+            "PLAQUETTES\n0\n"
+        )
+        with pytest.raises(LatticeFormatError, match="star 0 and plaquette 0 share"):
+            parse_lattice_document(doc)
+
     def test_comments_and_blank_lines(self):
         doc = lattice_to_document(build_torus(2))
         doc = "# header comment\n\n" + doc.replace("LINKS", "# links next\nLINKS")
         assert parse_lattice_document(doc).n_links == 8
+
+
+# ---------------------------------------------------------------------------
+# validate_lattice: incidence counting against the pairwise-AND definition
+
+def pairwise_and_outcome(lat: Lattice):
+    """The definition: AND every star mask with every plaquette mask."""
+    stars, plaqs = lat.star_masks(), lat.plaquette_masks()
+    for s, sm in enumerate(stars):
+        for p, pm in enumerate(plaqs):
+            if (sm & pm).bit_count() % 2:
+                return f"star {s} and plaquette {p} share an odd number of links"
+    if lat.genus is not None:
+        chi = lat.n_sites - lat.n_links + lat.n_plaquettes
+        if chi != 2 * (1 - lat.genus):
+            return f"Euler count {chi} inconsistent with genus {lat.genus}"
+    return None
+
+
+def validate_outcome(lat: Lattice):
+    try:
+        validate_lattice(lat)
+    except LatticeFormatError as exc:
+        return str(exc)
+    return None
+
+
+BASE_LATTICES = {
+    **{f"torus{k}": lambda k=k: build_torus(k) for k in range(2, 7)},
+    "cube": lambda: parse_lattice_document(cube_document()),
+    "patch": lambda: parse_lattice_document(planar_patch_document()),
+}
+
+
+def corrupted_copies(lat: Lattice, rng: random.Random):
+    """One link dropped from a plaquette, or one plaquette link swapped."""
+    plaqs = lat.plaquette_links
+    for _ in range(6):
+        p = rng.randrange(len(plaqs))
+        links = list(plaqs[p])
+        if rng.random() < 0.5 and len(links) > 1:
+            links.pop(rng.randrange(len(links)))
+        else:
+            spare = [l for l in range(lat.n_links) if l not in links]
+            links[rng.randrange(len(links))] = rng.choice(spare)
+        new = plaqs[:p] + (tuple(sorted(links)),) + plaqs[p + 1 :]
+        yield dataclasses.replace(lat, plaquette_links=new)
+
+
+class TestValidateLattice:
+    @pytest.mark.parametrize("name", BASE_LATTICES)
+    def test_accepts_like_pairwise_and(self, name):
+        lat = BASE_LATTICES[name]()
+        assert pairwise_and_outcome(lat) is None
+        assert validate_outcome(lat) is None
+
+    @pytest.mark.parametrize("seed,name", enumerate(BASE_LATTICES))
+    def test_corrupted_copies_match_pairwise_and(self, seed, name):
+        lat = BASE_LATTICES[name]()
+        rejected = 0
+        for bad in corrupted_copies(lat, random.Random(seed)):
+            want = pairwise_and_outcome(bad)
+            assert validate_outcome(bad) == want
+            rejected += want is not None
+        assert rejected > 0
+
+    def test_reports_smallest_odd_pair(self):
+        # On the k=4 torus, drop h(1,1) from plaquette (1,0) and v(1,1) from
+        # plaquette (0,1).  Star (1,1) = 5 is the first odd star, and it is
+        # odd with both plaquettes, 1 and 4.
+        lat = build_torus(4)
+        plaqs = list(lat.plaquette_links)
+        plaqs[1] = tuple(l for l in plaqs[1] if l != torus_h(4, 1, 1))
+        plaqs[4] = tuple(l for l in plaqs[4] if l != torus_v(4, 1, 1))
+        bad = dataclasses.replace(lat, plaquette_links=tuple(plaqs))
+        want = "star 5 and plaquette 1 share an odd number of links"
+        assert pairwise_and_outcome(bad) == want
+        assert validate_outcome(bad) == want
+
+    @pytest.mark.parametrize("field", ["star_links", "plaquette_links"])
+    def test_repeated_link_counts_once(self, field):
+        # a mask holds a repeated link once; so must the incidence count
+        lat = build_torus(3)
+        rows = list(getattr(lat, field))
+        rows[0] = rows[0] + rows[0][:1]
+        doubled = dataclasses.replace(lat, **{field: tuple(rows)})
+        assert pairwise_and_outcome(doubled) is None
+        assert validate_outcome(doubled) is None
+
+    def test_out_of_range_link_rejected(self):
+        lat = build_torus(2)
+        bad = dataclasses.replace(
+            lat, plaquette_links=lat.plaquette_links[:-1] + ((0, 8),)
+        )
+        with pytest.raises(ValueError, match="column index 8 out of range"):
+            validate_lattice(bad)
+
+    def test_euler_check_unchanged(self):
+        lat = dataclasses.replace(build_torus(3), genus=2)
+        assert validate_outcome(lat) == pairwise_and_outcome(lat)
+        assert "Euler count 0" in validate_outcome(lat)
+
+    def test_does_not_build_masks(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("validate_lattice built an n-bit mask")
+
+        monkeypatch.setattr(Lattice, "star_masks", forbidden)
+        monkeypatch.setattr(Lattice, "plaquette_masks", forbidden)
+        assert build_torus(6).n_links == 72
+        parse_lattice_document(cube_document())
+        odd = (
+            "LATTICE v1 open\n"
+            "SITES\n0\n1\n2\n"
+            "LINKS\n0 1\n1 2\n"
+            "PLAQUETTES\n0\n"
+        )
+        with pytest.raises(LatticeFormatError, match="star 0 and plaquette 0"):
+            parse_lattice_document(odd)
