@@ -6,6 +6,7 @@ dimension from independent generators.
 """
 
 from flipent import (
+    Partition,
     build_torus,
     ground_degeneracy,
     independent_generator_count,
@@ -30,10 +31,11 @@ for k in range(2, 7):
 # that no star product can reproduce.
 lat = build_torus(4)
 stars = star_group(lat)
-w1, w2 = ladder_operators(lat)
+n_links = lat.n_links
+w1, w2 = ladder_operators(lat)  # link masks
 print()
-print("horizontal-loop ladder flips links:", w1.support())
-print("vertical-loop ladder flips links:  ", w2.support())
+print("horizontal-loop ladder flips links:", Partition(n_links, w1).a_links())
+print("vertical-loop ladder flips links:  ", Partition(n_links, w2).a_links())
 print("w1 in star group?", stars.contains(w1))
 print("w2 in star group?", stars.contains(w2))
 print("w1^w2 in star group?", stars.contains(w1 ^ w2))

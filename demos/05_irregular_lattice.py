@@ -13,7 +13,7 @@ from flipent import (
     entropy_equal_superposition,
     ground_degeneracy,
     lattice_to_document,
-    load_lattice,
+    parse_lattice_document,
     plaquette_group,
     star_group,
 )
@@ -51,7 +51,7 @@ PLAQUETTES
 5 7 9 11
 """
 
-cube = load_lattice(CUBE)
+cube = parse_lattice_document(CUBE)
 print(
     f"cube: genus={cube.genus} star rank={star_group(cube).rank()} "
     f"plaquette rank={plaquette_group(cube).rank()} "
@@ -97,7 +97,7 @@ PLAQUETTES
 3 5 10 11
 """
 
-patch = load_lattice(PATCH)
+patch = parse_lattice_document(PATCH)
 flips = plaquette_group(patch)
 print(f"\nopen 2x2 patch: plaquette-flip group rank = {flips.rank()}")
 # region = the four links of the lower-left face
@@ -110,4 +110,5 @@ print(
 )
 
 # documents round-trip, so lattices built in code can be saved and shared
-print("\nround-trip check:", load_lattice(lattice_to_document(cube)).genus == 0)
+round_trip = parse_lattice_document(lattice_to_document(cube))
+print("\nround-trip check:", round_trip.genus == 0)

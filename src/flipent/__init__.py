@@ -14,6 +14,7 @@ from .engine import (
     EntropyReport,
     ScanResult,
     absolute_entanglement_scan,
+    bipartition_masks,
     boundary_bounds_check,
     entropy_bounds,
     entropy_equal_superposition,
@@ -25,7 +26,7 @@ from .engine import (
     perimeter_entropy,
 )
 from .errors import LatticeFormatError, ResourceLimitError
-from .gf2 import FlipVector, Gf2Matrix
+from .gf2 import Gf2Matrix
 from .lattice import (
     BoundaryStats,
     Lattice,
@@ -35,7 +36,6 @@ from .lattice import (
     disk_region,
     ladder_operators,
     lattice_to_document,
-    load_lattice,
     named_partition,
     parse_lattice_document,
     plaquette_group,
@@ -77,7 +77,6 @@ def __getattr__(name: str):
 __all__ = [
     "BoundaryStats",
     "EntropyReport",
-    "FlipVector",
     "Gf2Matrix",
     "GroundStateCoeffs",
     "Lattice",
@@ -89,6 +88,7 @@ __all__ = [
     "alpha",
     "basis_state_entropy_invariance",
     "binary_entropy",
+    "bipartition_masks",
     "boundary_bounds_check",
     "boundary_stats",
     "build_ground_state",
@@ -105,7 +105,6 @@ __all__ = [
     "is_diagonal",
     "ladder_operators",
     "lattice_to_document",
-    "load_lattice",
     "named_partition",
     "off_diagonal_mass",
     "oracle_entropy",

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from . import __version__
 from .engine import (
     EXHAUSTIVE_SCAN_MAX_LINKS,
+    bipartition_masks,
     entropy_bounds,
     entropy_equal_superposition,
     geometric_entropy,
@@ -114,38 +115,38 @@ def parse_partition_spec(lat: Lattice, spec: str) -> ParsedPartition:
     """Grammar: chain | ladder | cross | vertical | spin:<id> |
     pair:<id>,<id> | links:<id,...> | rect:<x>,<y>,<w>,<h> |
     loop:<link id,...>."""
+    closed_form_name = None
+    stats = None
+    is_disk = spec.startswith(("rect:", "loop:"))
     if spec in ("chain", "ladder", "cross", "vertical"):
         part = named_partition(lat, spec)
-        return ParsedPartition(spec, part, boundary_stats(lat, part), spec, False)
-    if spec.startswith("spin:"):
+        closed_form_name = spec
+    elif spec.startswith("spin:"):
         ids = _parse_int_list(spec[5:], "spin")
         if len(ids) != 1:
             raise ValueError("spin: needs exactly one link id")
         part = named_partition(lat, "single_spin", ids[0])
-        return ParsedPartition(
-            spec, part, boundary_stats(lat, part), "single_spin", False
-        )
-    if spec.startswith("pair:"):
-        ids = _parse_int_list(spec[5:], "pair")
-        part = named_partition(lat, "pair", *ids)
-        return ParsedPartition(spec, part, boundary_stats(lat, part), None, False)
-    if spec.startswith("links:"):
+        closed_form_name = "single_spin"
+    elif spec.startswith("pair:"):
+        part = named_partition(lat, "pair", *_parse_int_list(spec[5:], "pair"))
+    elif spec.startswith("links:"):
         ids = _parse_int_list(spec[6:], "link")
         if not ids:
             raise ValueError("links: needs at least one link id")
         part = Partition.from_links(ids, lat.n_links)
-        return ParsedPartition(spec, part, _try_stats(lat, part), None, False)
-    if spec.startswith("rect:"):
+    elif spec.startswith("rect:"):
         vals = _parse_int_list(spec[5:], "rect")
         if len(vals) != 4:
             raise ValueError("rect: needs x,y,w,h")
         part, stats = disk_region(lat, rect=tuple(vals))
-        return ParsedPartition(spec, part, stats, None, True)
-    if spec.startswith("loop:"):
+    elif spec.startswith("loop:"):
         ids = _parse_int_list(spec[5:], "loop")
         part, stats = disk_region(lat, dual_loop=ids)
-        return ParsedPartition(spec, part, stats, None, True)
-    raise ValueError(f"unknown partition spec {spec!r}")
+    else:
+        raise ValueError(f"unknown partition spec {spec!r}")
+    if not is_disk:
+        stats = _try_stats(lat, part)
+    return ParsedPartition(spec, part, stats, closed_form_name, is_disk)
 
 
 def _try_stats(lat: Lattice, part: Partition) -> BoundaryStats | None:
@@ -171,7 +172,7 @@ def parse_state_spec(spec: str) -> tuple[str, GroundStateCoeffs, bool]:
         except ValueError:
             raise ValueError(f"bad complex literal in {spec!r}")
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-        if abs(norm - 1) >= COEFF_NORM_SLACK:
+        if not abs(norm - 1) < COEFF_NORM_SLACK:  # rejects NaN too
             raise ValueError(
                 f"coefficient norm {norm!r} is too far from 1 to renormalize"
             )
@@ -208,11 +209,17 @@ def _cell(value) -> str:
     return str(value)
 
 
-def emit_rows_csv(rows: list[dict], out) -> None:
+def emit_rows_csv(rows: list[dict], out, columns=CSV_COLUMNS) -> None:
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(columns)
     for row in rows:
-        writer.writerow([_cell(row[c]) for c in CSV_COLUMNS])
+        writer.writerow([_cell(row[c]) for c in columns])
+
+
+def emit_fields(obj: dict, out) -> None:
+    """One ``key: value`` line per field, ``-`` for an empty value."""
+    for key, value in obj.items():
+        out.write(f"{key}: {_cell(value) or '-'}\n")
 
 
 def emit_rows_table(rows: list[dict], out) -> None:
@@ -228,6 +235,22 @@ def emit_rows_table(rows: list[dict], out) -> None:
 
 # ---------------------------------------------------------------------------
 # entropy command
+
+def _oracle_entropy(args, lat: Lattice, coeffs, part: Partition) -> float:
+    """The statevector oracle's entropy, under the command's oracle caps."""
+    if lat.torus_k is None:
+        raise ValueError("the statevector oracle needs a torus lattice")
+    from .oracle import oracle_entropy
+
+    return oracle_entropy(
+        lat,
+        coeffs,
+        part,
+        max_links=args.max_links,
+        max_subsystem=args.max_subsystem,
+        enum_max_rank=args.enum_cap,
+    )
+
 
 def _state_entropy(lat: Lattice, parsed: ParsedPartition, coeffs, is_basis, report):
     """Best value for the requested state plus the closed-form entry."""
@@ -263,18 +286,7 @@ def cmd_entropy(args) -> int:
     geometric = geometric_entropy(parsed.stats) if parsed.is_disk else None
     oracle_s = None
     if args.oracle:
-        if lat.torus_k is None:
-            raise ValueError("the statevector oracle needs a torus lattice")
-        from .oracle import oracle_entropy
-
-        oracle_s = oracle_entropy(
-            lat,
-            coeffs,
-            parsed.partition,
-            max_links=args.max_links,
-            max_subsystem=args.max_subsystem,
-            enum_max_rank=args.enum_cap,
-        )
+        oracle_s = _oracle_entropy(args, lat, coeffs, parsed.partition)
 
     mismatch = False
     if is_basis and closed is not None and closed != report.s_bits:
@@ -315,12 +327,9 @@ def cmd_entropy(args) -> int:
     if args.format == "json":
         emit_json(out, sys.stdout)
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(out.keys())
-        writer.writerow([_cell(v) for v in out.values()])
+        emit_rows_csv([out], sys.stdout, list(out))
     else:
-        for key, value in out.items():
-            print(f"{key}: {_cell(value) or '-'}")
+        emit_fields(out, sys.stdout)
     if mismatch:
         print(
             "error: closed-form/engine/oracle values disagree "
@@ -405,72 +414,41 @@ def _scan_row(lat, group, descriptor, part, stats, closed, oracle_s) -> dict:
     }
 
 
-def _scan_partitions(args, lat) -> list[tuple[str, Partition, BoundaryStats | None, float | None]]:
+def _scan_partitions(args, lat):
+    """Yield (descriptor, partition, stats, closed form) for each scan row."""
     mode = args.mode
-    if mode == "exhaustive":
-        n = lat.n_links
-        if n > args.scan_cap:
-            raise ResourceLimitError(
-                f"exhaustive scan over {n} links exceeds the {args.scan_cap}-link cap"
-            )
-        out = []
-        for mask in range(1, (1 << n) - 1):
+    n = lat.n_links
+    if mode in ("exhaustive", "sampled"):
+        if mode == "sampled":
+            _require_count_seed(args)
+        masks = bipartition_masks(
+            n, mode, count=args.count, seed=args.seed, max_links=args.scan_cap
+        )
+        for mask in masks:
             part = Partition(n, mask)
             desc = "links:" + ",".join(map(str, part.a_links()))
-            out.append((desc, part, _try_stats(lat, part), None))
-        return out
-    if mode == "sampled":
+            yield desc, part, _try_stats(lat, part), None
+    elif mode in ("rects", "disks"):
         _require_count_seed(args)
+        sample = random_rectangle_region if mode == "rects" else random_simple_region
         rng = random.Random(args.seed)
-        n = lat.n_links
-        out = []
         for _ in range(args.count):
-            size = rng.randint(1, n - 1)
-            links = sorted(rng.sample(range(n), size))
-            part = Partition.from_links(links, n)
-            desc = "links:" + ",".join(map(str, links))
-            out.append((desc, part, _try_stats(lat, part), None))
-        return out
-    if mode == "rects":
-        _require_count_seed(args)
-        rng = random.Random(args.seed)
-        out = []
-        for _ in range(args.count):
-            part, stats = random_rectangle_region(lat, rng)
+            part, stats = sample(lat, rng)
             desc = _disk_descriptor(lat, part)
-            out.append((desc, part, stats, float(geometric_entropy(stats))))
-        return out
-    if mode == "disks":
-        _require_count_seed(args)
-        rng = random.Random(args.seed)
-        out = []
-        for _ in range(args.count):
-            part, stats = random_simple_region(lat, rng)
-            desc = _disk_descriptor(lat, part)
-            out.append((desc, part, stats, float(geometric_entropy(stats))))
-        return out
-    if mode == "table1":
+            yield desc, part, stats, float(geometric_entropy(stats))
+    elif mode == "table1":
         if lat.torus_k is None:
             raise ValueError("table1 mode needs a torus lattice")
         k = lat.torus_k
-        out = []
         for name in ("single_spin", "chain", "ladder", "cross", "vertical"):
             part = named_partition(lat, name)
-            out.append(
-                (name, part, _try_stats(lat, part), closed_form_entropy(name, k))
-            )
+            yield name, part, _try_stats(lat, part), closed_form_entropy(name, k)
         side = 2 if k >= 4 else 1
         part, stats = disk_region(lat, rect=(0, 0, side, side))
-        out.append(
-            (
-                f"rect:0,0,{side},{side}",
-                part,
-                stats,
-                float(geometric_entropy(stats)),
-            )
-        )
-        return out
-    raise ValueError(f"unknown scan mode {mode!r}")
+        desc = f"rect:0,0,{side},{side}"
+        yield desc, part, stats, float(geometric_entropy(stats))
+    else:
+        raise ValueError(f"unknown scan mode {mode!r}")
 
 
 def _require_count_seed(args) -> None:
@@ -497,23 +475,11 @@ def _disk_descriptor(lat, part) -> str:
 def cmd_scan(args) -> int:
     lat = parse_lattice_spec(args.lattice)
     group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
-    entries = _scan_partitions(args, lat)
     rows = []
-    for desc, part, stats, closed in entries:
+    for desc, part, stats, closed in _scan_partitions(args, lat):
         oracle_s = None
         if args.oracle:
-            if lat.torus_k is None:
-                raise ValueError("the statevector oracle needs a torus lattice")
-            from .oracle import oracle_entropy
-
-            oracle_s = oracle_entropy(
-                lat,
-                GroundStateCoeffs.xi(0, 0),
-                part,
-                max_links=args.max_links,
-                max_subsystem=args.max_subsystem,
-                enum_max_rank=args.enum_cap,
-            )
+            oracle_s = _oracle_entropy(args, lat, GroundStateCoeffs.xi(0, 0), part)
         rows.append(_scan_row(lat, group, desc, part, stats, closed, oracle_s))
     rows.sort(key=lambda r: r["partition"])
     if args.format == "json":
@@ -563,8 +529,7 @@ def cmd_lattice_info(args) -> int:
     if args.format == "json":
         emit_json(info, sys.stdout)
     else:
-        for key, value in info.items():
-            print(f"{key}: {_cell(value) or '-'}")
+        emit_fields(info, sys.stdout)
     return 0
 
 
@@ -574,6 +539,11 @@ def cmd_lattice_info(args) -> int:
 def _add_common(sub, *, formats=("table", "csv", "json")) -> None:
     sub.add_argument("--lattice", required=True, help="torus:k=K or document path")
     sub.add_argument("--format", choices=formats, default=formats[0])
+
+
+def _add_group_and_oracle(sub) -> None:
+    sub.add_argument("--group", choices=("stars", "plaquettes"), default="stars")
+    sub.add_argument("--oracle", action="store_true", help="cross-check on the oracle")
     sub.add_argument(
         "--max-links",
         type=int,
@@ -604,10 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("entropy", help="entropy of one partition in one state")
     _add_common(p)
+    _add_group_and_oracle(p)
     p.add_argument("--partition", required=True)
     p.add_argument("--state", default="xi:0,0")
-    p.add_argument("--group", choices=("stars", "plaquettes"), default="stars")
-    p.add_argument("--oracle", action="store_true", help="cross-check on the oracle")
     p.set_defaults(func=cmd_entropy)
 
     p = subs.add_parser("verify", help="oracle-vs-engine sweep (k <= 3)")
@@ -623,10 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("exhaustive", "sampled", "rects", "disks", "table1"),
         default="exhaustive",
     )
+    _add_group_and_oracle(p)
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--group", choices=("stars", "plaquettes"), default="stars")
-    p.add_argument("--oracle", action="store_true")
     p.add_argument(
         "--scan-cap",
         type=int,
@@ -649,6 +617,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        reason = str(exc) or "allocation failed"
+        print(f"error: out of memory: {reason}", file=sys.stderr)
         return 3
     except (LatticeFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

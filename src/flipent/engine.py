@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ResourceLimitError
 from .gf2 import Gf2Matrix
@@ -116,14 +117,13 @@ def independent_generator_count(lat: Lattice) -> int:
     return Gf2Matrix(rows, 2 * lat.n_links).rank()
 
 
-def is_closed_string_net(lat: Lattice, v) -> bool:
+def is_closed_string_net(lat: Lattice, bits: int) -> bool:
     """True iff the flip overlaps every plaquette on an even link count.
 
     Exactly these flips commute with every plaquette operator, i.e. with
     the Hamiltonian; on the torus they are the star products together
     with the noncontractible ladder flips.
     """
-    bits = v if isinstance(v, int) else v.bits
     return all((bits & pm).bit_count() % 2 == 0 for pm in lat.plaquette_masks())
 
 
@@ -134,6 +134,39 @@ class ScanResult:
     evaluated: int
 
 
+def bipartition_masks(
+    n: int,
+    mode: str = "exhaustive",
+    *,
+    count: int | None = None,
+    seed: int | None = None,
+    max_links: int = EXHAUSTIVE_SCAN_MAX_LINKS,
+) -> Sequence[int]:
+    """Side-A link masks of the proper bipartitions a scan visits.
+
+    ``exhaustive`` gives all 2**n - 2 of them (n capped at
+    ``max_links``) as a ``range``, so no list of masks is built;
+    ``sampled`` draws ``count`` masks with |A| uniform in 1..n-1,
+    reproducibly for a fixed ``seed``.
+    """
+    if mode == "exhaustive":
+        if n > max_links:
+            raise ResourceLimitError(
+                f"exhaustive scan over {n} links exceeds the {max_links}-link cap"
+            )
+        return range(1, (1 << n) - 1)
+    if mode == "sampled":
+        if not count or count < 1:
+            raise ValueError("sampled mode needs a positive count")
+        rng = random.Random(seed)
+        masks = []
+        for _ in range(count):
+            size = rng.randint(1, n - 1)
+            masks.append(sum(1 << l for l in rng.sample(range(n), size)))
+        return masks
+    raise ValueError(f"unknown scan mode {mode!r}")
+
+
 def absolute_entanglement_scan(
     group: Gf2Matrix,
     mode: str = "exhaustive",
@@ -142,42 +175,13 @@ def absolute_entanglement_scan(
     seed: int | None = None,
     max_links: int = EXHAUSTIVE_SCAN_MAX_LINKS,
 ) -> ScanResult:
-    """Minimum entropy over proper bipartitions.
-
-    ``exhaustive`` visits all 2**n - 2 proper bipartition masks (n
-    capped at ``max_links``); ``sampled`` draws ``count`` partitions
-    with |A| uniform in 1..n-1, reproducibly for a fixed ``seed``.
-    """
+    """Minimum entropy over the proper bipartitions of `bipartition_masks`."""
     n = group.n_cols
-    best: tuple[int, int] | None = None  # (s_bits, a_mask)
-    evaluated = 0
-
-    def consider(a_mask: int) -> None:
-        nonlocal best, evaluated
-        rep = entropy_equal_superposition(group, Partition(n, a_mask))
-        evaluated += 1
-        if best is None or (rep.s_bits, a_mask) < best:
-            best = (rep.s_bits, a_mask)
-
-    if mode == "exhaustive":
-        if n > max_links:
-            raise ResourceLimitError(
-                f"exhaustive scan over {n} links exceeds the {max_links}-link cap"
-            )
-        for a_mask in range(1, (1 << n) - 1):
-            consider(a_mask)
-    elif mode == "sampled":
-        if not count or count < 1:
-            raise ValueError("sampled mode needs a positive count")
-        rng = random.Random(seed)
-        for _ in range(count):
-            size = rng.randint(1, n - 1)
-            links = rng.sample(range(n), size)
-            consider(sum(1 << l for l in links))
-    else:
-        raise ValueError(f"unknown scan mode {mode!r}")
-
-    assert best is not None
+    masks = bipartition_masks(n, mode, count=count, seed=seed, max_links=max_links)
+    best = min(
+        (entropy_equal_superposition(group, Partition(n, m)).s_bits, m)
+        for m in masks
+    )
     return ScanResult(
-        min_s_bits=best[0], argmin=Partition(n, best[1]), evaluated=evaluated
+        min_s_bits=best[0], argmin=Partition(n, best[1]), evaluated=len(masks)
     )

@@ -6,8 +6,9 @@ option defaults without importing numpy.
 
 #: statevector cap of the oracle, in links (2**n amplitudes)
 MAX_ORACLE_LINKS = 26
-#: partial-trace cap of the oracle, in links kept
-MAX_SUBSYSTEM_LINKS = 14
+#: partial-trace cap of the oracle, in links kept: the reduced density
+#: matrix is 2**12 x 2**12 complex, 256 MiB
+MAX_SUBSYSTEM_LINKS = 12
 
 
 class ResourceLimitError(RuntimeError):

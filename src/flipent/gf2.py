@@ -9,7 +9,6 @@ orders of subgroups projected onto one side of a bipartition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -27,54 +26,6 @@ def mask_from_indices(indices: Iterable[int], n: int) -> int:
             raise ValueError(f"column index {i} out of range for width {n}")
         mask |= 1 << i
     return mask
-
-
-@dataclass(frozen=True)
-class FlipVector:
-    """A length-``n`` GF(2) vector marking which spins a flip touches.
-
-    ``bits`` holds the support as a bitmask (bit i = spin/link i).
-    Vectors are self-inverse under ``^``, matching g**2 == identity for
-    the spin-flip operators they encode.
-    """
-
-    bits: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vector length must be nonnegative")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"bits 0x{self.bits:x} do not fit in {self.n} columns")
-
-    @classmethod
-    def zero(cls, n: int) -> "FlipVector":
-        return cls(0, n)
-
-    @classmethod
-    def from_support(cls, indices: Iterable[int], n: int) -> "FlipVector":
-        return cls(mask_from_indices(indices, n), n)
-
-    def __xor__(self, other: "FlipVector") -> "FlipVector":
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} != {other.n}")
-        return FlipVector(self.bits ^ other.bits, self.n)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if (self.bits >> i) & 1)
-
-    def overlap(self, other: "FlipVector") -> int:
-        """Number of spins touched by both vectors."""
-        return (self.bits & other.bits).bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
 
 def _echelonize(masks: Sequence[int]) -> list[int]:
@@ -99,23 +50,15 @@ class Gf2Matrix:
     is safe to use from parallel partition scans.
     """
 
-    def __init__(self, rows: Iterable[FlipVector | int], n_cols: int):
+    def __init__(self, rows: Iterable[int], n_cols: int):
         if n_cols < 0:
             raise ValueError("n_cols must be nonnegative")
-        masks = []
-        for r in rows:
-            bits = r.bits if isinstance(r, FlipVector) else int(r)
+        masks = tuple(rows)
+        for bits in masks:
             if bits < 0 or bits >> n_cols:
                 raise ValueError(f"row 0x{bits:x} wider than {n_cols} columns")
-            if isinstance(r, FlipVector) and r.n != n_cols:
-                raise ValueError(f"row length {r.n} != n_cols {n_cols}")
-            masks.append(bits)
         self.n_cols = n_cols
-        self._masks: tuple[int, ...] = tuple(masks)
-
-    @property
-    def rows(self) -> tuple[FlipVector, ...]:
-        return tuple(FlipVector(m, self.n_cols) for m in self._masks)
+        self._masks: tuple[int, ...] = masks
 
     @property
     def row_masks(self) -> tuple[int, ...]:
@@ -137,37 +80,27 @@ class Gf2Matrix:
         """Dimension of the row space over GF(2)."""
         return len(self._echelon)
 
-    def restricted_rank(self, cols: Iterable[int] | int) -> int:
-        """Rank after zeroing every column outside ``cols``.
+    def restricted_rank(self, mask: int) -> int:
+        """Rank after zeroing every column outside the bitmask ``mask``.
 
-        ``cols`` may be an index set or a precomputed bitmask.  This is
-        the log2 of the number of distinct projections of row-space
-        elements onto ``cols``.
+        This is the log2 of the number of distinct projections of
+        row-space elements onto those columns.
         """
-        mask = cols if isinstance(cols, int) else mask_from_indices(cols, self.n_cols)
         if mask < 0 or mask >> self.n_cols:
             raise ValueError("column mask wider than matrix")
         return len(_echelonize([m & mask for m in self._echelon]))
 
-    def trivial_on_dimension(self, support: Iterable[int] | int) -> int:
-        """log2 of the subgroup supported entirely inside ``support``.
+    def trivial_on_dimension(self, support: int) -> int:
+        """log2 of the subgroup supported entirely inside the mask ``support``.
 
         Counts row-space elements that are zero on every column outside
         ``support``; rank(M) - restricted_rank(M, complement).
         """
-        mask = (
-            support
-            if isinstance(support, int)
-            else mask_from_indices(support, self.n_cols)
-        )
         full = (1 << self.n_cols) - 1
-        return self.rank() - self.restricted_rank(full & ~mask)
+        return self.rank() - self.restricted_rank(full & ~support)
 
-    def reduce(self, v: FlipVector | int) -> int:
-        """Residue of ``v`` after elimination against the echelon rows."""
-        bits = v.bits if isinstance(v, FlipVector) else int(v)
-        if isinstance(v, FlipVector) and v.n != self.n_cols:
-            raise ValueError(f"vector length {v.n} != n_cols {self.n_cols}")
+    def reduce(self, bits: int) -> int:
+        """Residue of ``bits`` after elimination against the echelon rows."""
         if bits < 0 or bits >> self.n_cols:
             raise ValueError("vector wider than matrix")
         for row in self._echelon:
@@ -176,13 +109,13 @@ class Gf2Matrix:
                 bits ^= row
         return bits
 
-    def contains(self, v: FlipVector | int) -> bool:
-        """True iff ``v`` lies in the row space."""
-        return self.reduce(v) == 0
+    def contains(self, bits: int) -> bool:
+        """True iff ``bits`` lies in the row space."""
+        return self.reduce(bits) == 0
 
     def enumerate_row_space(
         self, max_rank: int = DEFAULT_ENUM_MAX_RANK
-    ) -> Iterator[FlipVector]:
+    ) -> Iterator[int]:
         """Yield all 2**rank row-space elements, starting from zero.
 
         Order is deterministic given the echelon form (Gray-code walk
@@ -196,7 +129,7 @@ class Gf2Matrix:
                 f"row space has 2^{r} elements, above the 2^{max_rank} cap"
             )
         acc = 0
-        yield FlipVector(0, self.n_cols)
+        yield acc
         for m in range(1, 1 << r):
             acc ^= basis[(m & -m).bit_length() - 1]
-            yield FlipVector(acc, self.n_cols)
+            yield acc

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import LatticeFormatError, ResourceLimitError
-from .gf2 import FlipVector, Gf2Matrix, mask_from_indices
+from .gf2 import Gf2Matrix, mask_from_indices
 
 DOCUMENT_HEADER = "LATTICE v1"
 
@@ -347,11 +347,6 @@ def parse_lattice_document(text: str) -> Lattice:
     return lat
 
 
-def load_lattice(source: str) -> Lattice:
-    """Load a lattice from document text (see `parse_lattice_document`)."""
-    return parse_lattice_document(source)
-
-
 def lattice_to_document(lat: Lattice) -> str:
     """Serialize a lattice back to document text (round-trips incidence)."""
     kind = "closed" if lat.closed else "open"
@@ -377,8 +372,8 @@ def plaquette_group(lat: Lattice) -> Gf2Matrix:
     return Gf2Matrix(lat.plaquette_masks(), lat.n_links)
 
 
-def ladder_operators(lat: Lattice) -> tuple[FlipVector, FlipVector]:
-    """The two noncontractible x-loop flips of the torus.
+def ladder_operators(lat: Lattice) -> tuple[int, int]:
+    """The link masks of the two noncontractible x-loop flips of the torus.
 
     The first winds horizontally (dual loop along row 0, flipping the k
     vertical links of that row), the second vertically (dual loop along
@@ -389,8 +384,8 @@ def ladder_operators(lat: Lattice) -> tuple[FlipVector, FlipVector]:
     if lat.torus_k is None:
         raise ValueError("ladder operators are only defined for the torus builder")
     k = lat.torus_k
-    w1 = FlipVector.from_support([torus_v(k, i, 0) for i in range(k)], lat.n_links)
-    w2 = FlipVector.from_support([torus_h(k, 0, j) for j in range(k)], lat.n_links)
+    w1 = mask_from_indices([torus_v(k, i, 0) for i in range(k)], lat.n_links)
+    w2 = mask_from_indices([torus_h(k, 0, j) for j in range(k)], lat.n_links)
     return w1, w2
 
 
@@ -575,19 +570,6 @@ def _links_touching(lat: Lattice, sites: set[int]) -> int:
         for l in lat.star_links[s]:
             mask |= 1 << l
     return mask
-
-
-def rect_dual_loop(lat: Lattice, x: int, y: int, w: int, h: int) -> tuple[int, ...]:
-    """Crossed-link ids of the rectangle's dual loop (for loop round-trips)."""
-    part, _ = disk_region(lat, rect=(x, y, w, h))
-    k = lat.torus_k
-    assert k is not None
-    sites = {((y + b) % k) * k + (x + a) % k for a in range(w) for b in range(h)}
-    out = []
-    for l, (a, b) in enumerate(lat.link_sites):
-        if ((a in sites) != (b in sites)) and ((part.a_mask >> l) & 1):
-            out.append(l)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import MAX_ORACLE_LINKS, MAX_SUBSYSTEM_LINKS, ResourceLimitError
-from .gf2 import DEFAULT_ENUM_MAX_RANK, FlipVector
+from .gf2 import DEFAULT_ENUM_MAX_RANK
 from .lattice import Lattice, Partition, ladder_operators, star_group
 from .states import GroundStateCoeffs
 
@@ -50,9 +50,9 @@ def build_ground_state(
     w1, w2 = ladder_operators(lat)
     shifts = {  # (i, j) -> flip applied on top of the star coset
         (0, 0): 0,
-        (0, 1): w1.bits,
-        (1, 0): w2.bits,
-        (1, 1): w1.bits ^ w2.bits,
+        (0, 1): w1,
+        (1, 0): w2,
+        (1, 1): w1 ^ w2,
     }
     amp_by_shift = {
         shifts[0, 0]: coeffs.a00,
@@ -61,7 +61,7 @@ def build_ground_state(
         shifts[1, 1]: coeffs.a11,
     }
     members = np.fromiter(
-        (v.bits for v in group.enumerate_row_space(enum_max_rank)),
+        group.enumerate_row_space(enum_max_rank),
         dtype=np.int64,
         count=1 << group.rank(),
     )
@@ -73,33 +73,28 @@ def build_ground_state(
     return state
 
 
-def apply_flip(state: np.ndarray, mask: FlipVector | int) -> np.ndarray:
-    """Apply the x-flip with the given support (a basis permutation)."""
-    bits = mask.bits if isinstance(mask, FlipVector) else mask
+def apply_flip(state: np.ndarray, mask: int) -> np.ndarray:
+    """Apply the x-flip with the link mask ``mask`` (a basis permutation)."""
     idx = np.arange(len(state), dtype=np.int64)
-    return state[idx ^ bits]
-
-
-def apply_phase(state: np.ndarray, zmask: FlipVector | int) -> np.ndarray:
-    """Apply the z-string on the given support (a diagonal sign flip)."""
-    bits = zmask.bits if isinstance(zmask, FlipVector) else zmask
-    idx = np.arange(len(state), dtype=np.int64)
-    parity = np.zeros(len(state), dtype=np.int64)
-    b = bits
-    while b:
-        l = (b & -b).bit_length() - 1
-        parity ^= (idx >> l) & 1
-        b &= b - 1
-    return np.where(parity == 1, -state, state)
+    return state[idx ^ mask]
 
 
 def is_stabilized(lat: Lattice, state: np.ndarray, tol: float = 1e-12) -> bool:
-    """Check the state is fixed by every star (X) and plaquette (Z)."""
+    """Check the state is fixed by every star (X) and plaquette (Z).
+
+    A plaquette's z-string flips the sign of each basis state with odd
+    parity on its links.
+    """
     for sm in lat.star_masks():
         if np.max(np.abs(apply_flip(state, sm) - state)) > tol:
             return False
+    idx = np.arange(len(state), dtype=np.int64)
     for pm in lat.plaquette_masks():
-        if np.max(np.abs(apply_phase(state, pm) - state)) > tol:
+        parity = np.zeros(len(state), dtype=np.int64)
+        while pm:
+            parity ^= (idx >> ((pm & -pm).bit_length() - 1)) & 1
+            pm &= pm - 1
+        if np.max(np.abs(np.where(parity == 1, -state, state) - state)) > tol:
             return False
     return True
 

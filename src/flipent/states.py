@@ -38,7 +38,7 @@ class GroundStateCoeffs:
     a11: complex
 
     def __post_init__(self) -> None:
-        if abs(self.norm_sq() - 1.0) > NORMALIZATION_TOL:
+        if not abs(self.norm_sq() - 1.0) <= NORMALIZATION_TOL:  # rejects NaN too
             raise ValueError(
                 f"coefficients are not normalized: |c|^2 = {self.norm_sq()!r}"
             )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import entropy_equal_superposition
+from .engine import bipartition_masks, entropy_equal_superposition
 from .gf2 import Gf2Matrix
 from .lattice import Lattice, Partition, disk_region, named_partition, star_group
 from .oracle import (
@@ -42,13 +42,8 @@ def default_suite(lat: Lattice) -> dict[str, Partition]:
     if k > VERIFY_MAX_K:
         raise ValueError(f"oracle verification is capped at k <= {VERIFY_MAX_K}")
     if k == 2:
-        n = lat.n_links
-        return {
-            "links:" + ",".join(map(str, Partition(n, mask).a_links())): Partition(
-                n, mask
-            )
-            for mask in range(1, (1 << n) - 1)
-        }
+        parts = [Partition(lat.n_links, m) for m in bipartition_masks(lat.n_links)]
+        return {"links:" + ",".join(map(str, p.a_links())): p for p in parts}
     suite = {
         name: named_partition(lat, name)
         for name in ("single_spin", "chain", "ladder", "cross")

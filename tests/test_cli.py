@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,7 @@ from importlib import resources
 
 import flipent
 from flipent import Gf2Matrix, GroundStateCoeffs, named_partition
-from flipent.cli import main, parse_partition_spec, parse_state_spec
+from flipent.cli import build_parser, main, parse_partition_spec, parse_state_spec
 from flipent.lattice import build_torus, lattice_to_document
 from flipent.verify import default_suite, verify_partitions
 
@@ -77,6 +78,21 @@ class TestSpecParsers:
         parse_state_spec("coeffs:1.0000001,0,0,0")
         with pytest.raises(ValueError):
             parse_state_spec("coeffs:2,0,0,0")
+
+    def test_nan_coeffs_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "entropy",
+            "--lattice", "torus:k=3",
+            "--partition", "chain",
+            "--state", "coeffs:nan,0,0,0",
+            "--format", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: coefficient norm nan is too far from 1 to renormalize\n"
+        )
 
 
 class TestEntropyCommand:
@@ -162,6 +178,53 @@ class TestEntropyCommand:
             "--max-links", "4",
         )
         assert code == 3
+
+    def test_default_subsystem_cap_exit_3_before_allocating(self, capsys):
+        # |A| = 13 is over the default cap of 12 links; its reduced matrix
+        # would be 2**13 x 2**13 complex, 1 GiB
+        links = ",".join(str(l) for l in range(13))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys,
+                "entropy",
+                "--lattice", "torus:k=3",
+                "--partition", f"links:{links}",
+                "--oracle",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert err == "error: subsystem of 13 links exceeds the 12-link cap\n"
+        assert peak < 64 << 20  # the 2**18 state is 4 MiB
+
+    @pytest.mark.parametrize(
+        "argv, error, reason",
+        [
+            (
+                ["entropy", "--partition", "chain"],
+                MemoryError("Unable to allocate 4.00 GiB for an array"),
+                "Unable to allocate 4.00 GiB for an array",
+            ),
+            (["scan", "--mode", "table1"], MemoryError(), "allocation failed"),
+        ],
+        ids=["entropy", "scan-bare"],
+    )
+    def test_memory_error_exit_3(self, capsys, monkeypatch, argv, error, reason):
+        from flipent import oracle
+
+        def out_of_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(oracle, "oracle_entropy", out_of_memory)
+        code, out, err = run_cli(
+            capsys, argv[0], "--lattice", "torus:k=3", *argv[1:], "--oracle"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: out of memory: {reason}\n"
 
     def test_torus_size_cap_exit_3(self, capsys):
         code, out, err = run_cli(
@@ -336,3 +399,34 @@ class TestLatticeInfoCommand:
         code, _, err = run_cli(capsys, "lattice-info", "--lattice", str(doc))
         assert code == 2
         assert "line 6" in err
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", ["verify", "lattice-info"])
+    @pytest.mark.parametrize("option", ["--max-links", "--max-subsystem", "--enum-cap"])
+    def test_oracle_caps_removed_from_verify_and_lattice_info(
+        self, capsys, command, option
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--lattice", "torus:k=2", option, "4"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entropy", "--lattice", "torus:k=2", "--partition", "chain"],
+            ["scan", "--lattice", "torus:k=2"],
+        ],
+        ids=["entropy", "scan"],
+    )
+    def test_oracle_caps_kept_on_entropy_and_scan(self, argv):
+        args = build_parser().parse_args(argv)
+        assert (args.max_links, args.max_subsystem, args.enum_cap) == (26, 12, 20)
+
+
+class TestPackageExports:
+    def test_every_exported_name_resolves(self):
+        for name in flipent.__all__:
+            assert getattr(flipent, name) is not None, name
+        assert len(set(flipent.__all__)) == len(flipent.__all__)

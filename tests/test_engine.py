@@ -8,6 +8,7 @@ from flipent import (
     Partition,
     ResourceLimitError,
     absolute_entanglement_scan,
+    bipartition_masks,
     boundary_bounds_check,
     build_torus,
     disk_region,
@@ -194,12 +195,12 @@ class TestClosedStringNets:
 
     def test_ladder_times_star_is_closed(self, torus_k3, stars_k3):
         w1, _ = ladder_operators(torus_k3)
-        assert is_closed_string_net(torus_k3, w1.bits ^ stars_k3.row_masks[2])
+        assert is_closed_string_net(torus_k3, w1 ^ stars_k3.row_masks[2])
 
     def test_equivalent_to_star_plus_ladder_membership(self, torus_k2, stars_k2):
         w1, w2 = ladder_operators(torus_k2)
         extended = Gf2Matrix(
-            list(stars_k2.row_masks) + [w1.bits, w2.bits], 8
+            list(stars_k2.row_masks) + [w1, w2], 8
         )
         for v in range(256):
             assert is_closed_string_net(torus_k2, v) == extended.contains(v)
@@ -231,3 +232,51 @@ class TestAbsoluteEntanglementScan:
     def test_plaquette_group_scan_matches_star_by_duality(self, torus_k2):
         res = absolute_entanglement_scan(plaquette_group(torus_k2), "exhaustive")
         assert res.min_s_bits == 1
+
+
+class TestBipartitionMasks:
+    def test_exhaustive_is_a_range(self):
+        masks = bipartition_masks(18, "exhaustive")
+        assert masks == range(1, (1 << 18) - 1)
+        assert isinstance(masks, range)
+
+    def test_exhaustive_cap(self):
+        with pytest.raises(ResourceLimitError, match="25 links exceeds the 24-link cap"):
+            bipartition_masks(25, "exhaustive")
+        with pytest.raises(ResourceLimitError):
+            bipartition_masks(11, "exhaustive", max_links=10)
+        assert len(bipartition_masks(10, "exhaustive", max_links=10)) == 1022
+
+    def test_sampled_draws_are_proper_and_reproducible(self):
+        masks = bipartition_masks(18, "sampled", count=300, seed=4)
+        assert len(masks) == 300
+        assert all(0 < m < (1 << 18) - 1 for m in masks)
+        assert masks == bipartition_masks(18, "sampled", count=300, seed=4)
+        assert masks != bipartition_masks(18, "sampled", count=300, seed=5)
+
+    def test_sampled_follows_the_rng_draw_sequence(self):
+        rng = random.Random(12)
+        expected = []
+        for _ in range(20):
+            size = rng.randint(1, 7)
+            expected.append(sum(1 << l for l in rng.sample(range(8), size)))
+        assert bipartition_masks(8, "sampled", count=20, seed=12) == expected
+
+    @pytest.mark.parametrize("count", [None, 0, -3])
+    def test_sampled_needs_positive_count(self, count):
+        with pytest.raises(ValueError, match="positive count"):
+            bipartition_masks(8, "sampled", count=count, seed=1)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown scan mode"):
+            bipartition_masks(8, "rects")
+
+    def test_scan_visits_exactly_these_masks(self, stars_k3):
+        masks = bipartition_masks(18, "sampled", count=200, seed=9)
+        res = absolute_entanglement_scan(stars_k3, "sampled", count=200, seed=9)
+        best = min(
+            (entropy_equal_superposition(stars_k3, Partition(18, m)).s_bits, m)
+            for m in masks
+        )
+        assert res.evaluated == 200
+        assert (res.min_s_bits, res.argmin.a_mask) == best

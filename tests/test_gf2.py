@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from flipent import FlipVector, Gf2Matrix, ResourceLimitError
-from flipent.lattice import named_partition
+from flipent import Gf2Matrix, ResourceLimitError
+from flipent.gf2 import mask_from_indices
+from flipent.lattice import Partition, named_partition
 
 
 def identity_matrix(n):
@@ -15,30 +16,40 @@ def random_matrix(rng, n_rows, n_cols):
 
 
 def enumerate_masks(m):
-    return [v.bits for v in m.enumerate_row_space()]
+    return list(m.enumerate_row_space())
 
 
-class TestFlipVector:
+class TestMaskVectors:
+    """Vectors are int bitmasks: bit i set iff the flip touches link i."""
+
     def test_xor_is_self_inverse(self):
-        v = FlipVector.from_support([0, 3, 5], 8)
-        assert (v ^ v).is_zero()
+        v = mask_from_indices([0, 3, 5], 8)
+        assert v ^ v == 0
 
     def test_length_mismatch_rejected(self):
+        # a vector one column wider than the matrix is refused
+        m = Gf2Matrix([0b1], 4)
         with pytest.raises(ValueError):
-            FlipVector(0b1, 4) ^ FlipVector(0b1, 5)
+            m.contains(1 << 4)
+        with pytest.raises(ValueError):
+            Gf2Matrix([0b1, 1 << 4], 4)
 
     def test_support_round_trip(self):
-        v = FlipVector.from_support([2, 7], 9)
-        assert v.support() == (2, 7)
-        assert v.weight() == 2
+        v = mask_from_indices([2, 7], 9)
+        assert Partition(9, v).a_links() == (2, 7)
+        assert v.bit_count() == 2
 
     def test_out_of_range_support(self):
         with pytest.raises(ValueError):
-            FlipVector.from_support([9], 9)
+            mask_from_indices([9], 9)
+        with pytest.raises(ValueError):
+            mask_from_indices([-1], 9)
 
     def test_bits_must_fit(self):
         with pytest.raises(ValueError):
-            FlipVector(1 << 4, 4)
+            Gf2Matrix([1 << 4], 4)
+        with pytest.raises(ValueError):
+            Gf2Matrix([-1], 4)
 
 
 class TestRank:
@@ -87,14 +98,14 @@ class TestRank:
 
 class TestRestrictedRank:
     def test_all_columns(self, stars_k2):
-        assert stars_k2.restricted_rank(range(8)) == stars_k2.rank()
+        assert stars_k2.restricted_rank(0xFF) == stars_k2.rank()
 
     def test_no_columns(self, stars_k2):
-        assert stars_k2.restricted_rank([]) == 0
+        assert stars_k2.restricted_rank(0) == 0
 
     def test_out_of_range_column(self, stars_k2):
         with pytest.raises(ValueError):
-            stars_k2.restricted_rank([8])
+            stars_k2.restricted_rank(1 << 8)
 
     def test_chain_restriction_matches_enumeration(self, torus_k2, stars_k2):
         chain = named_partition(torus_k2, "chain")
@@ -121,7 +132,7 @@ class TestRestrictedRank:
 
 class TestTrivialOnDimension:
     def test_full_support_is_rank(self, stars_k2):
-        assert stars_k2.trivial_on_dimension(range(8)) == stars_k2.rank()
+        assert stars_k2.trivial_on_dimension(0xFF) == stars_k2.rank()
 
     def test_chain_supports_nothing(self, torus_k2, stars_k2):
         chain = named_partition(torus_k2, "chain")
@@ -150,12 +161,12 @@ class TestContains:
         assert stars_k2.contains(total)
 
     def test_single_link_flip_not_in_star_group(self, stars_k2):
-        assert not stars_k2.contains(FlipVector.from_support([0], 8))
-        assert FlipVector.from_support([0], 8).bits not in enumerate_masks(stars_k2)
+        assert not stars_k2.contains(0b1)
+        assert 0b1 not in enumerate_masks(stars_k2)
 
     def test_length_mismatch(self, stars_k2):
         with pytest.raises(ValueError):
-            stars_k2.contains(FlipVector(0, 9))
+            stars_k2.contains(1 << 8)
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(15)
@@ -171,7 +182,7 @@ class TestContains:
 class TestEnumerateRowSpace:
     def test_rank_zero_yields_only_zero(self):
         vs = list(Gf2Matrix([0, 0], 6).enumerate_row_space())
-        assert [v.bits for v in vs] == [0]
+        assert vs == [0]
 
     def test_k2_star_group_has_eight_elements(self, stars_k2):
         masks = enumerate_masks(stars_k2)

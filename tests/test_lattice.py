@@ -5,7 +5,6 @@ import tracemalloc
 import pytest
 
 from flipent import (
-    FlipVector,
     LatticeFormatError,
     ResourceLimitError,
     boundary_stats,
@@ -172,20 +171,20 @@ class TestLadderOperators:
 
     def test_self_inverse(self, torus_k2):
         w1, _ = ladder_operators(torus_k2)
-        assert (w1 ^ w1).is_zero()
+        assert w1 ^ w1 == 0
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_even_overlap_with_every_plaquette(self, k):
         lat = build_torus(k)
         w1, w2 = ladder_operators(lat)
         for pm in lat.plaquette_masks():
-            assert (w1.bits & pm).bit_count() % 2 == 0
-            assert (w2.bits & pm).bit_count() % 2 == 0
+            assert (w1 & pm).bit_count() % 2 == 0
+            assert (w2 & pm).bit_count() % 2 == 0
 
     def test_supports(self, torus_k3):
         w1, w2 = ladder_operators(torus_k3)
-        assert w1.support() == tuple(torus_v(3, i, 0) for i in range(3))
-        assert w2.support() == tuple(sorted(torus_h(3, 0, j) for j in range(3)))
+        assert w1 == sum(1 << torus_v(3, i, 0) for i in range(3))
+        assert w2 == sum(1 << torus_h(3, 0, j) for j in range(3))
 
     def test_requires_torus(self):
         lat = parse_lattice_document(cube_document())
@@ -206,7 +205,7 @@ class TestNamedPartitions:
     def test_ladder_is_vertical_dual_loop(self, torus_k3):
         p = named_partition(torus_k3, "ladder")
         _, w2 = ladder_operators(torus_k3)
-        assert p.a_mask == w2.bits
+        assert p.a_mask == w2
 
     def test_single_spin_and_pair(self, torus_k2):
         assert named_partition(torus_k2, "single_spin", 5).a_links() == (5,)

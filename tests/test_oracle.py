@@ -51,6 +51,19 @@ class TestGroundStateConstruction:
     def test_k3_state_is_stabilized(self, torus_k3, xi00_k3):
         assert is_stabilized(torus_k3, xi00_k3)
 
+    def test_plaquette_violation_detected(self, torus_k2):
+        # |+>^n is fixed by every x-flip but not by the z-strings
+        plus = np.full(1 << 8, 1 / 16, dtype=np.complex128)
+        assert all(np.array_equal(apply_flip(plus, sm), plus)
+                   for sm in torus_k2.star_masks())
+        assert not is_stabilized(torus_k2, plus)
+
+    def test_star_violation_detected(self, torus_k2):
+        # the all-up basis state is fixed by the z-strings only
+        up = np.zeros(1 << 8, dtype=np.complex128)
+        up[0] = 1
+        assert not is_stabilized(torus_k2, up)
+
     def test_links_cap(self, torus_k3):
         with pytest.raises(ResourceLimitError):
             build_ground_state(torus_k3, GroundStateCoeffs.xi(0, 0), max_links=10)

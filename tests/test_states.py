@@ -17,6 +17,13 @@ INV_SQRT2 = 1 / math.sqrt(2)
 
 
 class TestCoefficients:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0)])
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(ValueError, match="not normalized"):
+            GroundStateCoeffs(bad, 0, 0, 0)
+        with pytest.raises(ValueError):
+            GroundStateCoeffs.from_sequence([bad, 0, 0, 0], renormalize=True)
+
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
             GroundStateCoeffs(1, 1, 0, 0)
