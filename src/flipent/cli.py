@@ -38,7 +38,6 @@ from .errors import (
     LatticeFormatError,
     ResourceLimitError,
 )
-from .gf2 import DEFAULT_ENUM_MAX_RANK
 from .lattice import (
     BoundaryStats,
     Lattice,
@@ -236,20 +235,20 @@ def emit_rows_table(rows: list[dict], out) -> None:
 # ---------------------------------------------------------------------------
 # entropy command
 
-def _oracle_entropy(args, lat: Lattice, coeffs, part: Partition) -> float:
-    """The statevector oracle's entropy, under the command's oracle caps."""
+def _oracle_state(args, lat: Lattice, coeffs):
+    """The statevector oracle's ground state, under the command's link cap."""
     if lat.torus_k is None:
         raise ValueError("the statevector oracle needs a torus lattice")
-    from .oracle import oracle_entropy
+    from . import oracle
 
-    return oracle_entropy(
-        lat,
-        coeffs,
-        part,
-        max_links=args.max_links,
-        max_subsystem=args.max_subsystem,
-        enum_max_rank=args.enum_cap,
-    )
+    return oracle.build_ground_state(lat, coeffs, max_links=args.max_links)
+
+
+def _oracle_entropy(args, state, part: Partition) -> float:
+    """The oracle's entropy of ``part``, under the command's subsystem cap."""
+    from . import oracle
+
+    return oracle.oracle_entropy(state, part, max_subsystem=args.max_subsystem)
 
 
 def _state_entropy(lat: Lattice, parsed: ParsedPartition, coeffs, is_basis, report):
@@ -286,7 +285,8 @@ def cmd_entropy(args) -> int:
     geometric = geometric_entropy(parsed.stats) if parsed.is_disk else None
     oracle_s = None
     if args.oracle:
-        oracle_s = _oracle_entropy(args, lat, coeffs, parsed.partition)
+        state = _oracle_state(args, lat, coeffs)
+        oracle_s = _oracle_entropy(args, state, parsed.partition)
 
     mismatch = False
     if is_basis and closed is not None and closed != report.s_bits:
@@ -346,6 +346,8 @@ def cmd_entropy(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import default_suite, max_deviation, verify_partitions
 
+    if not (args.tol >= 0 and math.isfinite(args.tol)):
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     lat = parse_lattice_spec(args.lattice)
     _, coeffs, is_basis = parse_state_spec(args.state)
     if not is_basis:
@@ -476,10 +478,13 @@ def cmd_scan(args) -> int:
     lat = parse_lattice_spec(args.lattice)
     group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
     rows = []
+    state = None
     for desc, part, stats, closed in _scan_partitions(args, lat):
         oracle_s = None
         if args.oracle:
-            oracle_s = _oracle_entropy(args, lat, GroundStateCoeffs.xi(0, 0), part)
+            if state is None:  # on the first row, after the mode's own input checks
+                state = _oracle_state(args, lat, GroundStateCoeffs.xi(0, 0))
+            oracle_s = _oracle_entropy(args, state, part)
         rows.append(_scan_row(lat, group, desc, part, stats, closed, oracle_s))
     rows.sort(key=lambda r: r["partition"])
     if args.format == "json":
@@ -555,12 +560,6 @@ def _add_group_and_oracle(sub) -> None:
         type=int,
         default=MAX_SUBSYSTEM_LINKS,
         help="oracle partial-trace cap (links kept)",
-    )
-    sub.add_argument(
-        "--enum-cap",
-        type=int,
-        default=DEFAULT_ENUM_MAX_RANK,
-        help="row-space enumeration cap (log2 of element count)",
     )
 
 

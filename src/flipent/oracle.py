@@ -1,32 +1,30 @@
 """Brute-force statevector ground truth at desk scale.
 
 Builds explicit ground-state vectors by enumerating the star group,
-takes partial traces by bit gathering, and evaluates von Neumann
-entropy and two-spin concurrence from dense eigendecompositions.
+takes partial traces by reshaping the state into an (A bits, B bits)
+amplitude matrix, and evaluates von Neumann entropy and two-spin
+concurrence from dense eigendecompositions.
 
 Basis convention: computational basis index = binary expansion over
 link occupation with link 0 as the least significant bit.  The reduced
 basis after a partial trace orders the kept links ascending, again LSB
 first.  This must match the bitmask convention of the GF(2) layer, and
-the partial-trace index arithmetic below depends on it.
+the axis order of the partial-trace reshape below depends on it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
 from .errors import MAX_ORACLE_LINKS, MAX_SUBSYSTEM_LINKS, ResourceLimitError
-from .gf2 import DEFAULT_ENUM_MAX_RANK
 from .lattice import Lattice, Partition, ladder_operators, star_group
 from .states import GroundStateCoeffs
 
 EIG_NEGATIVE_TOL = 1e-10
 EIG_ZERO_TOL = 1e-12
-
-_CHUNK = 1 << 20
 
 
 def build_ground_state(
@@ -34,7 +32,6 @@ def build_ground_state(
     coeffs: GroundStateCoeffs,
     *,
     max_links: int = MAX_ORACLE_LINKS,
-    enum_max_rank: int = DEFAULT_ENUM_MAX_RANK,
 ) -> np.ndarray:
     """Dense 2**n state vector of the ground state with given amplitudes.
 
@@ -48,26 +45,20 @@ def build_ground_state(
         raise ResourceLimitError(f"{n} links exceed the {max_links}-link oracle cap")
     group = star_group(lat)
     w1, w2 = ladder_operators(lat)
-    shifts = {  # (i, j) -> flip applied on top of the star coset
-        (0, 0): 0,
-        (0, 1): w1,
-        (1, 0): w2,
-        (1, 1): w1 ^ w2,
-    }
-    amp_by_shift = {
-        shifts[0, 0]: coeffs.a00,
-        shifts[0, 1]: coeffs.a01,
-        shifts[1, 0]: coeffs.a10,
-        shifts[1, 1]: coeffs.a11,
-    }
+    cosets = (  # coset a_ij: the flip applied on top of the star group
+        (0, coeffs.a00),
+        (w1, coeffs.a01),
+        (w2, coeffs.a10),
+        (w1 ^ w2, coeffs.a11),
+    )
     members = np.fromiter(
-        group.enumerate_row_space(enum_max_rank),
+        group.enumerate_row_space(),
         dtype=np.int64,
         count=1 << group.rank(),
     )
     norm = 1.0 / math.sqrt(len(members))
     state = np.zeros(1 << n, dtype=np.complex128)
-    for shift, amp in amp_by_shift.items():
+    for shift, amp in cosets:
         if amp != 0:
             state[members ^ shift] += amp * norm
     return state
@@ -99,13 +90,6 @@ def is_stabilized(lat: Lattice, state: np.ndarray, tol: float = 1e-12) -> bool:
     return True
 
 
-def _gather_bits(idx: np.ndarray, links: Iterable[int]) -> np.ndarray:
-    out = np.zeros(len(idx), dtype=np.int64)
-    for pos, link in enumerate(links):
-        out |= ((idx >> link) & 1) << pos
-    return out
-
-
 def reduced_density_matrix(
     state: np.ndarray,
     p: Partition,
@@ -114,9 +98,12 @@ def reduced_density_matrix(
 ) -> np.ndarray:
     """Partial trace over side B, keeping the links of side A.
 
-    Amplitudes are rearranged into a matrix indexed by (A bits, B bits)
-    and contracted as M M^dagger; works in chunks so the full index
-    array never has to be materialized.
+    The state is reshaped to one axis per link, its axes are permuted
+    to (A links, B links) and the result is read as the amplitude matrix
+    M indexed by (A bits, B bits); rho = M M^dagger.  Axis t of the
+    C-order reshape holds link n-1-t, so each side's links are listed
+    in descending order, which makes its lowest link the least
+    significant bit of the row or column index.
     """
     n = p.n_links
     if len(state) != 1 << n:
@@ -127,12 +114,10 @@ def reduced_density_matrix(
             f"subsystem of {len(a_links)} links exceeds the "
             f"{max_subsystem}-link cap"
         )
-    b_links = tuple(i for i in range(n) if not ((p.a_mask >> i) & 1))
-    m = np.zeros((1 << len(a_links), 1 << len(b_links)), dtype=np.complex128)
-    for lo in range(0, len(state), _CHUNK):
-        hi = min(lo + _CHUNK, len(state))
-        idx = np.arange(lo, hi, dtype=np.int64)
-        m[_gather_bits(idx, a_links), _gather_bits(idx, b_links)] = state[lo:hi]
+    b_links = p.complement().a_links()
+    axes = [n - 1 - link for link in a_links[::-1] + b_links[::-1]]
+    m = state.reshape((2,) * n).transpose(axes)
+    m = m.reshape(1 << len(a_links), 1 << len(b_links))
     return m @ m.conj().T
 
 
@@ -186,18 +171,12 @@ def concurrence(rho: np.ndarray) -> float:
 
 
 def oracle_entropy(
-    lat: Lattice,
-    coeffs: GroundStateCoeffs,
+    state: np.ndarray,
     p: Partition,
     *,
-    max_links: int = MAX_ORACLE_LINKS,
     max_subsystem: int = MAX_SUBSYSTEM_LINKS,
-    enum_max_rank: int = DEFAULT_ENUM_MAX_RANK,
 ) -> float:
-    """Ground-state entropy across ``p`` straight from the statevector."""
-    state = build_ground_state(
-        lat, coeffs, max_links=max_links, enum_max_rank=enum_max_rank
-    )
+    """Entropy across ``p`` of a state from `build_ground_state`."""
     return von_neumann_entropy(
         reduced_density_matrix(state, p, max_subsystem=max_subsystem)
     )
@@ -208,7 +187,7 @@ def basis_state_entropy_invariance(
 ) -> bool:
     """Check all four ladder-basis ground states give the same entropy."""
     values = [
-        oracle_entropy(lat, GroundStateCoeffs.xi(i, j), p)
+        oracle_entropy(build_ground_state(lat, GroundStateCoeffs.xi(i, j)), p)
         for i in (0, 1)
         for j in (0, 1)
     ]

@@ -150,7 +150,7 @@ def test_criterion_04_basis_state_invariance():
         for name in ("chain", "ladder"):
             part = named_partition(lat, name)
             values = [
-                oracle_entropy(lat, GroundStateCoeffs.xi(i, j), part)
+                oracle_entropy(build_ground_state(lat, GroundStateCoeffs.xi(i, j)), part)
                 for i in (0, 1)
                 for j in (0, 1)
             ]

@@ -9,12 +9,16 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from importlib import resources
+from pathlib import Path
 
 import flipent
 from flipent import Gf2Matrix, GroundStateCoeffs, named_partition
 from flipent.cli import build_parser, main, parse_partition_spec, parse_state_spec
 from flipent.lattice import build_torus, lattice_to_document
 from flipent.verify import default_suite, verify_partitions
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -263,6 +267,18 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--lattice", "torus:k=4")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_exit_2(self, capsys, tol):
+        # exit 1 is kept for mismatches; a tolerance no row can meet is bad input
+        code, out, err = run_cli(
+            capsys, "verify", "--lattice", "torus:k=2", "--tol", tol
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: --tol must be a finite number >= 0, got {float(tol)!r}\n"
+        )
+
     def test_suite_contents_k3(self, torus_k3):
         suite = default_suite(torus_k3)
         assert set(suite) == {
@@ -353,6 +369,67 @@ class TestScanCommand:
         assert code == 3
 
 
+class TestOracleStateBuilds:
+    """Each command builds its oracle state once, whatever its row count."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from flipent import oracle, verify
+
+        calls = []
+        build = oracle.build_ground_state
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "build_ground_state", counted)
+        monkeypatch.setattr(verify, "build_ground_state", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (
+                ["scan", "--mode", "rects", "--count", "5", "--seed", "1", "--oracle"],
+                5,
+            ),
+            (["entropy", "--partition", "chain", "--oracle", "--format", "csv"], 1),
+            (["verify"], 5),
+        ],
+        ids=["scan", "entropy", "verify"],
+    )
+    def test_state_built_once(self, capsys, builds, argv, rows):
+        code, out, err = run_cli(capsys, argv[0], "--lattice", "torus:k=3", *argv[1:])
+        assert (code, err) == (0, "")
+        assert len(out.strip().splitlines()) == rows + 1
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                [
+                    "--lattice", "torus:k=2", "--mode", "rects", "--count", "1",
+                    "--seed", "1", "--max-links", "4",
+                ],
+                "need k >= 3 for a convex rectangle",
+            ),
+            (
+                ["--lattice", str(GOLDEN / "patch.lat"), "--mode", "table1"],
+                "table1 mode needs a torus lattice",
+            ),
+        ],
+        ids=["rects-k2", "table1-document"],
+    )
+    def test_scan_mode_errors_come_first(self, capsys, builds, argv, message):
+        # the state is built on the first row, so a mode that cannot give
+        # a row reports its own error, not the oracle's link cap or torus check
+        code, out, err = run_cli(capsys, "scan", *argv, "--oracle")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert builds == []
+
+
 class TestLatticeInfoCommand:
     def test_torus_info(self, capsys):
         code, out, _ = run_cli(
@@ -422,7 +499,22 @@ class TestOptions:
     )
     def test_oracle_caps_kept_on_entropy_and_scan(self, argv):
         args = build_parser().parse_args(argv)
-        assert (args.max_links, args.max_subsystem, args.enum_cap) == (26, 12, 20)
+        assert (args.max_links, args.max_subsystem) == (26, 12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entropy", "--lattice", "torus:k=2", "--partition", "chain"],
+            ["scan", "--lattice", "torus:k=2"],
+        ],
+        ids=["entropy", "scan"],
+    )
+    def test_enum_cap_removed(self, capsys, argv):
+        # the 2**n state under --max-links binds before any row-space cap
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--oracle", "--enum-cap", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --enum-cap 4" in capsys.readouterr().err
 
 
 class TestPackageExports:

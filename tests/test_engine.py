@@ -4,7 +4,6 @@ import pytest
 
 from flipent import (
     Gf2Matrix,
-    GroundStateCoeffs,
     Partition,
     ResourceLimitError,
     absolute_entanglement_scan,
@@ -46,15 +45,20 @@ class TestEqualSuperpositionEntropy:
         assert rep.s_bits == 3
         assert rep.diagonal
 
-    def test_vertical_true_value(self, torus_k2, torus_k3, stars_k2, stars_k3):
+    def test_vertical_true_value(
+        self, torus_k2, torus_k3, stars_k2, stars_k3, xi00_k2, xi00_k3
+    ):
         # products of full star rows act only on vertical links, so the
         # vertical cut comes out at (k-1)^2; the oracle agrees.
-        for lat, stars, k in ((torus_k2, stars_k2, 2), (torus_k3, stars_k3, 3)):
+        for lat, stars, state, k in (
+            (torus_k2, stars_k2, xi00_k2, 2),
+            (torus_k3, stars_k3, xi00_k3, 3),
+        ):
             p = named_partition(lat, "vertical")
             rep = entropy_equal_superposition(stars, p)
             assert rep.s_bits == (k - 1) ** 2
             assert rep.log2_inside_a == k - 1
-            s_oracle = oracle_entropy(lat, GroundStateCoeffs.xi(0, 0), p)
+            s_oracle = oracle_entropy(state, p)
             assert abs(s_oracle - rep.s_bits) < 1e-9
 
     def test_swap_symmetry(self, stars_k3):

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flipent import (
     GroundStateCoeffs,
@@ -15,6 +16,7 @@ from flipent import (
     build_ground_state,
     build_torus,
     concurrence,
+    entropy_equal_superposition,
     named_partition,
     off_diagonal_mass,
     oracle_entropy,
@@ -92,6 +94,51 @@ class TestReducedDensityMatrix:
     def test_subsystem_cap(self, xi00_k2):
         with pytest.raises(ResourceLimitError):
             reduced_density_matrix(xi00_k2, Partition(8, 0b1111), max_subsystem=3)
+
+
+def bit_gather_density_matrix(state, p):
+    """Reference partial trace: M filled entry by entry from index bits.
+
+    Row index bit ``pos`` is link ``a_links[pos]`` of the basis index,
+    column index bit ``pos`` is link ``b_links[pos]``; rho = M M^dagger.
+    """
+    idx = np.arange(len(state), dtype=np.int64)
+
+    def gather(links):
+        out = np.zeros(len(idx), dtype=np.int64)
+        for pos, link in enumerate(links):
+            out |= ((idx >> link) & 1) << pos
+        return out
+
+    a_links, b_links = p.a_links(), p.complement().a_links()
+    m = np.zeros((1 << len(a_links), 1 << len(b_links)), dtype=np.complex128)
+    m[gather(a_links), gather(b_links)] = state
+    return m @ m.conj().T
+
+
+class TestPartialTraceAgainstBitGather:
+    @pytest.mark.parametrize(
+        "coeffs",
+        [GroundStateCoeffs.xi(0, 0), GroundStateCoeffs.random(random.Random(25))],
+        ids=["xi00", "random"],
+    )
+    def test_every_k2_bipartition(self, torus_k2, coeffs):
+        state = build_ground_state(torus_k2, coeffs)
+        for mask in range(1, 255):
+            p = Partition(8, mask)
+            assert np.array_equal(
+                reduced_density_matrix(state, p), bit_gather_density_matrix(state, p)
+            ), mask
+
+    def test_sampled_k3_bipartitions(self, xi00_k3):
+        rng = random.Random(26)
+        for _ in range(100):
+            links = rng.sample(range(18), rng.randint(1, 8))
+            p = Partition.from_links(links, 18)
+            assert np.array_equal(
+                reduced_density_matrix(xi00_k3, p),
+                bit_gather_density_matrix(xi00_k3, p),
+            ), links
 
 
 class TestVonNeumannEntropy:
@@ -174,7 +221,7 @@ class TestGenericStateFormulas:
         rng = random.Random(23)
         for _ in range(10):
             c = GroundStateCoeffs.random(rng)
-            s = oracle_entropy(lat, c, chain)
+            s = oracle_entropy(build_ground_state(lat, c), chain)
             assert s == pytest.approx(k - 1 + binary_entropy(alpha(c)), abs=1e-9)
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -204,14 +251,51 @@ class TestBasisStateInvariance:
         chain = named_partition(torus_k2, "chain")
         assert basis_state_entropy_invariance(torus_k2, chain)
         for i, j in ((0, 0), (1, 1)):
-            s = oracle_entropy(torus_k2, GroundStateCoeffs.xi(i, j), chain)
+            state = build_ground_state(torus_k2, GroundStateCoeffs.xi(i, j))
+            s = oracle_entropy(state, chain)
             assert s == pytest.approx(1.0, abs=1e-9)
 
     def test_k2_single_spin(self, torus_k2):
         p = named_partition(torus_k2, "single_spin")
         assert basis_state_entropy_invariance(torus_k2, p)
-        s = oracle_entropy(torus_k2, GroundStateCoeffs.xi(0, 1), p)
+        state = build_ground_state(torus_k2, GroundStateCoeffs.xi(0, 1))
+        s = oracle_entropy(state, p)
         assert s == pytest.approx(1.0, abs=1e-9)
+
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True, database=None, max_examples=60, deadline=None
+)
+K2_MASKS = st.integers(min_value=1, max_value=254)
+AMPLITUDES = st.lists(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    min_size=4,
+    max_size=4,
+).filter(lambda amps: sum(abs(a) ** 2 for a in amps) > 1e-6)
+
+
+class TestOracleProperties:
+    @PROPERTY_SETTINGS
+    @given(amps=AMPLITUDES, mask=K2_MASKS)
+    def test_pure_state_sides_agree(self, torus_k2, amps, mask):
+        coeffs = GroundStateCoeffs.from_sequence(amps, renormalize=True)
+        state = build_ground_state(torus_k2, coeffs)
+        p = Partition(8, mask)
+        s_a = oracle_entropy(state, p)
+        s_b = oracle_entropy(state, p.complement())
+        assert abs(s_a - s_b) <= 1e-9
+
+    @PROPERTY_SETTINGS
+    @given(
+        i=st.integers(min_value=0, max_value=1),
+        j=st.integers(min_value=0, max_value=1),
+        mask=K2_MASKS,
+    )
+    def test_basis_state_matches_engine(self, torus_k2, stars_k2, i, j, mask):
+        state = build_ground_state(torus_k2, GroundStateCoeffs.xi(i, j))
+        p = Partition(8, mask)
+        s_bits = entropy_equal_superposition(stars_k2, p).s_bits
+        assert abs(oracle_entropy(state, p) - s_bits) <= 1e-9
 
 
 class TestSpectrumDump:
