@@ -458,20 +458,21 @@ def _require_count_seed(args) -> None:
         raise ValueError(f"mode {args.mode!r} needs --count >= 1")
     if args.seed is None:
         raise ValueError(f"mode {args.mode!r} needs --seed for reproducibility")
+    if (args.count + 1).bit_length() > args.scan_cap:  # count > 2**cap - 2
+        raise ResourceLimitError(
+            f"--count {args.count} exceeds the row budget 2**{args.scan_cap} - 2 "
+            "set by --scan-cap"
+        )
 
 
 def _disk_descriptor(lat, part) -> str:
-    inside = {
-        s
-        for s, links in enumerate(lat.star_links)
-        if all((part.a_mask >> l) & 1 for l in links)
-    }
-    crossed = sorted(
-        l
-        for l, (a, b) in enumerate(lat.link_sites)
-        if (a in inside) != (b in inside)
-    )
-    return "loop:" + ",".join(map(str, crossed))
+    # the sites inside A are those whose whole star lies in A; the links
+    # their boundary crosses are the XOR of those stars
+    crossed = 0
+    for star in lat.star_masks():
+        if star & part.a_mask == star:
+            crossed ^= star
+    return "loop:" + ",".join(map(str, Partition(lat.n_links, crossed).a_links()))
 
 
 def cmd_scan(args) -> int:
@@ -598,7 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scan-cap",
         type=int,
         default=EXHAUSTIVE_SCAN_MAX_LINKS,
-        help="exhaustive-mode link cap",
+        help="row budget of every mode: at most 2**cap - 2 rows "
+        "(the exhaustive-mode link cap)",
     )
     p.set_defaults(func=cmd_scan)
 

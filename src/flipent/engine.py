@@ -158,6 +158,8 @@ def bipartition_masks(
     if mode == "sampled":
         if not count or count < 1:
             raise ValueError("sampled mode needs a positive count")
+        if n < 2:
+            raise ValueError(f"sampled mode needs at least 2 links, got {n}")
         rng = random.Random(seed)
         masks = []
         for _ in range(count):

@@ -18,7 +18,8 @@ arithmetic consistent with the statevector oracle's basis ordering.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import LatticeFormatError, ResourceLimitError
@@ -50,10 +51,24 @@ class Lattice:
         return self.genus is not None
 
     def star_masks(self) -> tuple[int, ...]:
-        return tuple(mask_from_indices(s, self.n_links) for s in self.star_links)
+        return self._star_masks
 
     def plaquette_masks(self) -> tuple[int, ...]:
         return tuple(mask_from_indices(p, self.n_links) for p in self.plaquette_links)
+
+    @cached_property
+    def _star_masks(self) -> tuple[int, ...]:
+        return tuple(mask_from_indices(s, self.n_links) for s in self.star_links)
+
+    @cached_property
+    def _neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # per site, (neighbor site, connecting link) in link order; blob
+        # growth draws from this order, so it must not change
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_sites)]
+        for l, (a, b) in enumerate(self.link_sites):
+            adj[a].append((b, l))
+            adj[b].append((a, l))
+        return tuple(map(tuple, adj))
 
 
 @dataclass(frozen=True)
@@ -80,7 +95,8 @@ class Partition:
         return self.a_mask.bit_count()
 
     def a_links(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n_links) if (self.a_mask >> i) & 1)
+        # the binary digits, least significant first, without the "0b"
+        return tuple(i for i, bit in enumerate(bin(self.a_mask)[:1:-1]) if bit == "1")
 
     def complement(self) -> "Partition":
         return Partition(self.n_links, self.b_mask)
@@ -438,20 +454,21 @@ def boundary_stats(lat: Lattice, p: Partition) -> BoundaryStats:
     """Classify every site by how many of its incident links lie in A."""
     sigma_a = sigma_b = 0
     buckets = [0, 0, 0]
-    for links in lat.star_links:
-        deg = len(links)
-        inside = sum(1 for l in links if (p.a_mask >> l) & 1)
-        if inside == deg:
+    a_mask = p.a_mask
+    for star in lat.star_masks():
+        inside = star & a_mask
+        if inside == star:
             sigma_a += 1
-        elif inside == 0:
+        elif not inside:
             sigma_b += 1
-        elif inside <= 3:
-            buckets[inside - 1] += 1
         else:
-            raise ValueError(
-                f"boundary site with {inside} links in A is outside the "
-                "n1/n2/n3 classification"
-            )
+            count = inside.bit_count()
+            if count > 3:
+                raise ValueError(
+                    f"boundary site with {count} links in A is outside the "
+                    "n1/n2/n3 classification"
+                )
+            buckets[count - 1] += 1
     n1, n2, n3 = buckets
     return BoundaryStats(
         sigma_a=sigma_a,
@@ -463,18 +480,10 @@ def boundary_stats(lat: Lattice, p: Partition) -> BoundaryStats:
     )
 
 
-def _site_neighbors(lat: Lattice) -> list[list[tuple[int, int]]]:
-    # adjacency as (neighbor site, connecting link)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(lat.n_sites)]
-    for l, (a, b) in enumerate(lat.link_sites):
-        adj[a].append((b, l))
-        adj[b].append((a, l))
-    return adj
-
-
 def _components_avoiding(lat: Lattice, crossed: int) -> list[set[int]]:
     # connected components of sites, walking only uncrossed links
-    adj = _site_neighbors(lat)
+    adj = lat._neighbors
+    cut = set(Partition(lat.n_links, crossed).a_links())
     seen = [False] * lat.n_sites
     comps = []
     for start in range(lat.n_sites):
@@ -486,7 +495,7 @@ def _components_avoiding(lat: Lattice, crossed: int) -> list[set[int]]:
         while stack:
             u = stack.pop()
             for v, l in adj[u]:
-                if not seen[v] and not ((crossed >> l) & 1):
+                if not seen[v] and l not in cut:
                     seen[v] = True
                     comp.add(v)
                     stack.append(v)
@@ -499,12 +508,12 @@ def region_from_sites(lat: Lattice, sites: Iterable[int]) -> tuple[Partition, Bo
     inside = set(sites)
     if not inside or len(inside) >= lat.n_sites:
         raise ValueError("region must enclose some but not all sites")
-    links = set()
+    stars = lat.star_masks()
+    a_mask = 0
     for s in inside:
-        links.update(lat.star_links[s])
-    part = Partition.from_links(links, lat.n_links)
-    stats = boundary_stats(lat, part)
-    return part, stats
+        a_mask |= stars[s]
+    part = Partition(lat.n_links, a_mask)
+    return part, boundary_stats(lat, part)
 
 
 def disk_region(
@@ -539,14 +548,12 @@ def disk_region(
     if crossed.bit_count() != len(list(dual_loop)):
         raise ValueError("dual loop repeats a link")
     # each dual vertex (= plaquette) must meet the cycle 0 or 2 times
-    degree: dict[int, int] = {}
     for pi, pm in enumerate(lat.plaquette_masks()):
         d = (pm & crossed).bit_count()
         if d not in (0, 2):
             raise ValueError(
                 f"dual edges meet plaquette {pi} {d} times; not a simple cycle"
             )
-        degree[pi] = d
     comps = _components_avoiding(lat, crossed)
     if len(comps) != 2:
         raise ValueError(
@@ -557,19 +564,9 @@ def disk_region(
     if len(comps[0]) == len(comps[1]):
         raise ValueError("interior is ambiguous: both sides have equal area")
     part, stats = region_from_sites(lat, comps[0])
-    if part.a_mask & ~_links_touching(lat, comps[0]):
-        raise AssertionError("region construction placed links outside the loop")
     if stats.boundary_length != crossed.bit_count():
         raise ValueError("loop does not bound the region it encloses")
     return part, stats
-
-
-def _links_touching(lat: Lattice, sites: set[int]) -> int:
-    mask = 0
-    for s in sites:
-        for l in lat.star_links[s]:
-            mask |= 1 << l
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +615,7 @@ def random_simple_region(
         max_sites = max(1, (side * side) // 2)
     target = rng.randint(1, max_sites)
 
-    adj = _site_neighbors(lat)
+    adj = lat._neighbors
     start = ((y0 + rng.randrange(side)) % k) * k + (x0 + rng.randrange(side)) % k
     blob = {start}
     frontier = [v for v, _ in adj[start] if v in window]
@@ -629,15 +626,12 @@ def random_simple_region(
         blob.add(v)
         frontier.extend(u for u, _ in adj[v] if u in window and u not in blob)
 
-    # fill holes: absorb every complement component except the outside one
+    # fill holes: the region is every site outside the probe's component.
+    # The links a site set's boundary crosses are the XOR of its stars.
+    stars = lat.star_masks()
     crossed = 0
-    for l, (a, b) in enumerate(lat.link_sites):
-        if (a in blob) != (b in blob):
-            crossed |= 1 << l
-    comps = _components_avoiding(lat, crossed)
-    outside_probe = ((y0 - 1) % k) * k + (x0 - 1) % k
-    for comp in comps:
-        if comp == blob or outside_probe in comp:
-            continue
-        blob |= comp
-    return region_from_sites(lat, blob)
+    for s in blob:
+        crossed ^= stars[s]
+    probe = ((y0 - 1) % k) * k + (x0 - 1) % k
+    outside = next(c for c in _components_avoiding(lat, crossed) if probe in c)
+    return region_from_sites(lat, set(range(lat.n_sites)) - outside)

@@ -369,6 +369,66 @@ class TestScanCommand:
         assert code == 3
 
 
+    @pytest.mark.parametrize("mode", ["sampled", "rects", "disks"])
+    def test_count_over_row_budget_exit_3(self, capsys, mode):
+        argv = ["scan", "--lattice", "torus:k=4", "--mode", mode, "--seed", "1",
+                "--scan-cap", "4"]
+        code, out, err = run_cli(capsys, *argv, "--count", "15")
+        assert (code, out) == (3, "")
+        assert "--count 15 exceeds the row budget 2**4 - 2" in err
+        code, out, _ = run_cli(capsys, *argv, "--count", "14")
+        assert code == 0
+        assert len(out.splitlines()) == 15
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_small_scan_cap_refuses_every_count(self, capsys, cap):
+        code, _, err = run_cli(
+            capsys, "scan", "--lattice", "torus:k=4", "--mode", "rects",
+            "--count", "1", "--seed", "1", "--scan-cap", cap,
+        )
+        assert code == 3
+        assert f"2**{cap} - 2" in err
+
+    def test_huge_scan_cap_builds_no_huge_int(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(
+                capsys, "scan", "--lattice", "torus:k=4", "--mode", "rects",
+                "--count", "2", "--seed", "1", "--scan-cap", str(10**12),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 << 20
+
+    def test_huge_sampled_count_exits_3_before_drawing(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flipent.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["scan", "--lattice", "torus:k=3", "--mode", "sampled",
+                "--count", "100000000000000", "--seed", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "flipent.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: --count 100000000000000 exceeds the row budget 2**24 - 2 "
+            "set by --scan-cap\n"
+        )
+
+    def test_sampled_on_a_linkless_lattice_exit_2(self, capsys, tmp_path):
+        doc = tmp_path / "one_site.lat"
+        doc.write_text("LATTICE v1 open\nSITES\n0\nLINKS\nPLAQUETTES\n")
+        code, out, err = run_cli(
+            capsys, "scan", "--lattice", str(doc), "--mode", "sampled",
+            "--count", "3", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: sampled mode needs at least 2 links, got 0\n"
+
+
 class TestOracleStateBuilds:
     """Each command builds its oracle state once, whatever its row count."""
 

@@ -271,6 +271,11 @@ class TestBipartitionMasks:
         with pytest.raises(ValueError, match="positive count"):
             bipartition_masks(8, "sampled", count=count, seed=1)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_sampled_needs_two_links(self, n):
+        with pytest.raises(ValueError, match=f"at least 2 links, got {n}"):
+            bipartition_masks(n, "sampled", count=1, seed=1)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown scan mode"):
             bipartition_masks(8, "rects")

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flipent import (
     LatticeFormatError,
@@ -411,6 +412,54 @@ class TestDocuments:
         doc = lattice_to_document(build_torus(2))
         doc = "# header comment\n\n" + doc.replace("LINKS", "# links next\nLINKS")
         assert parse_lattice_document(doc).n_links == 8
+
+
+# Random text; random lines of document tokens; and well-formed sections of
+# random integer lines, which reach the overlap and Euler checks.
+DOCUMENT_TOKENS = st.sampled_from(
+    [
+        "LATTICE", "v1", "v2", "closed", "open", "SITES", "LINKS", "PLAQUETTES",
+        "#", "-1", "+2", "1.5", "1_0", "0x3", "x", "", "99999999999999999999",
+    ]
+)
+
+
+def document_lines(line, max_size=10):
+    return st.lists(line.map(lambda toks: " ".join(map(str, toks))), max_size=max_size)
+
+
+def sectioned_document(n):
+    link = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    return st.tuples(
+        st.sampled_from(["LATTICE v1 closed", "LATTICE v1 open"]),
+        st.just([str(s) for s in range(n)]),
+        document_lines(link.map(lambda t: (t[0], (t[0] + t[1]) % n)), 14),
+        document_lines(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True)),
+    ).map(
+        lambda t: "\n".join(
+            [t[0], "SITES", *t[1], "LINKS", *t[2], "PLAQUETTES", *t[3]]
+        )
+    )
+
+
+DOCUMENTS = st.one_of(
+    st.text(),
+    document_lines(
+        st.lists(st.one_of(DOCUMENT_TOKENS, st.integers(-1, 12)), max_size=4), 24
+    ).map("\n".join),
+    st.integers(2, 8).flatmap(sectioned_document),
+)
+
+
+class TestDocumentProperty:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(text=DOCUMENTS)
+    def test_any_text_gives_a_lattice_or_a_format_error(self, text):
+        try:
+            lat = parse_lattice_document(text)
+        except LatticeFormatError:
+            return
+        assert isinstance(lat, Lattice)
 
 
 # ---------------------------------------------------------------------------

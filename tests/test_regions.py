@@ -1,0 +1,297 @@
+"""Region layer: disk regions, boundary buckets and scan descriptors.
+
+The region code computes everything from star masks: the links a site
+set's boundary crosses are the XOR of its stars, a site lies inside A
+when its whole star does, and a site's bucket is the popcount of its
+star within A.  The reference functions below are the earlier
+whole-lattice walks over ``link_sites`` and ``star_links``; the tests
+require identical results from both, draw for draw.
+"""
+
+import csv
+import io
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flipent import (
+    boundary_bounds_check,
+    boundary_stats,
+    build_torus,
+    disk_region,
+    entropy_equal_superposition,
+    geometric_entropy,
+    parse_lattice_document,
+    random_rectangle_region,
+    random_simple_region,
+    star_group,
+)
+from flipent.cli import _disk_descriptor, main, parse_partition_spec
+from flipent.lattice import BoundaryStats, Partition
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True, database=None, max_examples=60, deadline=None
+)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: walks over link_sites and star_links
+
+
+def reference_boundary_stats(lat, p):
+    sigma_a = sigma_b = 0
+    buckets = [0, 0, 0]
+    for links in lat.star_links:
+        deg = len(links)
+        inside = sum(1 for l in links if (p.a_mask >> l) & 1)
+        if inside == deg:
+            sigma_a += 1
+        elif inside == 0:
+            sigma_b += 1
+        elif inside <= 3:
+            buckets[inside - 1] += 1
+        else:
+            raise ValueError(
+                f"boundary site with {inside} links in A is outside the "
+                "n1/n2/n3 classification"
+            )
+    n1, n2, n3 = buckets
+    return BoundaryStats(sigma_a, sigma_b, n1 + n2 + n3, n1, n2, n3)
+
+
+def reference_region_from_sites(lat, sites):
+    links = set()
+    for s in sites:
+        links.update(lat.star_links[s])
+    part = Partition.from_links(links, lat.n_links)
+    return part, reference_boundary_stats(lat, part)
+
+
+def reference_site_neighbors(lat):
+    adj = [[] for _ in range(lat.n_sites)]
+    for l, (a, b) in enumerate(lat.link_sites):
+        adj[a].append((b, l))
+        adj[b].append((a, l))
+    return adj
+
+
+def reference_components_avoiding(lat, crossed):
+    adj = reference_site_neighbors(lat)
+    seen = [False] * lat.n_sites
+    comps = []
+    for start in range(lat.n_sites):
+        if seen[start]:
+            continue
+        comp = {start}
+        seen[start] = True
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v, l in adj[u]:
+                if not seen[v] and not ((crossed >> l) & 1):
+                    seen[v] = True
+                    comp.add(v)
+                    stack.append(v)
+        comps.append(comp)
+    return comps
+
+
+def reference_simple_region(lat, rng):
+    """Blob growth, a crossed mask from a link scan, and a hole fill that
+    absorbs every complement component but the outside one."""
+    k = lat.torus_k
+    if k < 4:
+        raise ValueError("need k >= 4 for a nontrivial blob")
+    side = k - 2
+    x0 = rng.randrange(k)
+    y0 = rng.randrange(k)
+    window = {((y0 + b) % k) * k + (x0 + a) % k for a in range(side) for b in range(side)}
+    target = rng.randint(1, max(1, (side * side) // 2))
+    adj = reference_site_neighbors(lat)
+    start = ((y0 + rng.randrange(side)) % k) * k + (x0 + rng.randrange(side)) % k
+    blob = {start}
+    frontier = [v for v, _ in adj[start] if v in window]
+    while len(blob) < target and frontier:
+        v = frontier.pop(rng.randrange(len(frontier)))
+        if v in blob:
+            continue
+        blob.add(v)
+        frontier.extend(u for u, _ in adj[v] if u in window and u not in blob)
+    crossed = 0
+    for l, (a, b) in enumerate(lat.link_sites):
+        if (a in blob) != (b in blob):
+            crossed |= 1 << l
+    outside_probe = ((y0 - 1) % k) * k + (x0 - 1) % k
+    for comp in reference_components_avoiding(lat, crossed):
+        if comp == blob or outside_probe in comp:
+            continue
+        blob |= comp
+    return reference_region_from_sites(lat, blob)
+
+
+def reference_rectangle_region(lat, rng):
+    k = lat.torus_k
+    w = rng.randint(1, k - 2)
+    h = rng.randint(1, k - 2)
+    x = rng.randrange(k)
+    y = rng.randrange(k)
+    sites = {((y + b) % k) * k + (x + a) % k for a in range(w) for b in range(h)}
+    return reference_region_from_sites(lat, sites)
+
+
+def reference_disk_descriptor(lat, part):
+    inside = {
+        s
+        for s, links in enumerate(lat.star_links)
+        if all((part.a_mask >> l) & 1 for l in links)
+    }
+    crossed = sorted(
+        l
+        for l, (a, b) in enumerate(lat.link_sites)
+        if (a in inside) != (b in inside)
+    )
+    return "loop:" + ",".join(map(str, crossed))
+
+
+SAMPLERS = {
+    "rects": (random_rectangle_region, reference_rectangle_region),
+    "disks": (random_simple_region, reference_simple_region),
+}
+
+
+def star_of_five_document():
+    # site 0 has five links (4 of them in A is outside n1/n2/n3), and
+    # site 6 has none (it counts as inside A)
+    lines = ["LATTICE v1 open", "SITES"] + [str(s) for s in range(7)]
+    lines += ["LINKS"] + [f"0 {s}" for s in range(1, 6)] + ["PLAQUETTES"]
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+
+
+class TestAgainstReferenceWalks:
+    @pytest.mark.parametrize("mode", SAMPLERS)
+    @pytest.mark.parametrize("k", range(3, 17))
+    def test_samplers_match_draw_for_draw(self, mode, k):
+        lat = build_torus(k)
+        sample, reference = SAMPLERS[mode]
+        if mode == "disks" and k < 4:
+            for fn in (sample, reference):
+                with pytest.raises(ValueError, match="k >= 4"):
+                    fn(lat, random.Random(k))
+            return
+        rng, ref_rng = random.Random(100 + k), random.Random(100 + k)
+        for _ in range(25):
+            part, stats = sample(lat, rng)
+            assert (part, stats) == reference(lat, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+            assert _disk_descriptor(lat, part) == reference_disk_descriptor(lat, part)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_boundary_stats_on_random_partitions(self, k):
+        lat = build_torus(k)
+        rng = random.Random(k)
+        for _ in range(200):
+            p = Partition(lat.n_links, rng.getrandbits(lat.n_links))
+            assert boundary_stats(lat, p) == reference_boundary_stats(lat, p)
+
+    def test_boundary_stats_on_a_document(self):
+        lat = parse_lattice_document(star_of_five_document())
+        for mask in range(1 << lat.n_links):
+            p = Partition(lat.n_links, mask)
+            if mask.bit_count() == 4:
+                for fn in (boundary_stats, reference_boundary_stats):
+                    with pytest.raises(ValueError, match="site with 4 links in A"):
+                        fn(lat, p)
+            else:
+                assert boundary_stats(lat, p) == reference_boundary_stats(lat, p)
+        assert boundary_stats(lat, Partition(lat.n_links, 0)).sigma_a == 1
+
+    def test_star_masks_are_built_once(self):
+        lat = build_torus(4)
+        assert lat.star_masks() is lat.star_masks()
+
+
+class TestLoopDescriptors:
+    @pytest.mark.parametrize("mode", SAMPLERS)
+    @pytest.mark.parametrize("k", [5, 8, 13])
+    def test_printed_loops_parse_back(self, capsys, mode, k):
+        seed, count = 11, 20
+        argv = ["scan", "--lattice", f"torus:k={k}", "--mode", mode,
+                "--count", str(count), "--seed", str(seed)]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == count
+
+        lat = build_torus(k)
+        rng = random.Random(seed)
+        sampled = {}
+        for _ in range(count):
+            part, stats = SAMPLERS[mode][0](lat, rng)
+            sampled[reference_disk_descriptor(lat, part)] = (part, stats)
+        assert {r["partition"] for r in rows} == set(sampled)
+        smaller_side = 0
+        for row in rows:
+            part, stats = sampled[row["partition"]]
+            printed = (row["L"], row["n1"], row["n2"], row["n3"])
+            assert printed == tuple(
+                str(v) for v in (stats.boundary_length, stats.n1, stats.n2, stats.n3)
+            )
+            parsed = parse_partition_spec(lat, row["partition"])
+            # A loop does not say which side is A: `disk_region` takes the
+            # side with fewer sites, so only such regions come back as sampled.
+            if 2 * stats.sigma_a > lat.n_sites:
+                assert parsed.stats.sigma_a == lat.n_sites - stats.sigma_a
+                assert _disk_descriptor(lat, parsed.partition) == row["partition"]
+            else:
+                assert (parsed.partition, parsed.stats) == (part, stats)
+                smaller_side += 1
+        assert smaller_side >= count // 2
+
+    def test_half_lattice_loop_is_refused(self):
+        # an 8 x 9 rect on the k=12 torus is one a rects scan can print
+        lat = build_torus(12)
+        part, _ = disk_region(lat, rect=(0, 0, 8, 9))
+        with pytest.raises(ValueError, match="interior is ambiguous"):
+            parse_partition_spec(lat, _disk_descriptor(lat, part))
+
+
+LATTICES = {
+    **{f"torus{k}": build_torus(k) for k in range(2, 9)},
+    "cube": parse_lattice_document((GOLDEN / "cube.lat").read_text()),
+}
+
+
+class TestCutSpace:
+    @pytest.mark.parametrize("name", LATTICES)
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_star_xor_is_the_crossed_links(self, name, data):
+        lat = LATTICES[name]
+        sites = data.draw(st.sets(st.integers(0, lat.n_sites - 1)))
+        xor = 0
+        for s in sites:
+            xor ^= lat.star_masks()[s]
+        crossed = sum(
+            1 << l
+            for l, (a, b) in enumerate(lat.link_sites)
+            if (a in sites) != (b in sites)
+        )
+        assert xor == crossed
+
+
+class TestBoundaryLawAtScale:
+    def test_k64_disks_obey_the_paper(self):
+        lat = build_torus(64)
+        stars = star_group(lat)
+        rng = random.Random(64)
+        for _ in range(20):
+            part, stats = random_simple_region(lat, rng)
+            s = entropy_equal_superposition(stars, part).s_bits
+            assert s == stats.sigma_ab - 1 == geometric_entropy(stats)
+            assert boundary_bounds_check(stats, s)
