@@ -5,9 +5,10 @@ Subcommands: ``entropy`` (one partition, one state), ``verify``
 CSV/JSON) and ``lattice-info``.
 
 Exit codes: 0 success, 1 verification or closed-form mismatch, 2 input
-error, 3 resource cap exceeded.  Output for a fixed configuration
-(including seed) is byte-identical between runs: rows are sorted by
-partition descriptor and floats rendered via repr.
+error, 3 resource cap exceeded, 4 output could not be written.  Output
+for a fixed configuration (including seed) is byte-identical between
+runs: rows are sorted by partition descriptor and floats rendered via
+repr.
 
 The statevector oracle, and numpy with it, is imported only by
 ``verify`` and on the ``--oracle`` paths.
@@ -19,6 +20,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -191,38 +193,32 @@ def parse_state_spec(spec: str) -> tuple[str, GroundStateCoeffs, bool]:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _json_default(x):
-    raise TypeError(f"not JSON serializable: {x!r}")
-
-
 def emit_json(obj, out) -> None:
-    json.dump(obj, out, indent=2, default=_json_default)
+    json.dump(obj, out, indent=2)
     out.write("\n")
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def emit_rows_csv(rows: list[dict], out, columns=CSV_COLUMNS) -> None:
+def emit_rows_csv(rows, out, columns=CSV_COLUMNS) -> None:
+    """Rows are sequences in ``columns`` order; the csv module writes
+    None as an empty field and a float as its repr."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
+    writer.writerows(rows)
+
+
+def _text(value) -> str:
+    # str of a float is its repr
+    return "-" if value is None else str(value)
 
 
 def emit_fields(obj: dict, out) -> None:
-    """One ``key: value`` line per field, ``-`` for an empty value."""
+    """One ``key: value`` line per field, ``-`` for None."""
     for key, value in obj.items():
-        out.write(f"{key}: {_cell(value) or '-'}\n")
+        out.write(f"{key}: {_text(value)}\n")
 
 
-def emit_rows_table(rows: list[dict], out) -> None:
-    cells = [[_cell(r[c]) or "-" for c in CSV_COLUMNS] for r in rows]
+def emit_rows_table(rows, out) -> None:
+    cells = [[_text(v) for v in row] for row in rows]
     widths = [
         max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
         for i, h in enumerate(CSV_COLUMNS)
@@ -327,7 +323,7 @@ def cmd_entropy(args) -> int:
     if args.format == "json":
         emit_json(out, sys.stdout)
     elif args.format == "csv":
-        emit_rows_csv([out], sys.stdout, list(out))
+        emit_rows_csv([out.values()], sys.stdout, list(out))
     else:
         emit_fields(out, sys.stdout)
     if mismatch:
@@ -397,23 +393,16 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # scan command
 
-def _scan_row(lat, group, descriptor, part, stats, closed, oracle_s) -> dict:
-    report = entropy_equal_superposition(group, part)
-    length = stats.boundary_length if stats else None
-    lower, upper = entropy_bounds(length) if length is not None else (None, None)
-    return {
-        "partition": descriptor,
-        "size_A": part.size_a,
-        "L": length,
-        "n1": stats.n1 if stats else None,
-        "n2": stats.n2 if stats else None,
-        "n3": stats.n3 if stats else None,
-        "S_bits": report.s_bits,
-        "S_closed_form": closed,
-        "lower_bound": lower,
-        "upper_bound": upper,
-        "oracle_S": oracle_s,
-    }
+def _scan_row(group, descriptor, part, stats, closed, oracle_s) -> tuple:
+    """One scan row, in `CSV_COLUMNS` order."""
+    s_bits = entropy_equal_superposition(group, part).s_bits
+    if stats is None:
+        geometry, bounds = (None,) * 4, (None, None)
+    else:
+        length = stats.boundary_length
+        geometry = (length, stats.n1, stats.n2, stats.n3)
+        bounds = entropy_bounds(length)
+    return (descriptor, part.size_a, *geometry, s_bits, closed, *bounds, oracle_s)
 
 
 def _scan_partitions(args, lat):
@@ -486,8 +475,8 @@ def cmd_scan(args) -> int:
             if state is None:  # on the first row, after the mode's own input checks
                 state = _oracle_state(args, lat, GroundStateCoeffs.xi(0, 0))
             oracle_s = _oracle_entropy(args, state, part)
-        rows.append(_scan_row(lat, group, desc, part, stats, closed, oracle_s))
-    rows.sort(key=lambda r: r["partition"])
+        rows.append(_scan_row(group, desc, part, stats, closed, oracle_s))
+    rows.sort(key=lambda row: row[0])
     if args.format == "json":
         emit_json(
             {
@@ -496,7 +485,7 @@ def cmd_scan(args) -> int:
                 "lattice": args.lattice,
                 "seed": args.seed,
                 "count": args.count,
-                "rows": rows,
+                "rows": [dict(zip(CSV_COLUMNS, row)) for row in rows],
             },
             sys.stdout,
         )
@@ -516,7 +505,7 @@ def cmd_lattice_info(args) -> int:
     plaqs = plaquette_group(lat)
     independent = degeneracy = None
     if lat.closed:
-        # one symplectic rank: degeneracy = 2**(n_links - independent)
+        # degeneracy = 2**(n_links - independent)
         degeneracy = ground_degeneracy(lat)
         independent = lat.n_links - (degeneracy.bit_length() - 1)
     info = {
@@ -615,7 +604,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -626,6 +617,11 @@ def main(argv=None) -> int:
     except (LatticeFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a closed pipe or a full disk on stdout
+        # the interpreter flushes stdout again at exit; send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import ResourceLimitError
 from .gf2 import Gf2Matrix
-from .lattice import BoundaryStats, Lattice, Partition
+from .lattice import BoundaryStats, Lattice, Partition, plaquette_group, star_group
 
 EXHAUSTIVE_SCAN_MAX_LINKS = 24
 
@@ -101,20 +101,20 @@ def boundary_bounds_check(stats: BoundaryStats, s_bits: int) -> bool:
 
 
 def ground_degeneracy(lat: Lattice) -> int:
-    """Protected-subspace dimension from independent generator counting.
-
-    Stars are laid out in the X half and plaquettes in the Z half of a
-    2n-column symplectic matrix; the degeneracy is 2**(n - rank).
-    """
+    """Protected-subspace dimension from independent generator counting:
+    2**(n - independent generators)."""
     if not lat.closed:
         raise ValueError("degeneracy counting needs a closed lattice")
     return 1 << (lat.n_links - independent_generator_count(lat))
 
 
 def independent_generator_count(lat: Lattice) -> int:
-    rows = [m for m in lat.star_masks()]
-    rows += [m << lat.n_links for m in lat.plaquette_masks()]
-    return Gf2Matrix(rows, 2 * lat.n_links).rank()
+    """Rank of the stars and plaquettes together as Pauli operators.
+
+    Stars act by X and plaquettes by Z, so in the 2n-column symplectic
+    layout they fill disjoint halves and the two ranks add.
+    """
+    return star_group(lat).rank() + plaquette_group(lat).rank()
 
 
 def is_closed_string_net(lat: Lattice, bits: int) -> bool:

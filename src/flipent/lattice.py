@@ -27,9 +27,10 @@ from .gf2 import Gf2Matrix, mask_from_indices
 
 DOCUMENT_HEADER = "LATTICE v1"
 
-#: Byte cap for `build_torus`.  The largest live structure of a k x k
-#: torus is the symplectic matrix of `ground_degeneracy`: 2k**2 rows of
-#: 4k**2 bits, about k**4 bytes.  1 GiB admits k <= 181.
+#: Byte cap for `build_torus`.  The largest live structures of a k x k
+#: torus are the star and plaquette groups of `lattice-info`: k**2 rows of
+#: 2k**2 bits each, which with their echelon copies come to about k**4
+#: bytes.  1 GiB admits k <= 181.
 MAX_TORUS_BYTES = 1 << 30
 
 
@@ -407,9 +408,6 @@ def ladder_operators(lat: Lattice) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # named partitions
-
-NAMED_PARTITIONS = ("single_spin", "pair", "chain", "ladder", "cross", "vertical")
-
 
 def named_partition(lat: Lattice, name: str, *ids: int) -> Partition:
     """Build one of the canonical torus partitions.

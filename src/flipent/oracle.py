@@ -15,7 +15,6 @@ the axis order of the partial-trace reshape below depends on it.
 from __future__ import annotations
 
 import math
-from typing import IO
 
 import numpy as np
 
@@ -192,10 +191,3 @@ def basis_state_entropy_invariance(
         for j in (0, 1)
     ]
     return max(values) - min(values) <= tol
-
-
-def dump_spectrum_csv(rho: np.ndarray, stream: IO[str]) -> None:
-    """Write the reduced spectrum as a two-column CSV (index, eigenvalue)."""
-    stream.write("index,eigenvalue\n")
-    for i, lam in enumerate(reduced_spectrum(rho)):
-        stream.write(f"{i},{lam!r}\n")

@@ -1,5 +1,9 @@
+import csv
+import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +17,16 @@ from pathlib import Path
 
 import flipent
 from flipent import Gf2Matrix, GroundStateCoeffs, named_partition
-from flipent.cli import build_parser, main, parse_partition_spec, parse_state_spec
+from flipent.cli import (
+    CSV_COLUMNS,
+    build_parser,
+    emit_fields,
+    emit_rows_csv,
+    emit_rows_table,
+    main,
+    parse_partition_spec,
+    parse_state_spec,
+)
 from flipent.lattice import build_torus, lattice_to_document
 from flipent.verify import default_suite, verify_partitions
 
@@ -582,3 +595,151 @@ class TestPackageExports:
         for name in flipent.__all__:
             assert getattr(flipent, name) is not None, name
         assert len(set(flipent.__all__)) == len(flipent.__all__)
+
+
+# ---------------------------------------------------------------------------
+# reference writers: the per-cell formatter and dict rows the emitters
+# replaced, kept to pin their bytes
+
+def reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_rows_csv(rows, out, columns) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([reference_cell(row[c]) for c in columns])
+
+
+def reference_fields(obj, out) -> None:
+    for key, value in obj.items():
+        out.write(f"{key}: {reference_cell(value) or '-'}\n")
+
+
+def reference_rows_table(rows, out) -> None:
+    cells = [[reference_cell(r[c]) or "-" for c in CSV_COLUMNS] for r in rows]
+    widths = [
+        max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
+        for i, h in enumerate(CSV_COLUMNS)
+    ]
+    out.write("  ".join(h.ljust(w) for h, w in zip(CSV_COLUMNS, widths)) + "\n")
+    for c in cells:
+        out.write("  ".join(v.ljust(w) for v, w in zip(c, widths)) + "\n")
+
+
+SPECIAL_FLOATS = (0.1 + 0.2, 1e22, -0.0, math.nan, math.inf, -math.inf, 1 / 3)
+
+
+def random_cell(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.randint(-10**6, 10**6)
+    if kind == 2:
+        return rng.random() < 0.5
+    if kind == 3:
+        links = rng.sample(range(50), rng.randint(1, 6))
+        return rng.choice(("links:", "loop:")) + ",".join(map(str, links))
+    if kind == 4:
+        return rng.choice(SPECIAL_FLOATS)
+    return rng.uniform(-100, 100) * 10 ** rng.randint(-20, 20)
+
+
+def random_rows(seed, count):
+    rng = random.Random(seed)
+    return [
+        tuple(random_cell(rng) for _ in CSV_COLUMNS) for _ in range(count)
+    ]
+
+
+class TestEmitters:
+    @pytest.mark.parametrize("seed,count", [(1, 0), (2, 1), (3, 50), (4, 400)])
+    def test_csv_matches_reference(self, seed, count):
+        rows = random_rows(seed, count)
+        new, ref = io.StringIO(), io.StringIO()
+        emit_rows_csv(rows, new)
+        reference_rows_csv([dict(zip(CSV_COLUMNS, r)) for r in rows], ref, CSV_COLUMNS)
+        assert new.getvalue() == ref.getvalue()
+
+    @pytest.mark.parametrize("seed,count", [(1, 0), (2, 1), (3, 50), (4, 400)])
+    def test_table_matches_reference(self, seed, count):
+        rows = random_rows(seed, count)
+        new, ref = io.StringIO(), io.StringIO()
+        emit_rows_table(rows, new)
+        reference_rows_table([dict(zip(CSV_COLUMNS, r)) for r in rows], ref)
+        assert new.getvalue() == ref.getvalue()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_record_matches_reference(self, seed):
+        # the entropy command's csv and table paths: one dict, its keys as columns
+        record = dict(zip(CSV_COLUMNS, random_rows(seed, 1)[0]))
+        new, ref = io.StringIO(), io.StringIO()
+        emit_rows_csv([record.values()], new, list(record))
+        reference_rows_csv([record], ref, list(record))
+        assert new.getvalue() == ref.getvalue()
+        new, ref = io.StringIO(), io.StringIO()
+        emit_fields(record, new)
+        reference_fields(record, ref)
+        assert new.getvalue() == ref.getvalue()
+
+    def test_lone_empty_field_is_quoted(self):
+        new, ref = io.StringIO(), io.StringIO()
+        emit_rows_csv([(None,)], new, ("oracle_S",))
+        reference_rows_csv([{"oracle_S": None}], ref, ("oracle_S",))
+        assert new.getvalue() == ref.getvalue() == 'oracle_S\n""\n'
+
+
+def _cli_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flipent.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)  # keep the default buffered stdout
+    return env
+
+
+def assert_write_failure(returncode, err):
+    assert returncode == 4
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: cannot write output: ")
+
+
+class TestOutputFailures:
+    def test_closed_pipe_exit_4(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "flipent.cli",
+             "scan", "--lattice", "torus:k=2", "--mode", "exhaustive"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=_cli_env(),
+        )
+        proc.stdout.close()  # before the child writes anything
+        _, err = proc.communicate(timeout=60)
+        assert_write_failure(proc.returncode, err)
+        assert err == "error: cannot write output: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # small output: fails at the final flush
+            ["lattice-info", "--lattice", "torus:k=3"],
+            # larger than the stdout buffer: fails inside the emitter
+            ["scan", "--lattice", "torus:k=2", "--format", "json"],
+        ],
+        ids=["lattice-info", "scan-json"],
+    )
+    def test_full_device_exit_4(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "flipent.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env=_cli_env(), timeout=60,
+            )
+        assert_write_failure(proc.returncode, proc.stderr)
+        assert proc.stderr.endswith("No space left on device\n")

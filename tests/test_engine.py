@@ -1,6 +1,8 @@
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flipent import (
     Gf2Matrix,
@@ -20,6 +22,7 @@ from flipent import (
     ladder_operators,
     named_partition,
     oracle_entropy,
+    parse_lattice_document,
     perimeter_entropy,
     plaquette_group,
     random_simple_region,
@@ -28,9 +31,19 @@ from flipent import (
 from flipent.engine import entropy_bounds
 from tests.test_lattice import cube_document
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def full_flip_group(n):
     return Gf2Matrix([1 << i for i in range(n)], n)
+
+
+def symplectic_generator_count(lat):
+    """Reference: stars in the X half and plaquettes in the Z half of one
+    2n-column matrix, ranked together."""
+    rows = list(lat.star_masks())
+    rows += [m << lat.n_links for m in lat.plaquette_masks()]
+    return Gf2Matrix(rows, 2 * lat.n_links).rank()
 
 
 class TestEqualSuperpositionEntropy:
@@ -175,13 +188,20 @@ class TestDegeneracy:
         assert independent_generator_count(lat) == 2 * k * k - 2
 
     def test_cube_unique_ground_state(self):
-        from flipent import parse_lattice_document
-
         lat = parse_lattice_document(cube_document())
         assert ground_degeneracy(lat) == 1
 
+    @pytest.mark.parametrize(
+        "lat",
+        [build_torus(k) for k in range(2, 9)]
+        + [parse_lattice_document((GOLDEN / f"{name}.lat").read_text())
+           for name in ("cube", "patch")],
+        ids=[f"torus-k{k}" for k in range(2, 9)] + ["cube", "patch"],
+    )
+    def test_rank_sum_equals_symplectic_rank(self, lat):
+        assert independent_generator_count(lat) == symplectic_generator_count(lat)
+
     def test_open_lattice_unsupported(self):
-        from flipent import parse_lattice_document
         from tests.test_lattice import planar_patch_document
 
         lat = parse_lattice_document(planar_patch_document())
@@ -289,3 +309,39 @@ class TestBipartitionMasks:
         )
         assert res.evaluated == 200
         assert (res.min_s_bits, res.argmin.a_mask) == best
+
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True, database=None, max_examples=200, deadline=None
+)
+
+
+@st.composite
+def groups_and_partitions(draw):
+    """A random generator set of width <= 12 with at most 8 rows, and a
+    random proper partition of its columns."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    a_mask = draw(st.integers(min_value=1, max_value=(1 << n) - 2))
+    return Gf2Matrix(rows, n), Partition(n, a_mask)
+
+
+def log2_count(elements):
+    count = sum(1 for _ in elements)
+    assert count & (count - 1) == 0  # a subgroup has 2**d elements
+    return count.bit_length() - 1
+
+
+class TestEntropyProperty:
+    @PROPERTY_SETTINGS
+    @given(case=groups_and_partitions())
+    def test_counts_symmetry_and_bounds(self, case):
+        group, p = case
+        elements = list(group.enumerate_row_space())
+        inside_a = log2_count(e for e in elements if e & p.b_mask == 0)
+        inside_b = log2_count(e for e in elements if e & p.a_mask == 0)
+        s = entropy_equal_superposition(group, p).s_bits
+        assert s == log2_count(elements) - inside_a - inside_b
+        assert entropy_equal_superposition(group, p.complement()).s_bits == s
+        # checked here too, because python -O strips the engine's assert
+        assert 0 <= s <= min(p.size_a, p.n_links - p.size_a)

@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 import random
@@ -24,7 +23,7 @@ from flipent import (
     reduced_density_matrix,
     von_neumann_entropy,
 )
-from flipent.oracle import apply_flip, dump_spectrum_csv, is_stabilized, reduced_spectrum
+from flipent.oracle import apply_flip, is_stabilized, reduced_spectrum
 from flipent.states import alpha
 
 
@@ -296,16 +295,6 @@ class TestOracleProperties:
         p = Partition(8, mask)
         s_bits = entropy_equal_superposition(stars_k2, p).s_bits
         assert abs(oracle_entropy(state, p) - s_bits) <= 1e-9
-
-
-class TestSpectrumDump:
-    def test_csv_output(self, torus_k2, xi00_k2):
-        rho = reduced_density_matrix(xi00_k2, named_partition(torus_k2, "ladder"))
-        buf = io.StringIO()
-        dump_spectrum_csv(rho, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "index,eigenvalue"
-        assert len(lines) == 5
 
 
 class TestFlipApplication:
