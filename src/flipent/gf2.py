@@ -5,11 +5,23 @@ vector addition and ``int.bit_count`` is the Hamming weight.  This is
 the arithmetic substrate for every group-order computation in the
 package: ranks give log2 of group orders, restricted ranks give the
 orders of subgroups projected onto one side of a bipartition.
+
+Ranks take one of two paths.  A matrix whose every column has weight at
+most 2 is graphic: it is the incidence matrix of a graph whose vertices
+are the rows plus one extra vertex, with one edge per column (a weight-1
+column joins its row to the extra vertex).  Its rank, and its rank on
+any set of columns, is the size of a spanning forest of those edges,
+found by union-find in near-linear time.  The star group of a lattice
+(each link meets two sites) and the plaquette group (each link bounds
+at most two faces) are graphic.  Every other matrix is ranked by
+Gaussian elimination (`_echelonize`), which also stays the reference
+the graphic path is tested against.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
@@ -42,12 +54,57 @@ def _echelonize(masks: Sequence[int]) -> list[int]:
     return [pivots[p] for p in sorted(pivots)]
 
 
-class Gf2Matrix:
-    """An ordered list of GF(2) generators with a cached echelon form.
+def _column_edges(masks: Sequence[int], n_cols: int) -> list[tuple[int, int]] | None:
+    # Column c as the edge between the (at most two) rows that hold it;
+    # a missing end is the extra vertex len(masks), so a weight-0 column is
+    # a loop on it.  None as soon as some column has weight 3.  The bits
+    # are walked from the top: stripping the lowest with m & -m builds two
+    # wide ints per bit and is several times slower on wide rows.
+    extra = len(masks)
+    first = [extra] * n_cols
+    second = [extra] * n_cols
+    for r, m in enumerate(masks):
+        while m:
+            top = m.bit_length() - 1
+            m ^= 1 << top
+            if first[top] == extra:
+                first[top] = r
+            elif second[top] == extra:
+                second[top] = r
+            else:
+                return None
+    return list(zip(first, second))
 
-    Immutable after construction; the echelon form is computed lazily on
-    first use and shared by all rank and membership queries, so a matrix
-    is safe to use from parallel partition scans.
+
+def _forest_size(n_vertices: int, edges: Iterable[tuple[int, int]]) -> int:
+    # edges of a spanning forest, by union-find with path halving
+    parent = list(range(n_vertices))
+    size = 0
+    for a, b in edges:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            size += 1
+    return size
+
+
+#: maps the digits of ``bin(mask)`` to 0/1 bytes, a selector for `compress`
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+class Gf2Matrix:
+    """An ordered list of GF(2) generators with cached rank structures.
+
+    Immutable after construction.  On first use the matrix checks, once,
+    whether every column has weight at most 2; if so, `rank` and
+    `restricted_rank` count spanning-forest edges of its column graph and
+    no echelon form is built.  Otherwise they use the echelon form, which
+    is also what `reduce`, `contains` and `enumerate_row_space` use.  Both
+    structures are computed lazily and shared by all later queries, so a
+    matrix is safe to use from parallel partition scans.
     """
 
     def __init__(self, rows: Iterable[int], n_cols: int):
@@ -72,13 +129,24 @@ class Gf2Matrix:
     def _echelon(self) -> tuple[int, ...]:
         return tuple(_echelonize(self._masks))
 
+    @cached_property
+    def _edges(self) -> list[tuple[int, int]] | None:
+        # the column graph when the matrix is graphic, else None
+        return _column_edges(self._masks, self.n_cols)
+
+    @cached_property
+    def _rank(self) -> int:
+        if self._edges is None:
+            return len(self._echelon)
+        return _forest_size(self.n_rows + 1, self._edges)
+
     def echelon_masks(self) -> tuple[int, ...]:
         """Row-echelon basis (pivot columns strictly increasing)."""
         return self._echelon
 
     def rank(self) -> int:
         """Dimension of the row space over GF(2)."""
-        return len(self._echelon)
+        return self._rank
 
     def restricted_rank(self, mask: int) -> int:
         """Rank after zeroing every column outside the bitmask ``mask``.
@@ -88,7 +156,11 @@ class Gf2Matrix:
         """
         if mask < 0 or mask >> self.n_cols:
             raise ValueError("column mask wider than matrix")
-        return len(_echelonize([m & mask for m in self._echelon]))
+        if self._edges is None:
+            return len(_echelonize([m & mask for m in self._echelon]))
+        # the edges of the columns in mask; bin() lists them high bit first
+        chosen = compress(self._edges, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
+        return _forest_size(self.n_rows + 1, chosen)
 
     def trivial_on_dimension(self, support: int) -> int:
         """log2 of the subgroup supported entirely inside the mask ``support``.

@@ -28,9 +28,10 @@ from .gf2 import Gf2Matrix, mask_from_indices
 DOCUMENT_HEADER = "LATTICE v1"
 
 #: Byte cap for `build_torus`.  The largest live structures of a k x k
-#: torus are the star and plaquette groups of `lattice-info`: k**2 rows of
-#: 2k**2 bits each, which with their echelon copies come to about k**4
-#: bytes.  1 GiB admits k <= 181.
+#: torus are the star and plaquette masks: k**2 rows of 2k**2 bits each
+#: per group, about k**4/4 bytes for the two.  `lattice-info` ranks both
+#: groups as graphs and builds no echelon copy of either.  The cap, about
+#: k**4 bytes, admits k <= 181 in 1 GiB.
 MAX_TORUS_BYTES = 1 << 30
 
 
@@ -55,11 +56,24 @@ class Lattice:
         return self._star_masks
 
     def plaquette_masks(self) -> tuple[int, ...]:
-        return tuple(mask_from_indices(p, self.n_links) for p in self.plaquette_links)
+        return self._plaquette_masks
 
     @cached_property
     def _star_masks(self) -> tuple[int, ...]:
         return tuple(mask_from_indices(s, self.n_links) for s in self.star_links)
+
+    @cached_property
+    def _plaquette_masks(self) -> tuple[int, ...]:
+        return tuple(mask_from_indices(p, self.n_links) for p in self.plaquette_links)
+
+    # one matrix per group, so each rank is computed once per lattice
+    @cached_property
+    def _star_group(self) -> Gf2Matrix:
+        return Gf2Matrix(self.star_masks(), self.n_links)
+
+    @cached_property
+    def _plaquette_group(self) -> Gf2Matrix:
+        return Gf2Matrix(self.plaquette_masks(), self.n_links)
 
     @cached_property
     def _neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -380,13 +394,19 @@ def lattice_to_document(lat: Lattice) -> str:
 # flip groups and ladder operators
 
 def star_group(lat: Lattice) -> Gf2Matrix:
-    """One generator per site: the x-flip on all links meeting it."""
-    return Gf2Matrix(lat.star_masks(), lat.n_links)
+    """One generator per site: the x-flip on all links meeting it.
+
+    Built once per lattice; every call returns the same matrix.
+    """
+    return lat._star_group
 
 
 def plaquette_group(lat: Lattice) -> Gf2Matrix:
-    """One generator per face: the support of its boundary links."""
-    return Gf2Matrix(lat.plaquette_masks(), lat.n_links)
+    """One generator per face: the support of its boundary links.
+
+    Built once per lattice; every call returns the same matrix.
+    """
+    return lat._plaquette_group
 
 
 def ladder_operators(lat: Lattice) -> tuple[int, int]:
@@ -608,28 +628,56 @@ def random_simple_region(
     side = k - 2
     x0 = rng.randrange(k)
     y0 = rng.randrange(k)
-    window = {((y0 + b) % k) * k + (x0 + a) % k for a in range(side) for b in range(side)}
     if max_sites is None:
         max_sites = max(1, (side * side) // 2)
     target = rng.randint(1, max_sites)
 
+    def offset(s: int) -> tuple[int, int]:
+        # column and row of site s relative to the window corner (x0, y0)
+        j, i = divmod(s, k)
+        return (i - x0) % k, (j - y0) % k
+
+    def in_window(s: int) -> bool:
+        j, i = divmod(s, k)
+        return (i - x0) % k < side and (j - y0) % k < side
+
     adj = lat._neighbors
     start = ((y0 + rng.randrange(side)) % k) * k + (x0 + rng.randrange(side)) % k
     blob = {start}
-    frontier = [v for v, _ in adj[start] if v in window]
+    frontier = [v for v, _ in adj[start] if in_window(v)]
     while len(blob) < target and frontier:
         v = frontier.pop(rng.randrange(len(frontier)))
         if v in blob:
             continue
         blob.add(v)
-        frontier.extend(u for u, _ in adj[v] if u in window and u not in blob)
+        frontier.extend(u for u, _ in adj[v] if u not in blob and in_window(u))
 
-    # fill holes: the region is every site outside the probe's component.
-    # The links a site set's boundary crosses are the XOR of its stars.
-    stars = lat.star_masks()
-    crossed = 0
+    # Fill holes.  The sites outside the blob's bounding box (in window
+    # offsets, so the box never wraps) all connect to the rest of the
+    # torus, so a flood of non-blob sites from a blob neighbour is
+    # outside once it pops a site beyond the box or one already marked
+    # outside; a flood that does neither is a hole.
+    offsets = [offset(s) for s in blob]
+    i_lo, i_hi = min(i for i, _ in offsets), max(i for i, _ in offsets)
+    j_lo, j_hi = min(j for _, j in offsets), max(j for _, j in offsets)
+    region = set(blob)
+    outside: set[int] = set()
     for s in blob:
-        crossed ^= stars[s]
-    probe = ((y0 - 1) % k) * k + (x0 - 1) % k
-    outside = next(c for c in _components_avoiding(lat, crossed) if probe in c)
-    return region_from_sites(lat, set(range(lat.n_sites)) - outside)
+        for v, _ in adj[s]:
+            if v in region or v in outside:
+                continue
+            flood = {v}
+            stack = [v]
+            escaped = False
+            while stack:
+                u = stack.pop()
+                i, j = offset(u)
+                if u in outside or not (i_lo <= i <= i_hi and j_lo <= j <= j_hi):
+                    escaped = True
+                    break
+                for w, _ in adj[u]:
+                    if w not in blob and w not in flood:
+                        flood.add(w)
+                        stack.append(w)
+            (outside if escaped else region).update(flood)
+    return region_from_sites(lat, region)

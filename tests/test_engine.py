@@ -28,6 +28,8 @@ from flipent import (
     random_simple_region,
     star_group,
 )
+from flipent import gf2
+from flipent.cli import main
 from flipent.engine import entropy_bounds
 from tests.test_lattice import cube_document
 
@@ -40,10 +42,10 @@ def full_flip_group(n):
 
 def symplectic_generator_count(lat):
     """Reference: stars in the X half and plaquettes in the Z half of one
-    2n-column matrix, ranked together."""
+    2n-column matrix, ranked together by elimination."""
     rows = list(lat.star_masks())
     rows += [m << lat.n_links for m in lat.plaquette_masks()]
-    return Gf2Matrix(rows, 2 * lat.n_links).rank()
+    return len(gf2._echelonize(rows))
 
 
 class TestEqualSuperpositionEntropy:
@@ -201,6 +203,28 @@ class TestDegeneracy:
     def test_rank_sum_equals_symplectic_rank(self, lat):
         assert independent_generator_count(lat) == symplectic_generator_count(lat)
 
+    def test_each_group_is_ranked_once(self, monkeypatch, capsys):
+        forests = []
+        forest_size = gf2._forest_size
+
+        def counted(n_vertices, edges):
+            forests.append(n_vertices)
+            return forest_size(n_vertices, edges)
+
+        monkeypatch.setattr(gf2, "_forest_size", counted)
+        lat = build_torus(5)
+        assert star_group(lat) is star_group(lat)
+        assert plaquette_group(lat) is plaquette_group(lat)
+        for _ in range(2):
+            assert star_group(lat).rank() == plaquette_group(lat).rank() == 24
+            assert independent_generator_count(lat) == 48
+            assert ground_degeneracy(lat) == 4
+        assert len(forests) == 2
+        forests.clear()
+        assert main(["lattice-info", "--lattice", "torus:k=5"]) == 0
+        assert "ground_degeneracy: 4" in capsys.readouterr().out
+        assert len(forests) == 2
+
     def test_open_lattice_unsupported(self):
         from tests.test_lattice import planar_patch_document
 
@@ -345,3 +369,83 @@ class TestEntropyProperty:
         assert entropy_equal_superposition(group, p.complement()).s_bits == s
         # checked here too, because python -O strips the engine's assert
         assert 0 <= s <= min(p.size_a, p.n_links - p.size_a)
+
+
+def component_count(n_vertices, edges):
+    """Connected components by depth-first search; isolated vertices count."""
+    adj = [[] for _ in range(n_vertices)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = [False] * n_vertices
+    count = 0
+    for start in range(n_vertices):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            for v in adj[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+    return count
+
+
+def flip_graph(lat, group):
+    """Vertex count and per-link edges of the graph whose cut space is the
+    group: the lattice itself for the stars; for the plaquettes the dual
+    graph, where a link in one plaquette (or none) ends at an outer vertex."""
+    if group == "stars":
+        return lat.n_sites, list(lat.link_sites)
+    outer = lat.n_plaquettes
+    ends = [[] for _ in range(lat.n_links)]
+    for p, links in enumerate(lat.plaquette_links):
+        for l in links:
+            ends[l].append(p)
+    return outer + 1, [tuple((e + [outer, outer])[:2]) for e in ends]
+
+
+GRAPH_LATTICES = {
+    **{f"torus-k{k}": build_torus(k) for k in range(2, 7)},
+    **{name: parse_lattice_document((GOLDEN / f"{name}.lat").read_text())
+       for name in ("cube", "patch")},
+}
+
+
+class TestComponentCounts:
+    """S = |V| + c - c_A - c_B, with c, c_A and c_B the component counts of
+    the group's graph with all links, the A links and the B links."""
+
+    @pytest.mark.parametrize("group", ["stars", "plaquettes"])
+    @pytest.mark.parametrize("name", GRAPH_LATTICES)
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_entropy_is_a_component_count(self, name, group, data):
+        lat = GRAPH_LATTICES[name]
+        n = lat.n_links
+        p = Partition(n, data.draw(st.integers(1, (1 << n) - 2)))
+        n_vertices, edges = flip_graph(lat, group)
+
+        def components(mask):
+            return component_count(
+                n_vertices, [e for l, e in enumerate(edges) if mask >> l & 1]
+            )
+
+        everything = p.a_mask | p.b_mask
+        s = (n_vertices + components(everything)
+             - components(p.a_mask) - components(p.b_mask))
+        matrix = star_group(lat) if group == "stars" else plaquette_group(lat)
+        assert entropy_equal_superposition(matrix, p).s_bits == s
+
+    def test_patch_has_weight_one_plaquette_columns(self):
+        _, edges = flip_graph(GRAPH_LATTICES["patch"], "plaquettes")
+        assert any(4 in e for e in edges)  # 4 = the outer vertex
+
+    def test_star_entropy_builds_no_echelon_form(self):
+        lat = build_torus(16)
+        group = star_group(lat)
+        part = Partition(lat.n_links, random.Random(16).getrandbits(lat.n_links))
+        entropy_equal_superposition(group, part)
+        assert "_echelon" not in group.__dict__

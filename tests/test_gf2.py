@@ -1,10 +1,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flipent import Gf2Matrix, ResourceLimitError
-from flipent.gf2 import mask_from_indices
+from flipent.gf2 import _echelonize, mask_from_indices
 from flipent.lattice import Partition, named_partition
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True, database=None, max_examples=300, deadline=None
+)
 
 
 def identity_matrix(n):
@@ -210,3 +215,58 @@ class TestEnumerateRowSpace:
         first = enumerate_masks(stars_k2)
         second = enumerate_masks(stars_k2)
         assert first == second
+
+
+@st.composite
+def graphic_cases(draw, max_rows=8, max_cols=14):
+    """Rows, width and a column mask of a matrix whose columns have weight
+    at most 2.  Each column joins two drawn ends; an end equal to n_rows is
+    no row, so a column gets weight 0, 1 or 2, and rows that no column
+    reaches are zero rows (isolated vertices)."""
+    n_rows = draw(st.integers(0, max_rows))
+    end = st.integers(0, n_rows)
+    ends = draw(st.lists(st.tuples(end, end), max_size=max_cols))
+    rows = [0] * n_rows
+    for c, pair in enumerate(ends):
+        for r in set(pair) - {n_rows}:
+            rows[r] |= 1 << c
+    n_cols = len(ends)
+    mask = draw(st.integers(0, (1 << n_cols) - 1))
+    return rows, n_cols, mask
+
+
+def eliminated_ranks(rows, mask):
+    return len(_echelonize(rows)), len(_echelonize([r & mask for r in rows]))
+
+
+class TestGraphicRank:
+    """Matrices whose columns have weight <= 2 are ranked as graphs;
+    Gaussian elimination is the reference."""
+
+    @PROPERTY_SETTINGS
+    @given(case=graphic_cases())
+    # rows 0 and 1 repeat, row 2 is zero (an isolated vertex), column 2
+    # has weight 1 and column 3 weight 0
+    @example(case=([0b0011, 0b0011, 0, 0b0100], 4, 0))
+    @example(case=([0b0011, 0b0011, 0, 0b0100], 4, 0b1111))
+    @example(case=([0b0011, 0b0011, 0, 0b0100], 4, 0b0101))
+    @example(case=([], 3, 0b101))
+    @example(case=([0, 0], 0, 0))
+    def test_forest_size_equals_elimination(self, case):
+        rows, n_cols, mask = case
+        m = Gf2Matrix(rows, n_cols)
+        assert (m.rank(), m.restricted_rank(mask)) == eliminated_ranks(rows, mask)
+        assert m._edges is not None
+        assert "_echelon" not in m.__dict__
+
+    @PROPERTY_SETTINGS
+    @given(case=graphic_cases(max_rows=6), data=st.data())
+    def test_weight_three_column_falls_back(self, case, data):
+        rows, n_cols, mask = case
+        rows = rows + [0] * (3 - len(rows))
+        heavy = data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=3))
+        rows = [r | (1 << n_cols) if i in heavy else r for i, r in enumerate(rows)]
+        mask |= data.draw(st.integers(0, 1)) << n_cols
+        m = Gf2Matrix(rows, n_cols + 1)
+        assert m._edges is None
+        assert (m.rank(), m.restricted_rank(mask)) == eliminated_ranks(rows, mask)

@@ -100,7 +100,7 @@ def reference_components_avoiding(lat, crossed):
     return comps
 
 
-def reference_simple_region(lat, rng):
+def reference_simple_region(lat, rng, max_sites=None):
     """Blob growth, a crossed mask from a link scan, and a hole fill that
     absorbs every complement component but the outside one."""
     k = lat.torus_k
@@ -110,7 +110,9 @@ def reference_simple_region(lat, rng):
     x0 = rng.randrange(k)
     y0 = rng.randrange(k)
     window = {((y0 + b) % k) * k + (x0 + a) % k for a in range(side) for b in range(side)}
-    target = rng.randint(1, max(1, (side * side) // 2))
+    if max_sites is None:
+        max_sites = max(1, (side * side) // 2)
+    target = rng.randint(1, max_sites)
     adj = reference_site_neighbors(lat)
     start = ((y0 + rng.randrange(side)) % k) * k + (x0 + rng.randrange(side)) % k
     blob = {start}
@@ -161,6 +163,7 @@ SAMPLERS = {
     "rects": (random_rectangle_region, reference_rectangle_region),
     "disks": (random_simple_region, reference_simple_region),
 }
+DRAWS = {"rects": 25, "disks": 200}
 
 
 def star_of_five_document():
@@ -185,12 +188,16 @@ class TestAgainstReferenceWalks:
                 with pytest.raises(ValueError, match="k >= 4"):
                     fn(lat, random.Random(k))
             return
-        rng, ref_rng = random.Random(100 + k), random.Random(100 + k)
-        for _ in range(25):
-            part, stats = sample(lat, rng)
-            assert (part, stats) == reference(lat, ref_rng)
-            assert rng.getstate() == ref_rng.getstate()
-            assert _disk_descriptor(lat, part) == reference_disk_descriptor(lat, part)
+        # Blobs as large as the window wrap the torus seam and leave holes
+        # whose floods meet sites an earlier flood marked outside.
+        cases = [{}] if mode == "rects" else [{}, {"max_sites": (k - 2) ** 2}]
+        for kwargs in cases:
+            rng, ref_rng = random.Random(100 + k), random.Random(100 + k)
+            for _ in range(DRAWS[mode]):
+                part, stats = sample(lat, rng, **kwargs)
+                assert (part, stats) == reference(lat, ref_rng, **kwargs)
+                assert rng.getstate() == ref_rng.getstate()
+                assert _disk_descriptor(lat, part) == reference_disk_descriptor(lat, part)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     def test_boundary_stats_on_random_partitions(self, k):
