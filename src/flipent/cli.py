@@ -393,9 +393,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # scan command
 
-def _scan_row(group, descriptor, part, stats, closed, oracle_s) -> tuple:
+def _scan_row(descriptor, part, s_bits, stats, closed, oracle_s) -> tuple:
     """One scan row, in `CSV_COLUMNS` order."""
-    s_bits = entropy_equal_superposition(group, part).s_bits
     if stats is None:
         geometry, bounds = (None,) * 4, (None, None)
     else:
@@ -405,20 +404,27 @@ def _scan_row(group, descriptor, part, stats, closed, oracle_s) -> tuple:
     return (descriptor, part.size_a, *geometry, s_bits, closed, *bounds, oracle_s)
 
 
-def _scan_partitions(args, lat):
-    """Yield (descriptor, partition, stats, closed form) for each scan row."""
+def _scan_partitions(args, lat, group):
+    """Yield (descriptor, partition, S_bits, stats, closed form) for each
+    scan row."""
     mode = args.mode
     n = lat.n_links
+
+    def entropy(part):
+        return entropy_equal_superposition(group, part).s_bits
+
     if mode in ("exhaustive", "sampled"):
         if mode == "sampled":
             _require_count_seed(args)
         masks = bipartition_masks(
             n, mode, count=args.count, seed=args.seed, max_links=args.scan_cap
         )
+        if mode == "exhaustive":  # once the link cap has passed
+            entropy = _paired_entropy(group, n)
         for mask in masks:
             part = Partition(n, mask)
-            desc = "links:" + ",".join(map(str, part.a_links()))
-            yield desc, part, _try_stats(lat, part), None
+            desc = "links:" + lat.link_list(mask)
+            yield desc, part, entropy(part), _try_stats(lat, part), None
     elif mode in ("rects", "disks"):
         _require_count_seed(args)
         sample = random_rectangle_region if mode == "rects" else random_simple_region
@@ -426,20 +432,44 @@ def _scan_partitions(args, lat):
         for _ in range(args.count):
             part, stats = sample(lat, rng)
             desc = _disk_descriptor(lat, part)
-            yield desc, part, stats, float(geometric_entropy(stats))
+            yield desc, part, entropy(part), stats, float(geometric_entropy(stats))
     elif mode == "table1":
         if lat.torus_k is None:
             raise ValueError("table1 mode needs a torus lattice")
         k = lat.torus_k
         for name in ("single_spin", "chain", "ladder", "cross", "vertical"):
             part = named_partition(lat, name)
-            yield name, part, _try_stats(lat, part), closed_form_entropy(name, k)
+            closed = closed_form_entropy(name, k)
+            yield name, part, entropy(part), _try_stats(lat, part), closed
         side = 2 if k >= 4 else 1
         part, stats = disk_region(lat, rect=(0, 0, side, side))
         desc = f"rect:0,0,{side},{side}"
-        yield desc, part, stats, float(geometric_entropy(stats))
+        yield desc, part, entropy(part), stats, float(geometric_entropy(stats))
     else:
         raise ValueError(f"unknown scan mode {mode!r}")
+
+
+def _paired_entropy(group, n: int):
+    """``S_bits`` of a proper partition of ``n`` links, from the engine once
+    per complement pair.
+
+    S(A) = S(B), so a pair has one memo byte, at the mask of the side with
+    link n - 1 clear.  The byte holds S + 1, and 0 marks a pair not yet
+    evaluated, so any order of queries gives the engine's values.
+    """
+    full = (1 << n) - 1
+    half = (1 << n) >> 1
+    memo = bytearray(half)
+
+    def s_bits(part: Partition) -> int:
+        mask = part.a_mask
+        key = mask if mask < half else full ^ mask
+        s = memo[key]
+        if not s:
+            s = memo[key] = entropy_equal_superposition(group, part).s_bits + 1
+        return s - 1
+
+    return s_bits
 
 
 def _require_count_seed(args) -> None:
@@ -461,7 +491,7 @@ def _disk_descriptor(lat, part) -> str:
     for star in lat.star_masks():
         if star & part.a_mask == star:
             crossed ^= star
-    return "loop:" + ",".join(map(str, Partition(lat.n_links, crossed).a_links()))
+    return "loop:" + lat.link_list(crossed)
 
 
 def cmd_scan(args) -> int:
@@ -469,13 +499,13 @@ def cmd_scan(args) -> int:
     group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
     rows = []
     state = None
-    for desc, part, stats, closed in _scan_partitions(args, lat):
+    for desc, part, s_bits, stats, closed in _scan_partitions(args, lat, group):
         oracle_s = None
         if args.oracle:
             if state is None:  # on the first row, after the mode's own input checks
                 state = _oracle_state(args, lat, GroundStateCoeffs.xi(0, 0))
             oracle_s = _oracle_entropy(args, state, part)
-        rows.append(_scan_row(group, desc, part, stats, closed, oracle_s))
+        rows.append(_scan_row(desc, part, s_bits, stats, closed, oracle_s))
     rows.sort(key=lambda row: row[0])
     if args.format == "json":
         emit_json(

@@ -57,8 +57,9 @@ def entropy_equal_superposition(group: Gf2Matrix, p: Partition) -> EntropyReport
     if not p.is_proper():
         raise ValueError("partition must leave both sides nonempty")
     r = group.rank()
-    inside_a = group.trivial_on_dimension(p.a_mask)
-    inside_b = group.trivial_on_dimension(p.b_mask)
+    # an element lies inside A when it vanishes on B: rank minus rank on B
+    inside_a = r - group.restricted_rank(p.b_mask)
+    inside_b = r - group.restricted_rank(p.a_mask)
     s = r - inside_a - inside_b
     assert 0 <= s <= min(p.size_a, p.n_links - p.size_a)
     return EntropyReport(
@@ -177,12 +178,19 @@ def absolute_entanglement_scan(
     seed: int | None = None,
     max_links: int = EXHAUSTIVE_SCAN_MAX_LINKS,
 ) -> ScanResult:
-    """Minimum entropy over the proper bipartitions of `bipartition_masks`."""
+    """Minimum entropy over the proper bipartitions of `bipartition_masks`.
+
+    ``evaluated`` counts those bipartitions; the exhaustive mode computes
+    one entropy per complement pair.
+    """
     n = group.n_cols
     masks = bipartition_masks(n, mode, count=count, seed=seed, max_links=max_links)
+    # S(A) = S(B), and the smaller mask of a complement pair is the one with
+    # link n - 1 clear: the first half of the range, which holds the argmin
+    visited = masks[: len(masks) // 2] if mode == "exhaustive" else masks
     best = min(
         (entropy_equal_superposition(group, Partition(n, m)).s_bits, m)
-        for m in masks
+        for m in visited
     )
     return ScanResult(
         min_s_bits=best[0], argmin=Partition(n, best[1]), evaluated=len(masks)

@@ -91,8 +91,14 @@ def _forest_size(n_vertices: int, edges: Iterable[tuple[int, int]]) -> int:
     return size
 
 
-#: maps the digits of ``bin(mask)`` to 0/1 bytes, a selector for `compress`
+#: maps the digits of ``bin(mask)`` to 0/1 bytes
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_flags(mask: int) -> bytes:
+    # one 0/1 byte per bit of a nonnegative mask, least significant first and
+    # up to the highest set bit: a selector for `itertools.compress`
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 class Gf2Matrix:
@@ -158,8 +164,7 @@ class Gf2Matrix:
             raise ValueError("column mask wider than matrix")
         if self._edges is None:
             return len(_echelonize([m & mask for m in self._echelon]))
-        # the edges of the columns in mask; bin() lists them high bit first
-        chosen = compress(self._edges, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
+        chosen = compress(self._edges, _bit_flags(mask))  # the columns in mask
         return _forest_size(self.n_rows + 1, chosen)
 
     def trivial_on_dimension(self, support: int) -> int:

@@ -20,10 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import LatticeFormatError, ResourceLimitError
-from .gf2 import Gf2Matrix, mask_from_indices
+from .gf2 import Gf2Matrix, _bit_flags, mask_from_indices
 
 DOCUMENT_HEADER = "LATTICE v1"
 
@@ -57,6 +58,15 @@ class Lattice:
 
     def plaquette_masks(self) -> tuple[int, ...]:
         return self._plaquette_masks
+
+    def link_list(self, mask: int) -> str:
+        """The links set in ``mask`` as decimal ids joined by commas, lowest
+        first: the body of a ``links:`` or ``loop:`` descriptor."""
+        return ",".join(compress(self._link_names, _bit_flags(mask)))
+
+    @cached_property
+    def _link_names(self) -> tuple[str, ...]:
+        return tuple(map(str, range(self.n_links)))
 
     @cached_property
     def _star_masks(self) -> tuple[int, ...]:
@@ -110,8 +120,7 @@ class Partition:
         return self.a_mask.bit_count()
 
     def a_links(self) -> tuple[int, ...]:
-        # the binary digits, least significant first, without the "0b"
-        return tuple(i for i, bit in enumerate(bin(self.a_mask)[:1:-1]) if bit == "1")
+        return tuple(compress(range(self.n_links), _bit_flags(self.a_mask)))
 
     def complement(self) -> "Partition":
         return Partition(self.n_links, self.b_mask)

@@ -38,8 +38,9 @@ def default_suite(lat: Lattice) -> dict[str, Partition]:
     if k > VERIFY_MAX_K:
         raise ValueError(f"oracle verification is capped at k <= {VERIFY_MAX_K}")
     if k == 2:
-        parts = [Partition(lat.n_links, m) for m in bipartition_masks(lat.n_links)]
-        return {"links:" + ",".join(map(str, p.a_links())): p for p in parts}
+        n = lat.n_links
+        masks = bipartition_masks(n)
+        return {"links:" + lat.link_list(m): Partition(n, m) for m in masks}
     suite = {
         name: named_partition(lat, name)
         for name in ("single_spin", "chain", "ladder", "cross")

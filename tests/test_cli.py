@@ -16,14 +16,26 @@ from importlib import resources
 from pathlib import Path
 
 import flipent
-from flipent import Gf2Matrix, GroundStateCoeffs, named_partition
+from flipent import (
+    Gf2Matrix,
+    GroundStateCoeffs,
+    Partition,
+    bipartition_masks,
+    entropy_equal_superposition,
+    named_partition,
+    plaquette_group,
+    star_group,
+)
+from flipent import cli
 from flipent.cli import (
     CSV_COLUMNS,
+    _paired_entropy,
     build_parser,
     emit_fields,
     emit_rows_csv,
     emit_rows_table,
     main,
+    parse_lattice_spec,
     parse_partition_spec,
     parse_state_spec,
 )
@@ -440,6 +452,101 @@ class TestScanCommand:
         )
         assert (code, out) == (2, "")
         assert err == "error: sampled mode needs at least 2 links, got 0\n"
+
+
+SCAN_LATTICES = {
+    "torus-k2": "torus:k=2",
+    "cube": str(GOLDEN / "cube.lat"),
+    "patch": str(GOLDEN / "patch.lat"),  # plaquette columns of weight 1
+}
+
+
+class TestPairedScan:
+    """The exhaustive scan asks the engine once per complement pair {A, B}
+    and prints the bytes that one engine call per row prints."""
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        calls = []
+
+        def counted(group, part):
+            calls.append(part.a_mask)
+            return entropy_equal_superposition(group, part)
+
+        monkeypatch.setattr(cli, "entropy_equal_superposition", counted)
+        return calls
+
+    @pytest.mark.parametrize("group", ["stars", "plaquettes"])
+    @pytest.mark.parametrize("lattice", SCAN_LATTICES)
+    def test_same_bytes_as_direct_evaluation(
+        self, capsys, monkeypatch, engine_calls, lattice, group
+    ):
+        argv = ["scan", "--lattice", SCAN_LATTICES[lattice], "--mode", "exhaustive",
+                "--group", group]
+        n = parse_lattice_spec(SCAN_LATTICES[lattice]).n_links
+        code, paired, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert engine_calls == list(range(1, 1 << (n - 1)))
+
+        def direct(matrix, n):
+            return lambda part: cli.entropy_equal_superposition(matrix, part).s_bits
+
+        monkeypatch.setattr(cli, "_paired_entropy", direct)
+        engine_calls.clear()
+        code, unpaired, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(engine_calls) == (1 << n) - 2
+        assert paired == unpaired
+
+    @pytest.mark.parametrize("order", ["shuffled", "descending"])
+    @pytest.mark.parametrize("group", ["stars", "plaquettes", "single-links"])
+    @pytest.mark.parametrize("lattice", SCAN_LATTICES)
+    def test_memo_is_independent_of_query_order(
+        self, engine_calls, lattice, group, order
+    ):
+        lat = parse_lattice_spec(SCAN_LATTICES[lattice])
+        n = lat.n_links
+        matrix = {
+            "stars": star_group(lat),
+            "plaquettes": plaquette_group(lat),
+            # every S is 0, and a 0 must be memoized like any other value
+            "single-links": Gf2Matrix([1 << l for l in range(n)], n),
+        }[group]
+        masks = list(range((1 << n) - 2, 0, -1))  # complements with link n-1 first
+        if order == "shuffled":
+            random.Random(n).shuffle(masks)
+        s_bits = _paired_entropy(matrix, n)
+        for mask in masks + masks[::-1]:  # fill the memo, then read it back
+            part = Partition(n, mask)
+            assert s_bits(part) == entropy_equal_superposition(matrix, part).s_bits
+        full = (1 << n) - 1
+        pairs = sorted(min(m, full ^ m) for m in engine_calls)
+        assert pairs == list(range(1, 1 << (n - 1)))  # each pair once
+
+    def test_sampled_mode_calls_the_engine_once_per_row(self, capsys, engine_calls):
+        code, out, _ = run_cli(
+            capsys, "scan", "--lattice", "torus:k=2", "--mode", "sampled",
+            "--count", "300", "--seed", "5",
+        )
+        assert code == 0
+        masks = bipartition_masks(8, "sampled", count=300, seed=5)
+        assert len({min(m, 0xFF ^ m) for m in masks}) < len(masks)  # pairs repeat
+        assert engine_calls == masks
+        assert len(out.splitlines()) == 301
+
+    @pytest.mark.parametrize(
+        "name", ["scan_exhaustive_k5_exit3", "scan_exhaustive_scan_cap_exit3"]
+    )
+    def test_capped_scan_allocates_no_memo(self, capsys, monkeypatch, name):
+        def refuse(matrix, n):
+            raise AssertionError(f"a memo of 2**{n - 1} bytes was allocated")
+
+        monkeypatch.setattr(cli, "_paired_entropy", refuse)
+        cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+        (argv,) = [c["argv"] for c in cases if c["name"] == name]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
 
 
 class TestOracleStateBuilds:

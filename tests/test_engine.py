@@ -28,9 +28,9 @@ from flipent import (
     random_simple_region,
     star_group,
 )
-from flipent import gf2
+from flipent import engine, gf2
 from flipent.cli import main
-from flipent.engine import entropy_bounds
+from flipent.engine import ScanResult, entropy_bounds
 from tests.test_lattice import cube_document
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -280,6 +280,33 @@ class TestAbsoluteEntanglementScan:
     def test_plaquette_group_scan_matches_star_by_duality(self, torus_k2):
         res = absolute_entanglement_scan(plaquette_group(torus_k2), "exhaustive")
         assert res.min_s_bits == 1
+
+    @pytest.mark.parametrize(
+        "name", ["stars-k2", "full-8", "cube-stars", "cube-plaquettes"]
+    )
+    def test_exhaustive_equals_brute_force_once_per_pair(self, monkeypatch, name):
+        group = {
+            "stars-k2": lambda: star_group(build_torus(2)),
+            "full-8": lambda: full_flip_group(8),
+            "cube-stars": lambda: star_group(GRAPH_LATTICES["cube"]),
+            "cube-plaquettes": lambda: plaquette_group(GRAPH_LATTICES["cube"]),
+        }[name]()
+        n = group.n_cols
+        best = min(
+            (entropy_equal_superposition(group, Partition(n, m)).s_bits, m)
+            for m in range(1, (1 << n) - 1)
+        )
+        calls = []
+
+        def counted(g, p):
+            calls.append(p.a_mask)
+            return entropy_equal_superposition(g, p)
+
+        monkeypatch.setattr(engine, "entropy_equal_superposition", counted)
+        res = absolute_entanglement_scan(group, "exhaustive")
+        assert res == ScanResult(best[0], Partition(n, best[1]), (1 << n) - 2)
+        # one evaluation per unordered pair {A, B}, at the side without link n-1
+        assert calls == list(range(1, 1 << (n - 1)))
 
 
 class TestBipartitionMasks:

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from flipent import Gf2Matrix, ResourceLimitError
 from flipent.gf2 import _echelonize, mask_from_indices
-from flipent.lattice import Partition, named_partition
+from flipent.lattice import Partition, named_partition, parse_lattice_document
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, database=None, max_examples=300, deadline=None
@@ -22,6 +22,22 @@ def random_matrix(rng, n_rows, n_cols):
 
 def enumerate_masks(m):
     return list(m.enumerate_row_space())
+
+
+def path_lattice(n):
+    """An open path of ``n`` links: link i joins sites i and i + 1."""
+    sites = "".join(f"{i}\n" for i in range(n + 1))
+    links = "".join(f"{i} {i + 1}\n" for i in range(n))
+    return parse_lattice_document(
+        f"LATTICE v1 open\nSITES\n{sites}LINKS\n{links}PLAQUETTES\n"
+    )
+
+
+@st.composite
+def widths_and_masks(draw):
+    n = draw(st.integers(0, 300))
+    full = (1 << n) - 1
+    return n, draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
 
 
 class TestMaskVectors:
@@ -43,6 +59,17 @@ class TestMaskVectors:
         v = mask_from_indices([2, 7], 9)
         assert Partition(9, v).a_links() == (2, 7)
         assert v.bit_count() == 2
+
+    @PROPERTY_SETTINGS
+    @given(widths_and_masks())
+    @example((0, 0))
+    @example((1, 1))
+    @example((300, (1 << 300) - 1))
+    def test_set_links_match_a_bit_walk(self, case):
+        n, mask = case
+        links = tuple(i for i in range(n) if mask >> i & 1)
+        assert Partition(n, mask).a_links() == links
+        assert path_lattice(n).link_list(mask) == ",".join(map(str, links))
 
     def test_out_of_range_support(self):
         with pytest.raises(ValueError):
