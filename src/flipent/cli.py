@@ -5,7 +5,9 @@ Subcommands: ``entropy`` (one partition, one state), ``verify``
 CSV/JSON) and ``lattice-info``.
 
 Exit codes: 0 success, 1 verification or closed-form mismatch, 2 input
-error, 3 resource cap exceeded, 4 output could not be written.  Output
+error, 3 resource cap exceeded, 4 output could not be written, 5
+internal error (any other exception, reported as one ``error: internal
+error: <Type>: <message>`` line on stderr, never exit 1).  Output
 for a fixed configuration (including seed) is byte-identical between
 runs: rows are sorted by partition descriptor and floats rendered via
 repr.
@@ -240,11 +242,13 @@ def _oracle_state(args, lat: Lattice, coeffs):
     return oracle.build_ground_state(lat, coeffs, max_links=args.max_links)
 
 
-def _oracle_entropy(args, state, part: Partition) -> float:
+def _oracle_entropy(args, state, part: Partition, support=None) -> float:
     """The oracle's entropy of ``part``, under the command's subsystem cap."""
     from . import oracle
 
-    return oracle.oracle_entropy(state, part, max_subsystem=args.max_subsystem)
+    return oracle.oracle_entropy(
+        state, part, max_subsystem=args.max_subsystem, support=support
+    )
 
 
 def _state_entropy(lat: Lattice, parsed: ParsedPartition, coeffs, is_basis, report):
@@ -498,13 +502,16 @@ def cmd_scan(args) -> int:
     lat = parse_lattice_spec(args.lattice)
     group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
     rows = []
-    state = None
+    state = support = None
     for desc, part, s_bits, stats, closed in _scan_partitions(args, lat, group):
         oracle_s = None
         if args.oracle:
             if state is None:  # on the first row, after the mode's own input checks
+                from . import oracle
+
                 state = _oracle_state(args, lat, GroundStateCoeffs.xi(0, 0))
-            oracle_s = _oracle_entropy(args, state, part)
+                support = oracle.support(state)
+            oracle_s = _oracle_entropy(args, state, part, support)
         rows.append(_scan_row(desc, part, s_bits, stats, closed, oracle_s))
     rows.sort(key=lambda row: row[0])
     if args.format == "json":
@@ -652,6 +659,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return 4
+    except Exception as exc:  # a defect: keep exit 1 for mismatches only
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

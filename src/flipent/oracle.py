@@ -1,15 +1,16 @@
 """Brute-force statevector ground truth at desk scale.
 
 Builds explicit ground-state vectors by enumerating the star group,
-takes partial traces by reshaping the state into an (A bits, B bits)
-amplitude matrix, and evaluates von Neumann entropy and two-spin
-concurrence from dense eigendecompositions.
+takes partial traces from the state's support (its nonzero amplitudes,
+4 |G| of 2**n) into an (A bits, B bits) amplitude matrix, and evaluates
+von Neumann entropy and two-spin concurrence from dense
+eigendecompositions.
 
 Basis convention: computational basis index = binary expansion over
 link occupation with link 0 as the least significant bit.  The reduced
 basis after a partial trace orders the kept links ascending, again LSB
 first.  This must match the bitmask convention of the GF(2) layer, and
-the axis order of the partial-trace reshape below depends on it.
+the bit gather of the partial trace below depends on it.
 """
 
 from __future__ import annotations
@@ -89,20 +90,32 @@ def is_stabilized(lat: Lattice, state: np.ndarray, tol: float = 1e-12) -> bool:
     return True
 
 
+def support(state: np.ndarray) -> np.ndarray:
+    """Indices of the nonzero amplitudes of ``state``, ascending.
+
+    A state from `build_ground_state` has 4 |G| of them at most, out of
+    2**n.  Pass the result as ``support=`` to `reduced_density_matrix`
+    or `oracle_entropy` when tracing one state over many partitions.
+    """
+    return np.flatnonzero(state)
+
+
 def reduced_density_matrix(
     state: np.ndarray,
     p: Partition,
     *,
     max_subsystem: int = MAX_SUBSYSTEM_LINKS,
+    support: np.ndarray | None = None,
 ) -> np.ndarray:
     """Partial trace over side B, keeping the links of side A.
 
-    The state is reshaped to one axis per link, its axes are permuted
-    to (A links, B links) and the result is read as the amplitude matrix
-    M indexed by (A bits, B bits); rho = M M^dagger.  Axis t of the
-    C-order reshape holds link n-1-t, so each side's links are listed
-    in descending order, which makes its lowest link the least
-    significant bit of the row or column index.
+    Works from the support of the state (``support``, or the nonzero
+    amplitudes found here when it is None).  Each supported basis index
+    splits into a row index, its A bits gathered with A's lowest link
+    as the least significant bit, and a column, its B bits.  The
+    amplitudes fill the matrix M whose columns are only the B bit
+    patterns that occur, ascending; rho = M M^dagger keeps all
+    2**|A| rows, and a column of zeros would add nothing to it.
     """
     n = p.n_links
     if len(state) != 1 << n:
@@ -113,10 +126,15 @@ def reduced_density_matrix(
             f"subsystem of {len(a_links)} links exceeds the "
             f"{max_subsystem}-link cap"
         )
-    b_links = p.complement().a_links()
-    axes = [n - 1 - link for link in a_links[::-1] + b_links[::-1]]
-    m = state.reshape((2,) * n).transpose(axes)
-    m = m.reshape(1 << len(a_links), 1 << len(b_links))
+    idx = np.flatnonzero(state) if support is None else support
+    rows = np.zeros(len(idx), dtype=np.int64)
+    for pos, link in enumerate(a_links):
+        rows |= ((idx >> link) & 1) << pos
+    # gathering B's bits keeps their order, so the masked indices sort
+    # the columns as the gathered B indices would
+    b_keys, cols = np.unique(idx & p.b_mask, return_inverse=True)
+    m = np.zeros((1 << len(a_links), len(b_keys)), dtype=np.complex128)
+    m[rows, cols] = state[idx]
     return m @ m.conj().T
 
 
@@ -174,10 +192,16 @@ def oracle_entropy(
     p: Partition,
     *,
     max_subsystem: int = MAX_SUBSYSTEM_LINKS,
+    support: np.ndarray | None = None,
 ) -> float:
-    """Entropy across ``p`` of a state from `build_ground_state`."""
+    """Entropy across ``p`` of a state from `build_ground_state`.
+
+    ``support`` is the state's `support`, found here when None.
+    """
     return von_neumann_entropy(
-        reduced_density_matrix(state, p, max_subsystem=max_subsystem)
+        reduced_density_matrix(
+            state, p, max_subsystem=max_subsystem, support=support
+        )
     )
 
 

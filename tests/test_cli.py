@@ -255,6 +255,17 @@ class TestEntropyCommand:
         assert out == ""
         assert err == f"error: out of memory: {reason}\n"
 
+    def test_unexpected_exception_exit_5(self, capsys, monkeypatch):
+        # exit 1 means a mismatch, so a defect must not escape with it
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_lattice_info", broken)
+        code, out, err = run_cli(capsys, "lattice-info", "--lattice", "torus:k=2")
+        assert code == 5
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: boom\n"
+
     def test_torus_size_cap_exit_3(self, capsys):
         code, out, err = run_cli(
             capsys, "lattice-info", "--lattice", "torus:k=1000000"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from flipent import (
     reduced_density_matrix,
     von_neumann_entropy,
 )
-from flipent.oracle import apply_flip, is_stabilized, reduced_spectrum
+from flipent.oracle import apply_flip, is_stabilized, reduced_spectrum, support
 from flipent.states import alpha
 
 
@@ -94,6 +95,18 @@ class TestReducedDensityMatrix:
         with pytest.raises(ResourceLimitError):
             reduced_density_matrix(xi00_k2, Partition(8, 0b1111), max_subsystem=3)
 
+    def test_no_temporary_of_state_size(self, torus_k3, xi00_k3):
+        # the support of a basis state is 256 of 2**18 amplitudes; a copy
+        # of the state (4 MiB) would show here
+        cross = named_partition(torus_k3, "cross")
+        tracemalloc.start()
+        try:
+            reduced_density_matrix(xi00_k3, cross)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < xi00_k3.nbytes // 4
+
 
 def bit_gather_density_matrix(state, p):
     """Reference partial trace: M filled entry by entry from index bits.
@@ -118,8 +131,14 @@ def bit_gather_density_matrix(state, p):
 class TestPartialTraceAgainstBitGather:
     @pytest.mark.parametrize(
         "coeffs",
-        [GroundStateCoeffs.xi(0, 0), GroundStateCoeffs.random(random.Random(25))],
-        ids=["xi00", "random"],
+        [
+            GroundStateCoeffs.xi(0, 0),
+            GroundStateCoeffs.random(random.Random(25)),
+            # a support found from the real part alone would miss these
+            GroundStateCoeffs.from_sequence([0, 1j, 0, 0]),
+            GroundStateCoeffs.from_sequence([0.6, -0.8j, 0, 0]),
+        ],
+        ids=["xi00", "random", "imaginary", "negative_imaginary"],
     )
     def test_every_k2_bipartition(self, torus_k2, coeffs):
         state = build_ground_state(torus_k2, coeffs)
@@ -138,6 +157,39 @@ class TestPartialTraceAgainstBitGather:
                 reduced_density_matrix(xi00_k3, p),
                 bit_gather_density_matrix(xi00_k3, p),
             ), links
+
+    def test_sampled_k3_bipartitions_generic_state(self, torus_k3):
+        # dropping the zero columns of M regroups the BLAS sums, so the
+        # last bit of an entry may move
+        state = build_ground_state(torus_k3, GroundStateCoeffs.random(random.Random(27)))
+        rng = random.Random(28)
+        for _ in range(60):
+            links = rng.sample(range(18), rng.randint(1, 8))
+            p = Partition.from_links(links, 18)
+            assert np.allclose(
+                reduced_density_matrix(state, p),
+                bit_gather_density_matrix(state, p),
+                rtol=0,
+                atol=1e-14,
+            ), links
+
+    def test_passed_support_gives_same_rho(self, torus_k2, xi00_k3):
+        generic = build_ground_state(torus_k2, GroundStateCoeffs.random(random.Random(29)))
+        imaginary = build_ground_state(
+            torus_k2, GroundStateCoeffs.from_sequence([0.6, -0.8j, 0, 0])
+        )
+        rng = random.Random(30)
+        for state, n in ((generic, 8), (imaginary, 8), (xi00_k3, 18)):
+            nonzero = support(state)
+            assert np.array_equal(nonzero, np.flatnonzero(np.abs(state)))
+            for _ in range(20):
+                p = Partition(n, rng.randrange(1, (1 << n) - 1))
+                if p.size_a > 12:
+                    p = p.complement()
+                assert np.array_equal(
+                    reduced_density_matrix(state, p, support=nonzero),
+                    reduced_density_matrix(state, p),
+                )
 
 
 class TestVonNeumannEntropy:
