@@ -503,6 +503,7 @@ def cmd_scan(args) -> int:
     group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
     rows = []
     state = support = None
+    oracle_memo: dict[int, float] = {}  # a_mask -> oracle_S; draws repeat masks
     for desc, part, s_bits, stats, closed in _scan_partitions(args, lat, group):
         oracle_s = None
         if args.oracle:
@@ -511,7 +512,11 @@ def cmd_scan(args) -> int:
 
                 state = _oracle_state(args, lat, GroundStateCoeffs.xi(0, 0))
                 support = oracle.support(state)
-            oracle_s = _oracle_entropy(args, state, part, support)
+            oracle_s = oracle_memo.get(part.a_mask)
+            if oracle_s is None:
+                oracle_s = oracle_memo[part.a_mask] = _oracle_entropy(
+                    args, state, part, support
+                )
         rows.append(_scan_row(desc, part, s_bits, stats, closed, oracle_s))
     rows.sort(key=lambda row: row[0])
     if args.format == "json":

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import LatticeFormatError, ResourceLimitError
 from .gf2 import Gf2Matrix, _bit_flags, mask_from_indices
@@ -94,6 +94,16 @@ class Lattice:
             adj[a].append((b, l))
             adj[b].append((a, l))
         return tuple(map(tuple, adj))
+
+    @cached_property
+    def _neighbor_sites(self) -> tuple[tuple[int, ...], ...]:
+        # `_neighbors` without the links, in the same order
+        return tuple(tuple(v for v, _ in nbrs) for nbrs in self._neighbors)
+
+    @cached_property
+    def _empty_stars(self) -> int:
+        # sites with no link, which every partition counts in sigma_a
+        return self._star_masks.count(0)
 
 
 @dataclass(frozen=True)
@@ -477,12 +487,26 @@ def named_partition(lat: Lattice, name: str, *ids: int) -> Partition:
 # ---------------------------------------------------------------------------
 # boundary statistics and disk regions
 
-def boundary_stats(lat: Lattice, p: Partition) -> BoundaryStats:
-    """Classify every site by how many of its incident links lie in A."""
-    sigma_a = sigma_b = 0
+def boundary_stats(
+    lat: Lattice, p: Partition, *, sites: Collection[int] | None = None
+) -> BoundaryStats:
+    """Classify every site by how many of its incident links lie in A.
+
+    A site with no links counts in sigma_a.  ``sites``, when given, are
+    distinct site ids that include every site with a link in A, such as
+    a region and its neighbours: only their stars are tested, and every
+    other site counts in sigma_b, or in sigma_a if it has no links.
+    """
+    stars = lat.star_masks()
+    if sites is None:
+        sigma_a = sigma_b = 0
+    else:
+        stars = [stars[s] for s in sites]
+        sigma_a = lat._empty_stars - stars.count(0)
+        sigma_b = lat.n_sites - len(stars) - sigma_a
     buckets = [0, 0, 0]
     a_mask = p.a_mask
-    for star in lat.star_masks():
+    for star in stars:
         inside = star & a_mask
         if inside == star:
             sigma_a += 1
@@ -531,16 +555,27 @@ def _components_avoiding(lat: Lattice, crossed: int) -> list[set[int]]:
 
 
 def region_from_sites(lat: Lattice, sites: Iterable[int]) -> tuple[Partition, BoundaryStats]:
-    """Partition whose A side is every link touching the given sites."""
+    """Partition whose A side is every link touching the given sites.
+
+    Site ids must lie in ``0..n_sites-1``.  The stats test only the
+    stars of the region and its neighbours, the sites A's links touch.
+    """
     inside = set(sites)
-    if not inside or len(inside) >= lat.n_sites:
+    n = lat.n_sites
+    for s in inside:
+        if not 0 <= s < n:
+            raise ValueError(f"site id {s} out of range for {n} sites")
+    if not inside or len(inside) >= n:
         raise ValueError("region must enclose some but not all sites")
     stars = lat.star_masks()
+    nbrs = lat._neighbor_sites
     a_mask = 0
+    touched = set(inside)
     for s in inside:
         a_mask |= stars[s]
+        touched.update(nbrs[s])
     part = Partition(lat.n_links, a_mask)
-    return part, boundary_stats(lat, part)
+    return part, boundary_stats(lat, part, sites=touched)
 
 
 def disk_region(
@@ -620,14 +655,38 @@ def random_rectangle_region(
     return disk_region(lat, rect=(x, y, w, h))
 
 
+def _torus_block(k: int, x: int, y: int, w: int, h: int) -> bytearray:
+    # one flag byte per site of the k x k torus, set on the w x h block
+    # with corner (x, y) and wrapping both ways; w <= k and h <= k
+    row = b"\1" * w + bytes(k - w)
+    x %= k
+    row = row[k - x:] + row[:k - x]  # row[i] is set when (i - x) % k < w
+    flags = bytearray(k * k)
+    for b in range(h):
+        j = (y + b) % k * k
+        flags[j:j + k] = row
+    return flags
+
+
 def random_simple_region(
     lat: Lattice, rng: random.Random, max_sites: int | None = None
 ) -> tuple[Partition, BoundaryStats]:
     """Random simply-connected site blob grown inside a (k-2)^2 window.
 
-    Holes are filled so the complement stays connected; the result is
-    always a valid disk region (equivalent to some simple rectilinear
-    dual loop), generally with concave notches contributing n2/n3 sites.
+    The blob starts at a random window site.  Each step pops a random
+    entry of the frontier, a list of the blob's window neighbours that
+    keeps duplicates, and adds it unless it has joined already; either
+    way the pop spends one draw.  Holes are then filled so the
+    complement stays connected: one flood from the ring of sites just
+    outside the blob's bounding box walks the box's other sites, and
+    every box site it misses joins the region.  The result is always a
+    valid disk region (equivalent to some simple rectilinear dual loop),
+    generally with concave notches contributing n2/n3 sites.
+
+    A draw takes Python steps in proportion to the region and its
+    bounding box, not to the lattice: window and box membership are byte
+    flags filled by row slices, and the stats test only the stars next
+    to the region (see `region_from_sites`).
     """
     if lat.torus_k is None:
         raise ValueError("blob regions are only defined for the torus builder")
@@ -641,52 +700,40 @@ def random_simple_region(
         max_sites = max(1, (side * side) // 2)
     target = rng.randint(1, max_sites)
 
-    def offset(s: int) -> tuple[int, int]:
-        # column and row of site s relative to the window corner (x0, y0)
-        j, i = divmod(s, k)
-        return (i - x0) % k, (j - y0) % k
-
-    def in_window(s: int) -> bool:
-        j, i = divmod(s, k)
-        return (i - x0) % k < side and (j - y0) % k < side
-
-    adj = lat._neighbors
+    nbrs = lat._neighbor_sites
+    free = _torus_block(k, x0, y0, side, side)  # window sites not in the blob
     start = ((y0 + rng.randrange(side)) % k) * k + (x0 + rng.randrange(side)) % k
-    blob = {start}
-    frontier = [v for v, _ in adj[start] if in_window(v)]
+    free[start] = 0
+    blob = [start]
+    frontier = list(filter(free.__getitem__, nbrs[start]))
     while len(blob) < target and frontier:
         v = frontier.pop(rng.randrange(len(frontier)))
-        if v in blob:
+        if not free[v]:
             continue
-        blob.add(v)
-        frontier.extend(u for u, _ in adj[v] if u not in blob and in_window(u))
+        free[v] = 0
+        blob.append(v)
+        frontier.extend(filter(free.__getitem__, nbrs[v]))
 
-    # Fill holes.  The sites outside the blob's bounding box (in window
-    # offsets, so the box never wraps) all connect to the rest of the
-    # torus, so a flood of non-blob sites from a blob neighbour is
-    # outside once it pops a site beyond the box or one already marked
-    # outside; a flood that does neither is a hole.
-    offsets = [offset(s) for s in blob]
-    i_lo, i_hi = min(i for i, _ in offsets), max(i for i, _ in offsets)
-    j_lo, j_hi = min(j for _, j in offsets), max(j for _, j in offsets)
-    region = set(blob)
-    outside: set[int] = set()
+    # Fill holes.  The bounding box is taken in window offsets, so it
+    # never wraps, and it is at most k - 2 sites wide: the box plus a
+    # one-site ring around it fits on the torus, and the ring is
+    # connected and free of the blob.
+    cols = [(s % k - x0) % k for s in blob]
+    rows = [(s // k - y0) % k for s in blob]
+    i_lo, j_lo = min(cols) - 1, min(rows) - 1
+    # box and ring sites outside the blob, cleared as the flood reaches them
+    frame = _torus_block(
+        k, x0 + i_lo, y0 + j_lo, max(cols) - i_lo + 2, max(rows) - j_lo + 2
+    )
     for s in blob:
-        for v, _ in adj[s]:
-            if v in region or v in outside:
-                continue
-            flood = {v}
-            stack = [v]
-            escaped = False
-            while stack:
-                u = stack.pop()
-                i, j = offset(u)
-                if u in outside or not (i_lo <= i <= i_hi and j_lo <= j <= j_hi):
-                    escaped = True
-                    break
-                for w, _ in adj[u]:
-                    if w not in blob and w not in flood:
-                        flood.add(w)
-                        stack.append(w)
-            (outside if escaped else region).update(flood)
-    return region_from_sites(lat, region)
+        frame[s] = 0
+    corner = (y0 + j_lo) % k * k + (x0 + i_lo) % k
+    frame[corner] = 0
+    stack = [corner]
+    while stack:
+        for v in nbrs[stack.pop()]:
+            if frame[v]:
+                frame[v] = 0
+                stack.append(v)
+    blob.extend(compress(range(lat.n_sites), frame))  # the holes
+    return region_from_sites(lat, blob)

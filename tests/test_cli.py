@@ -620,6 +620,28 @@ class TestOracleStateBuilds:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert builds == []
 
+    def test_oracle_entropy_once_per_distinct_partition(self, capsys, monkeypatch):
+        from flipent import oracle, random_rectangle_region
+
+        masks = []
+        entropy = oracle.oracle_entropy
+
+        def counted(state, part, **kwargs):
+            masks.append(part.a_mask)
+            return entropy(state, part, **kwargs)
+
+        monkeypatch.setattr(oracle, "oracle_entropy", counted)
+        code, out, err = run_cli(
+            capsys, "scan", "--lattice", "torus:k=3", "--mode", "rects",
+            "--count", "100", "--seed", "1", "--oracle",
+        )
+        assert (code, err) == (0, "")
+        assert len(out.strip().splitlines()) == 101
+        lat, rng = build_torus(3), random.Random(1)
+        drawn = [random_rectangle_region(lat, rng)[0].a_mask for _ in range(100)]
+        assert sorted(masks) == sorted(set(drawn))
+        assert len(masks) < 100
+
 
 class TestLatticeInfoCommand:
     def test_torus_info(self, capsys):

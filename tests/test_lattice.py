@@ -277,6 +277,19 @@ class TestDiskRegion:
         assert st.n2 == 1
         assert st.n3 == 1
 
+    @pytest.mark.parametrize("site", [-1, 16])
+    def test_site_ids_outside_the_lattice_rejected(self, site):
+        # -1 would index the last site, 16 past the end of the star masks
+        lat = build_torus(4)
+        with pytest.raises(ValueError, match=f"site id {site} out of range for 16 sites"):
+            region_from_sites(lat, [5, site])
+
+    def test_last_site_id_accepted(self):
+        lat = build_torus(4)
+        part, st = region_from_sites(lat, [15])
+        assert part.a_links() == lat.star_links[15]
+        assert (st.sigma_a, st.n1) == (1, 4)
+
     def test_loop_round_trip(self):
         # feed the crossed links of a known region back in as a dual loop
         lat = build_torus(6)

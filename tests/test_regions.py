@@ -11,6 +11,7 @@ require identical results from both, draw for draw.
 import csv
 import io
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from flipent import (
     parse_lattice_document,
     random_rectangle_region,
     random_simple_region,
+    region_from_sites,
     star_group,
 )
 from flipent.cli import _disk_descriptor, main, parse_partition_spec
@@ -179,7 +181,7 @@ def star_of_five_document():
 
 class TestAgainstReferenceWalks:
     @pytest.mark.parametrize("mode", SAMPLERS)
-    @pytest.mark.parametrize("k", range(3, 17))
+    @pytest.mark.parametrize("k", [*range(3, 17), 32, 64])
     def test_samplers_match_draw_for_draw(self, mode, k):
         lat = build_torus(k)
         sample, reference = SAMPLERS[mode]
@@ -193,7 +195,7 @@ class TestAgainstReferenceWalks:
         cases = [{}] if mode == "rects" else [{}, {"max_sites": (k - 2) ** 2}]
         for kwargs in cases:
             rng, ref_rng = random.Random(100 + k), random.Random(100 + k)
-            for _ in range(DRAWS[mode]):
+            for _ in range(DRAWS[mode] if k <= 16 else 50):
                 part, stats = sample(lat, rng, **kwargs)
                 assert (part, stats) == reference(lat, ref_rng, **kwargs)
                 assert rng.getstate() == ref_rng.getstate()
@@ -271,6 +273,8 @@ class TestLoopDescriptors:
 LATTICES = {
     **{f"torus{k}": build_torus(k) for k in range(2, 9)},
     "cube": parse_lattice_document((GOLDEN / "cube.lat").read_text()),
+    "patch": parse_lattice_document((GOLDEN / "patch.lat").read_text()),
+    "star_of_five": parse_lattice_document(star_of_five_document()),
 }
 
 
@@ -290,6 +294,38 @@ class TestCutSpace:
             if (a in sites) != (b in sites)
         )
         assert xor == crossed
+
+
+class TestRegionStats:
+    """`region_from_sites` tests only the stars of the region and its
+    neighbours; every other site must land where the whole-lattice
+    `boundary_stats` puts it."""
+
+    @pytest.mark.parametrize("name", LATTICES)
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_region_stats_match_the_whole_lattice(self, name, data):
+        lat = LATTICES[name]
+        sites = data.draw(
+            st.sets(st.integers(0, lat.n_sites - 1), min_size=1, max_size=lat.n_sites - 1)
+        )
+        a_mask = 0
+        for s in sites:
+            a_mask |= lat.star_masks()[s]
+        part = Partition(lat.n_links, a_mask)
+        try:
+            expected = boundary_stats(lat, part)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                region_from_sites(lat, sites)
+            return
+        assert region_from_sites(lat, sites) == (part, expected)
+
+    def test_isolated_site_stays_in_sigma_a(self):
+        # site 6 of the star of five has no links
+        lat = LATTICES["star_of_five"]
+        _, stats = region_from_sites(lat, {1})
+        assert (stats.sigma_a, stats.sigma_b, stats.n1) == (2, 4, 1)
 
 
 class TestBoundaryLawAtScale:
