@@ -26,6 +26,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from itertools import chain, compress
 
 from . import __version__
 from .engine import (
@@ -42,6 +43,7 @@ from .errors import (
     LatticeFormatError,
     ResourceLimitError,
 )
+from .gf2 import _bit_flags
 from .lattice import (
     BoundaryStats,
     Lattice,
@@ -489,11 +491,15 @@ def _require_count_seed(args) -> None:
 
 
 def _disk_descriptor(lat, part) -> str:
-    # the sites inside A are those whose whole star lies in A; the links
-    # their boundary crosses are the XOR of those stars
+    # the sites inside A are those whose whole star lies in A, so they are
+    # among the sites that A's links touch; the links their boundary
+    # crosses are the XOR of those stars
+    a = part.a_mask
+    stars = lat.star_masks()
     crossed = 0
-    for star in lat.star_masks():
-        if star & part.a_mask == star:
+    for s in set(chain.from_iterable(compress(lat.link_sites, _bit_flags(a)))):
+        star = stars[s]
+        if star & a == star:
             crossed ^= star
     return "loop:" + lat.link_list(crossed)
 

@@ -9,6 +9,18 @@ bipartition (A, B) is an exact integer number of bits:
 All three terms are GF(2) ranks, so everything here is exact integer
 arithmetic; floating point only appears in the oracle and in the
 generic-ground-state formulas.
+
+In rank terms, with r the group's rank and r(A) its rank on A's links,
+S = r(A) + r(B) - r.  Matroid duality gives r(B) - r = r⊥(A) - |A|,
+where r⊥ is the rank of the annihilator (every vector orthogonal to
+the group), so S = r(X) + r⊥(X) - |X| for either side X, and the
+engine ranks the smaller one.  For the star group the annihilator is
+the cycle space: the plaquettes, ranked as the dual graph, plus on the
+torus two homology classes of loops.  The plaquette cuts alone give
+r⊥(X) when each class has a loop that misses X, as for the rects and
+disks that `scan` draws inside a (k-2) x (k-2) window.  When a group
+has no `GraphicDual`, or X meets every loop of a class (`cross`,
+`vertical`), the engine ranks both sides instead.
 """
 
 from __future__ import annotations
@@ -49,19 +61,36 @@ class EntropyReport:
 
 
 def entropy_equal_superposition(group: Gf2Matrix, p: Partition) -> EntropyReport:
-    """Exact entropy across ``p`` for the equal superposition over ``group``."""
-    if group.n_cols != p.n_links:
-        raise ValueError(
-            f"group width {group.n_cols} != partition width {p.n_links}"
-        )
-    if not p.is_proper():
+    """Exact entropy across ``p`` for the equal superposition over ``group``.
+
+    Ranks the group on both sides, or on the smaller side X alone (A when
+    |A| <= |B|) when the group's `GraphicDual` spans the annihilator on X.
+    """
+    n = p.n_links
+    if group.n_cols != n:
+        raise ValueError(f"group width {group.n_cols} != partition width {n}")
+    a = p.a_mask
+    full = (1 << n) - 1  # once here: this runs for every row of a scan
+    if not 0 < a < full:
         raise ValueError("partition must leave both sides nonempty")
     r = group.rank()
+    b = full ^ a
+    size_a = a.bit_count()
+    x, size_x = (a, size_a) if 2 * size_a <= n else (b, n - size_a)
+    dual = group.dual
+    if dual is not None and dual.spans_on(x):
+        # matroid duality: the rank on the other side is r + r_dual(X) - |X|
+        r_x = group.restricted_rank(x)
+        r_rest = r + dual.rank(x) - size_x
+        r_a, r_b = (r_x, r_rest) if x == a else (r_rest, r_x)
+    else:
+        r_a = group.restricted_rank(a)
+        r_b = group.restricted_rank(b)
     # an element lies inside A when it vanishes on B: rank minus rank on B
-    inside_a = r - group.restricted_rank(p.b_mask)
-    inside_b = r - group.restricted_rank(p.a_mask)
+    inside_a = r - r_b
+    inside_b = r - r_a
     s = r - inside_a - inside_b
-    assert 0 <= s <= min(p.size_a, p.n_links - p.size_a)
+    assert 0 <= s <= min(size_a, n - size_a)
     return EntropyReport(
         s_bits=s, log2_group=r, log2_inside_a=inside_a, log2_inside_b=inside_b
     )

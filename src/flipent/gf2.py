@@ -16,13 +16,20 @@ found by union-find in near-linear time.  The star group of a lattice
 at most two faces) are graphic.  Every other matrix is ranked by
 Gaussian elimination (`_echelonize`), which also stays the reference
 the graphic path is tested against.
+
+A graphic matrix may also carry a `GraphicDual`: a second graph whose
+cut space, together with a few loop classes, is the annihilator of the
+row space (the vectors orthogonal to every row).  Matroid duality turns
+a rank on the complement of a column set into a rank of the annihilator
+on the set itself, so the engine can rank one bipartition from its
+smaller side alone (see `engine.entropy_equal_superposition`).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
 
@@ -101,6 +108,66 @@ def _bit_flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
+class GraphicDual:
+    """The annihilator of a graphic group, as a dual graph and loop classes.
+
+    The dual graph has one vertex per entry of ``rows``, which lists the
+    columns at that vertex, plus an outer vertex; column c is the edge
+    between the (at most two) rows that list it, and a column listed
+    once ends at the outer vertex.  A row is then the cut of its vertex,
+    and the annihilator is spanned by the rows and one loop of each
+    class in ``loop_classes``.  A class is a tuple of column masks, any
+    two of which differ by a sum of rows; on the torus these are the
+    homologous copies of one noncontractible loop.
+
+    `rank` is the rows' rank on a column set X.  It equals the
+    annihilator's rank on X when `spans_on(X)` holds: every class has a
+    loop that misses X, so each class restricts to X as a sum of rows
+    does.
+    """
+
+    def __init__(
+        self,
+        rows: Sequence[Sequence[int]],
+        n_cols: int,
+        loop_classes: Sequence[Sequence[int]],
+    ):
+        self.rows = rows
+        self.n_cols = n_cols
+        self.loop_classes = loop_classes
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int]] | None:
+        """Column c as ``edges[c]``; None when a column is on three rows."""
+        outer = len(self.rows)
+        first = [outer] * self.n_cols
+        second = [outer] * self.n_cols
+        for v, cols in enumerate(self.rows):
+            for c in cols:
+                if first[c] == outer:
+                    first[c] = v
+                elif second[c] == outer:
+                    second[c] = v
+                else:
+                    return None
+        return list(zip(first, second))
+
+    def spans_on(self, mask: int) -> bool:
+        """True iff each loop class has a loop disjoint from ``mask``."""
+        for loops in self.loop_classes:
+            for loop in loops:
+                if not loop & mask:
+                    break
+            else:
+                return False
+        return True
+
+    def rank(self, mask: int) -> int:
+        """Rank of the rows on the columns in ``mask``, as a spanning forest."""
+        chosen = compress(self.edges, _bit_flags(mask))
+        return _forest_size(len(self.rows) + 1, chosen)
+
+
 class Gf2Matrix:
     """An ordered list of GF(2) generators with cached rank structures.
 
@@ -111,9 +178,18 @@ class Gf2Matrix:
     is also what `reduce`, `contains` and `enumerate_row_space` use.  Both
     structures are computed lazily and shared by all later queries, so a
     matrix is safe to use from parallel partition scans.
+
+    ``dual``, when given, is called once, on the first read of `dual`,
+    and returns the matrix's `GraphicDual` or None; a lattice passes it
+    so that the dual graph is built only when an entropy needs it.
     """
 
-    def __init__(self, rows: Iterable[int], n_cols: int):
+    def __init__(
+        self,
+        rows: Iterable[int],
+        n_cols: int,
+        dual: Callable[[], GraphicDual | None] | None = None,
+    ):
         if n_cols < 0:
             raise ValueError("n_cols must be nonnegative")
         masks = tuple(rows)
@@ -122,6 +198,7 @@ class Gf2Matrix:
                 raise ValueError(f"row 0x{bits:x} wider than {n_cols} columns")
         self.n_cols = n_cols
         self._masks: tuple[int, ...] = masks
+        self._dual_source = dual
 
     @property
     def row_masks(self) -> tuple[int, ...]:
@@ -139,6 +216,11 @@ class Gf2Matrix:
     def _edges(self) -> list[tuple[int, int]] | None:
         # the column graph when the matrix is graphic, else None
         return _column_edges(self._masks, self.n_cols)
+
+    @cached_property
+    def dual(self) -> GraphicDual | None:
+        """The annihilator as a dual graph, or None when none is known."""
+        return None if self._dual_source is None else self._dual_source()
 
     @cached_property
     def _rank(self) -> int:

@@ -24,7 +24,7 @@ from itertools import compress
 from typing import Collection, Iterable, Sequence
 
 from .errors import LatticeFormatError, ResourceLimitError
-from .gf2 import Gf2Matrix, _bit_flags, mask_from_indices
+from .gf2 import Gf2Matrix, GraphicDual, _bit_flags, mask_from_indices
 
 DOCUMENT_HEADER = "LATTICE v1"
 
@@ -79,11 +79,47 @@ class Lattice:
     # one matrix per group, so each rank is computed once per lattice
     @cached_property
     def _star_group(self) -> Gf2Matrix:
-        return Gf2Matrix(self.star_masks(), self.n_links)
+        return Gf2Matrix(self.star_masks(), self.n_links, dual=self._star_dual)
 
     @cached_property
     def _plaquette_group(self) -> Gf2Matrix:
-        return Gf2Matrix(self.plaquette_masks(), self.n_links)
+        return Gf2Matrix(
+            self.plaquette_masks(), self.n_links, dual=self._plaquette_dual
+        )
+
+    def _star_dual(self) -> GraphicDual | None:
+        # the cycle space: the plaquettes as the dual graph, plus on the torus
+        # the column loops {v(i, j) : j} and the row loops {h(i, j) : i}
+        return self._dual(self._star_group, self.plaquette_links, torus_v, torus_h)
+
+    def _plaquette_dual(self) -> GraphicDual | None:
+        # the stars as the dual graph, plus on the torus the ladders
+        # {h(i, j) : j} and {v(i, j) : i}
+        return self._dual(self._plaquette_group, self.star_links, torus_h, torus_v)
+
+    def _dual(self, group, rows, down, across) -> GraphicDual | None:
+        # On the torus the annihilator has two loop classes beyond the rows:
+        # {down(i, j) : j} for each i and {across(i, j) : i} for each j.  Off
+        # it, the rows alone if they span the annihilator (the plaquettes of
+        # a sphere or of a planar patch), else no dual: no loops are known.
+        k = self.torus_k
+        if k is None:
+            dual = GraphicDual(rows, self.n_links, ())
+            full = (1 << self.n_links) - 1
+            spans = (
+                dual.edges is not None
+                and self.n_links == group.rank() + dual.rank(full)
+            )
+            return dual if spans else None
+        # both link functions are an offset plus j*k + i, so the loops of a
+        # class are shifts of its first one
+        down0 = mask_from_indices([down(k, 0, j) for j in range(k)], self.n_links)
+        across0 = mask_from_indices([across(k, i, 0) for i in range(k)], self.n_links)
+        classes = (
+            tuple(down0 << i for i in range(k)),
+            tuple(across0 << j * k for j in range(k)),
+        )
+        return GraphicDual(rows, self.n_links, classes)
 
     @cached_property
     def _neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -706,8 +742,17 @@ def random_simple_region(
     free[start] = 0
     blob = [start]
     frontier = list(filter(free.__getitem__, nbrs[start]))
+    getrandbits = rng.getrandbits
     while len(blob) < target and frontier:
-        v = frontier.pop(rng.randrange(len(frontier)))
+        # rng.randrange(m), inlined: CPython 3.10 to 3.13 draw getrandbits of
+        # m's bit length until the value is below m, so the draws and the
+        # final state of rng are the same as through randrange
+        m = len(frontier)
+        b = m.bit_length()
+        i = getrandbits(b)
+        while i >= m:
+            i = getrandbits(b)
+        v = frontier.pop(i)
         if not free[v]:
             continue
         free[v] = 0

@@ -20,17 +20,20 @@ from flipent import (
     is_closed_string_net,
     is_diagonal,
     ladder_operators,
+    lattice_to_document,
     named_partition,
     oracle_entropy,
     parse_lattice_document,
     perimeter_entropy,
     plaquette_group,
+    random_rectangle_region,
     random_simple_region,
     star_group,
 )
 from flipent import engine, gf2
 from flipent.cli import main
-from flipent.engine import ScanResult, entropy_bounds
+from flipent.engine import EntropyReport, ScanResult, entropy_bounds
+from flipent.lattice import Lattice, torus_h, torus_v
 from tests.test_lattice import cube_document
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -476,3 +479,177 @@ class TestComponentCounts:
         part = Partition(lat.n_links, random.Random(16).getrandbits(lat.n_links))
         entropy_equal_superposition(group, part)
         assert "_echelon" not in group.__dict__
+
+
+def eliminated_report(group, p):
+    """The engine's report from three ranks by Gaussian elimination."""
+    rows = group.row_masks
+    r = len(gf2._echelonize(rows))
+    r_a = len(gf2._echelonize([m & p.a_mask for m in rows]))
+    r_b = len(gf2._echelonize([m & p.b_mask for m in rows]))
+    return EntropyReport(
+        s_bits=r_a + r_b - r, log2_group=r,
+        log2_inside_a=r - r_b, log2_inside_b=r - r_a,
+    )
+
+
+def loop_classes(lat, group):
+    """Link sets of the annihilator's loop classes beyond the dual graph's
+    cuts: none on the cube and the patch; on the torus the column and row
+    loops for the stars, the two kinds of ladder for the plaquettes."""
+    k = lat.torus_k
+    if k is None:
+        return []
+    h = [[torus_h(k, i, j) for i in range(k)] for j in range(k)]  # h[j]: row j
+    v = [[torus_v(k, i, j) for i in range(k)] for j in range(k)]
+    columns = [list(c) for c in zip(*v)]  # {v(i, j) : j}, one per i
+    ladders = [list(c) for c in zip(*h)]  # {h(i, j) : j}, one per i
+    return [columns, h] if group == "stars" else [ladders, v]
+
+
+def dual_path_applies(lat, group, p):
+    """True iff every loop class has a loop that misses the smaller side
+    (A when |A| <= |B|)."""
+    x = p.a_mask if 2 * p.size_a <= p.n_links else p.b_mask
+    return all(
+        any(not any(x >> l & 1 for l in loop) for loop in loops)
+        for loops in loop_classes(lat, group)
+    )
+
+
+DUAL_LATTICES = {
+    **{f"torus-k{k}": build_torus(k) for k in range(2, 9)},
+    **{name: GRAPH_LATTICES[name] for name in ("cube", "patch")},
+}
+
+
+@st.composite
+def dual_cases(draw, lat, group):
+    """A proper partition: a sparse side of 1..n/4 links, a sampled disk or
+    rect, `cross`, `vertical`, a side that meets every loop of one class,
+    or any mask; either side may be A."""
+    n = lat.n_links
+    kinds = ["sparse", "any"]
+    if lat.torus_k is not None:
+        kinds += ["cross", "vertical", "hits-a-class"]
+        kinds += ["rect"] * (lat.torus_k >= 3) + ["disk"] * (lat.torus_k >= 4)
+    kind = draw(st.sampled_from(kinds))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "sparse":
+        size = rng.randint(1, max(1, n // 4))
+        mask = sum(1 << l for l in rng.sample(range(n), size))
+    elif kind == "any":
+        mask = rng.randint(1, (1 << n) - 2)
+    elif kind in ("cross", "vertical"):
+        mask = named_partition(lat, kind).a_mask
+    elif kind == "hits-a-class":
+        loops = rng.choice(loop_classes(lat, group))
+        mask = sum(1 << rng.choice(loop) for loop in loops)
+    else:
+        sample = random_simple_region if kind == "disk" else random_rectangle_region
+        mask = sample(lat, rng)[0].a_mask
+    if draw(st.booleans()):
+        mask ^= (1 << n) - 1
+    return Partition(n, mask)
+
+
+class TestDualPath:
+    """S = r(X) + r_dual(X) - |X| on the smaller side X, where the dual path
+    applies, and the two-rank path everywhere else."""
+
+    @pytest.mark.parametrize("group", ["stars", "plaquettes"])
+    @pytest.mark.parametrize("name", DUAL_LATTICES)
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_elimination_on_the_expected_path(self, name, group, data):
+        lat = DUAL_LATTICES[name]
+        matrix = star_group(lat) if group == "stars" else plaquette_group(lat)
+        assert matrix.dual is not None  # built outside the recording below
+        p = data.draw(dual_cases(lat, group))
+        dual_ranks = []
+        dual_rank = gf2.GraphicDual.rank
+
+        def recorded(self, mask):
+            dual_ranks.append(mask)
+            return dual_rank(self, mask)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2.GraphicDual, "rank", recorded)
+            report = entropy_equal_superposition(matrix, p)
+        assert report == eliminated_report(matrix, p)
+        assert bool(dual_ranks) == dual_path_applies(lat, group, p)
+
+    @pytest.mark.parametrize("group", ["stars", "plaquettes"])
+    def test_both_paths_run(self, monkeypatch, group):
+        lat = build_torus(6)
+        matrix = star_group(lat) if group == "stars" else plaquette_group(lat)
+        calls = []
+        dual_rank = gf2.GraphicDual.rank
+        monkeypatch.setattr(
+            gf2.GraphicDual, "rank",
+            lambda self, mask: calls.append(mask) or dual_rank(self, mask),
+        )
+        disk = disk_region(lat, rect=(1, 1, 2, 3))[0]
+        for p in (disk, disk.complement()):
+            report = entropy_equal_superposition(matrix, p)
+            assert report == eliminated_report(matrix, p)
+        assert calls == [disk.a_mask, disk.a_mask]
+        calls.clear()
+        for name in ("cross", "vertical"):
+            p = named_partition(lat, name)
+            report = entropy_equal_superposition(matrix, p)
+            assert report == eliminated_report(matrix, p)
+        assert calls == []
+
+    def test_documents_with_uncovered_loops_keep_two_ranks(self):
+        # a torus read from a document carries no loops, so it has no dual
+        lat = parse_lattice_document(lattice_to_document(build_torus(3)))
+        rng = random.Random(7)
+        for matrix in (star_group(lat), plaquette_group(lat)):
+            assert matrix.dual is None
+            for _ in range(20):
+                p = Partition(lat.n_links, rng.randint(1, (1 << lat.n_links) - 2))
+                report = entropy_equal_superposition(matrix, p)
+                assert report == eliminated_report(matrix, p)
+        cube = GRAPH_LATTICES["cube"]
+        assert star_group(cube).dual.loop_classes == ()
+
+    def test_link_on_three_faces(self):
+        # four parallel links between two sites, link 0 on all three faces:
+        # the faces span the cycle space but are no graph, so the star group
+        # has no dual, while the plaquette group (ranked by elimination) has
+        # the stars
+        lat = parse_lattice_document(
+            "LATTICE v1 open\nSITES\n0\n1\nLINKS\n0 1\n0 1\n0 1\n0 1\n"
+            "PLAQUETTES\n0 1\n0 2\n0 3\n"
+        )
+        assert star_group(lat).dual is None
+        assert plaquette_group(lat).dual.loop_classes == ()
+        for matrix in (star_group(lat), plaquette_group(lat)):
+            for mask in range(1, 15):
+                p = Partition(4, mask)
+                report = entropy_equal_superposition(matrix, p)
+                assert report == eliminated_report(matrix, p)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--lattice", "torus:k=8", "--mode", "disks", "--count", "20",
+             "--seed", "3"],
+            ["entropy", "--lattice", "torus:k=8", "--partition", "cross"],
+        ],
+        ids=["scan-disks", "entropy-cross"],
+    )
+    def test_builds_no_plaquette_masks(self, monkeypatch, capsys, argv):
+        def refused(self):
+            raise AssertionError("plaquette masks built")
+
+        duals = []
+        star_dual = Lattice._star_dual
+        monkeypatch.setattr(Lattice, "plaquette_masks", refused)
+        monkeypatch.setattr(
+            Lattice, "_star_dual", lambda self: duals.append(self) or star_dual(self)
+        )
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+        assert len(duals) == 1
