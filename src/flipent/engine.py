@@ -14,13 +14,14 @@ In rank terms, with r the group's rank and r(A) its rank on A's links,
 S = r(A) + r(B) - r.  Matroid duality gives r(B) - r = r⊥(A) - |A|,
 where r⊥ is the rank of the annihilator (every vector orthogonal to
 the group), so S = r(X) + r⊥(X) - |X| for either side X, and the
-engine ranks the smaller one.  For the star group the annihilator is
-the cycle space: the plaquettes, ranked as the dual graph, plus on the
-torus two homology classes of loops.  The plaquette cuts alone give
-r⊥(X) when each class has a loop that misses X, as for the rects and
-disks that `scan` draws inside a (k-2) x (k-2) window.  When a group
-has no `GraphicDual`, or X meets every loop of a class (`cross`,
-`vertical`), the engine ranks both sides instead.
+engine ranks the smaller one.  A lattice's group is the cut space of
+its `Graph`, whose cycle space is the annihilator: the cuts of the dual
+graph (faces for the star group, sites for the plaquette group) plus,
+on the torus, two homology classes of loops.  The dual's cuts alone
+give r⊥(X) when each class has a loop that misses X, as for the rects
+and disks that `scan` draws inside a (k-2) x (k-2) window.  When a
+group has no graph, its graph no dual, or X meets every loop of a
+class (`cross`, `vertical`), the engine ranks both sides instead.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def entropy_equal_superposition(group: Gf2Matrix, p: Partition) -> EntropyReport
     """Exact entropy across ``p`` for the equal superposition over ``group``.
 
     Ranks the group on both sides, or on the smaller side X alone (A when
-    |A| <= |B|) when the group's `GraphicDual` spans the annihilator on X.
+    |A| <= |B|) when its graph's dual spans the annihilator on X.
     """
     n = p.n_links
     if group.n_cols != n:
@@ -77,11 +78,11 @@ def entropy_equal_superposition(group: Gf2Matrix, p: Partition) -> EntropyReport
     b = full ^ a
     size_a = a.bit_count()
     x, size_x = (a, size_a) if 2 * size_a <= n else (b, n - size_a)
-    dual = group.dual
-    if dual is not None and dual.spans_on(x):
+    graph = group.graph
+    if graph is not None and graph.spans_on(x) and graph.dual is not None:
         # matroid duality: the rank on the other side is r + r_dual(X) - |X|
         r_x = group.restricted_rank(x)
-        r_rest = r + dual.rank(x) - size_x
+        r_rest = r + graph.dual.rank(x) - size_x
         r_a, r_b = (r_x, r_rest) if x == a else (r_rest, r_x)
     else:
         r_a = group.restricted_rank(a)

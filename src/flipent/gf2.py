@@ -6,23 +6,23 @@ the arithmetic substrate for every group-order computation in the
 package: ranks give log2 of group orders, restricted ranks give the
 orders of subgroups projected onto one side of a bipartition.
 
-Ranks take one of two paths.  A matrix whose every column has weight at
-most 2 is graphic: it is the incidence matrix of a graph whose vertices
-are the rows plus one extra vertex, with one edge per column (a weight-1
-column joins its row to the extra vertex).  Its rank, and its rank on
-any set of columns, is the size of a spanning forest of those edges,
-found by union-find in near-linear time.  The star group of a lattice
-(each link meets two sites) and the plaquette group (each link bounds
-at most two faces) are graphic.  Every other matrix is ranked by
-Gaussian elimination (`_echelonize`), which also stays the reference
-the graphic path is tested against.
+A matrix may carry a `Graph` whose vertex cuts span its row space, with
+one edge per column: the star group of a lattice is the cut space of
+the site graph (each link joins two sites), and the plaquette group is
+the cut space of the face graph (each link bounds at most two faces,
+and an outer vertex ends the others).  Its rank on any set of columns
+is then the size of a spanning forest of those columns' edges, found
+by union-find in near-linear time.  A matrix built from rows alone is
+ranked by Gaussian elimination (`_echelonize`), which also stays the
+reference the graphs are tested against.
 
-A graphic matrix may also carry a `GraphicDual`: a second graph whose
-cut space, together with a few loop classes, is the annihilator of the
-row space (the vectors orthogonal to every row).  Matroid duality turns
-a rank on the complement of a column set into a rank of the annihilator
-on the set itself, so the engine can rank one bipartition from its
-smaller side alone (see `engine.entropy_equal_superposition`).
+A graph may also carry its dual: the other graph on the same columns,
+whose cuts, together with a few loop classes of this graph's cycles,
+span the annihilator of the row space (the vectors orthogonal to every
+row).  Matroid duality turns a rank on the complement of a column set
+into a rank of the annihilator on the set itself, so the engine can
+rank one bipartition from its smaller side alone (see
+`engine.entropy_equal_superposition`).
 """
 
 from __future__ import annotations
@@ -61,23 +61,22 @@ def _echelonize(masks: Sequence[int]) -> list[int]:
     return [pivots[p] for p in sorted(pivots)]
 
 
-def _column_edges(masks: Sequence[int], n_cols: int) -> list[tuple[int, int]] | None:
-    # Column c as the edge between the (at most two) rows that hold it;
-    # a missing end is the extra vertex len(masks), so a weight-0 column is
-    # a loop on it.  None as soon as some column has weight 3.  The bits
-    # are walked from the top: stripping the lowest with m & -m builds two
-    # wide ints per bit and is several times slower on wide rows.
-    extra = len(masks)
-    first = [extra] * n_cols
-    second = [extra] * n_cols
-    for r, m in enumerate(masks):
-        while m:
-            top = m.bit_length() - 1
-            m ^= 1 << top
-            if first[top] == extra:
-                first[top] = r
-            elif second[top] == extra:
-                second[top] = r
+def _incidence_edges(
+    rows: Sequence[Iterable[int]], n_cols: int
+) -> list[tuple[int, int]] | None:
+    # Column c as the edge between the (at most two) rows that list it; a
+    # missing end is the outer vertex len(rows), so a column no row lists is
+    # a loop on it.  A row's repeats count once, as in `mask_from_indices`.
+    # None as soon as some column is on three rows.
+    outer = len(rows)
+    first = [outer] * n_cols
+    second = [outer] * n_cols
+    for v, cols in enumerate(rows):
+        for c in set(cols):
+            if first[c] == outer:
+                first[c] = v
+            elif second[c] == outer:
+                second[c] = v
             else:
                 return None
     return list(zip(first, second))
@@ -108,49 +107,38 @@ def _bit_flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
-class GraphicDual:
-    """The annihilator of a graphic group, as a dual graph and loop classes.
+class Graph:
+    """A graph whose vertex cuts span a row space, one edge per column.
 
-    The dual graph has one vertex per entry of ``rows``, which lists the
-    columns at that vertex, plus an outer vertex; column c is the edge
-    between the (at most two) rows that list it, and a column listed
-    once ends at the outer vertex.  A row is then the cut of its vertex,
-    and the annihilator is spanned by the rows and one loop of each
-    class in ``loop_classes``.  A class is a tuple of column masks, any
-    two of which differ by a sum of rows; on the torus these are the
-    homologous copies of one noncontractible loop.
+    Column c is the edge ``edges[c]`` between two of the ``n_vertices``
+    vertices, and row v is the cut of vertex v (any other vertex's cut
+    is a sum of rows), so `rank` on a set of columns is the row space's.
 
-    `rank` is the rows' rank on a column set X.  It equals the
-    annihilator's rank on X when `spans_on(X)` holds: every class has a
-    loop that misses X, so each class restricts to X as a sum of rows
-    does.
+    ``loop_classes`` are classes of the graph's cycles, each a tuple of
+    column masks any two of which differ by a cut of the dual; on the
+    torus, the homologous copies of one noncontractible loop.  ``dual``
+    is called on the first read of `dual` and returns the graph on the
+    same columns whose cuts and one loop of each class span this graph's
+    cycle space, or None.  Where `spans_on(X)` holds, the dual's rank on
+    X is the cycle space's.
     """
 
     def __init__(
         self,
-        rows: Sequence[Sequence[int]],
-        n_cols: int,
-        loop_classes: Sequence[Sequence[int]],
+        n_vertices: int,
+        edges: Sequence[tuple[int, int]],
+        loop_classes: Sequence[Sequence[int]] = (),
+        dual: Callable[[], Graph | None] | None = None,
     ):
-        self.rows = rows
-        self.n_cols = n_cols
+        self.n_vertices = n_vertices
+        self.edges = edges
         self.loop_classes = loop_classes
+        self._dual_source = dual
 
     @cached_property
-    def edges(self) -> list[tuple[int, int]] | None:
-        """Column c as ``edges[c]``; None when a column is on three rows."""
-        outer = len(self.rows)
-        first = [outer] * self.n_cols
-        second = [outer] * self.n_cols
-        for v, cols in enumerate(self.rows):
-            for c in cols:
-                if first[c] == outer:
-                    first[c] = v
-                elif second[c] == outer:
-                    second[c] = v
-                else:
-                    return None
-        return list(zip(first, second))
+    def dual(self) -> Graph | None:
+        """The graph whose cuts span the cycle space with the loops, or None."""
+        return None if self._dual_source is None else self._dual_source()
 
     def spans_on(self, mask: int) -> bool:
         """True iff each loop class has a loop disjoint from ``mask``."""
@@ -163,33 +151,24 @@ class GraphicDual:
         return True
 
     def rank(self, mask: int) -> int:
-        """Rank of the rows on the columns in ``mask``, as a spanning forest."""
+        """Rank of the cuts on the columns in ``mask``: a spanning forest."""
         chosen = compress(self.edges, _bit_flags(mask))
-        return _forest_size(len(self.rows) + 1, chosen)
+        return _forest_size(self.n_vertices, chosen)
 
 
 class Gf2Matrix:
     """An ordered list of GF(2) generators with cached rank structures.
 
-    Immutable after construction.  On first use the matrix checks, once,
-    whether every column has weight at most 2; if so, `rank` and
-    `restricted_rank` count spanning-forest edges of its column graph and
-    no echelon form is built.  Otherwise they use the echelon form, which
-    is also what `reduce`, `contains` and `enumerate_row_space` use.  Both
-    structures are computed lazily and shared by all later queries, so a
-    matrix is safe to use from parallel partition scans.
-
-    ``dual``, when given, is called once, on the first read of `dual`,
-    and returns the matrix's `GraphicDual` or None; a lattice passes it
-    so that the dual graph is built only when an entropy needs it.
+    Immutable after construction.  ``graph``, when given, is a `Graph`
+    whose cuts span the rows; `rank` and `restricted_rank` then count
+    spanning-forest edges of it and no echelon form is built.  Otherwise
+    they use the echelon form, which is also what `reduce`, `contains`
+    and `enumerate_row_space` use.  The echelon form and the rank are
+    computed lazily and shared by all later queries, so a matrix is safe
+    to use from parallel partition scans.
     """
 
-    def __init__(
-        self,
-        rows: Iterable[int],
-        n_cols: int,
-        dual: Callable[[], GraphicDual | None] | None = None,
-    ):
+    def __init__(self, rows: Iterable[int], n_cols: int, graph: Graph | None = None):
         if n_cols < 0:
             raise ValueError("n_cols must be nonnegative")
         masks = tuple(rows)
@@ -198,7 +177,7 @@ class Gf2Matrix:
                 raise ValueError(f"row 0x{bits:x} wider than {n_cols} columns")
         self.n_cols = n_cols
         self._masks: tuple[int, ...] = masks
-        self._dual_source = dual
+        self.graph = graph
 
     @property
     def row_masks(self) -> tuple[int, ...]:
@@ -213,20 +192,10 @@ class Gf2Matrix:
         return tuple(_echelonize(self._masks))
 
     @cached_property
-    def _edges(self) -> list[tuple[int, int]] | None:
-        # the column graph when the matrix is graphic, else None
-        return _column_edges(self._masks, self.n_cols)
-
-    @cached_property
-    def dual(self) -> GraphicDual | None:
-        """The annihilator as a dual graph, or None when none is known."""
-        return None if self._dual_source is None else self._dual_source()
-
-    @cached_property
     def _rank(self) -> int:
-        if self._edges is None:
+        if self.graph is None:
             return len(self._echelon)
-        return _forest_size(self.n_rows + 1, self._edges)
+        return self.graph.rank((1 << self.n_cols) - 1)
 
     def echelon_masks(self) -> tuple[int, ...]:
         """Row-echelon basis (pivot columns strictly increasing)."""
@@ -244,10 +213,9 @@ class Gf2Matrix:
         """
         if mask < 0 or mask >> self.n_cols:
             raise ValueError("column mask wider than matrix")
-        if self._edges is None:
+        if self.graph is None:
             return len(_echelonize([m & mask for m in self._echelon]))
-        chosen = compress(self._edges, _bit_flags(mask))  # the columns in mask
-        return _forest_size(self.n_rows + 1, chosen)
+        return self.graph.rank(mask)
 
     def trivial_on_dimension(self, support: int) -> int:
         """log2 of the subgroup supported entirely inside the mask ``support``.

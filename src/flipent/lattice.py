@@ -24,7 +24,7 @@ from itertools import compress
 from typing import Collection, Iterable, Sequence
 
 from .errors import LatticeFormatError, ResourceLimitError
-from .gf2 import Gf2Matrix, GraphicDual, _bit_flags, mask_from_indices
+from .gf2 import Gf2Matrix, Graph, _bit_flags, _incidence_edges, mask_from_indices
 
 DOCUMENT_HEADER = "LATTICE v1"
 
@@ -79,47 +79,65 @@ class Lattice:
     # one matrix per group, so each rank is computed once per lattice
     @cached_property
     def _star_group(self) -> Gf2Matrix:
-        return Gf2Matrix(self.star_masks(), self.n_links, dual=self._star_dual)
+        return Gf2Matrix(self.star_masks(), self.n_links, graph=self._site_graph)
 
     @cached_property
     def _plaquette_group(self) -> Gf2Matrix:
-        return Gf2Matrix(
-            self.plaquette_masks(), self.n_links, dual=self._plaquette_dual
+        return Gf2Matrix(self.plaquette_masks(), self.n_links, graph=self._face_graph)
+
+    @cached_property
+    def _site_graph(self) -> Graph:
+        # the star group's graph, link l joining the sites link_sites[l]; on
+        # the torus its loops are the column loops {v(i, j) : j} and the row
+        # loops {h(i, j) : i}
+        return Graph(
+            self.n_sites,
+            self.link_sites,
+            self._loop_classes(torus_v, torus_h),
+            lambda: self._dual(self._face_graph),
         )
 
-    def _star_dual(self) -> GraphicDual | None:
-        # the cycle space: the plaquettes as the dual graph, plus on the torus
-        # the column loops {v(i, j) : j} and the row loops {h(i, j) : i}
-        return self._dual(self._star_group, self.plaquette_links, torus_v, torus_h)
+    @cached_property
+    def _face_graph(self) -> Graph | None:
+        # the plaquette group's graph, with an outer vertex for links on fewer
+        # than two faces, or None when a link lies on three; on the torus its
+        # loops are the ladders {h(i, j) : j} and {v(i, j) : i}
+        edges = _incidence_edges(self.plaquette_links, self.n_links)
+        if edges is None:
+            return None
+        return Graph(
+            self.n_plaquettes + 1,
+            edges,
+            self._loop_classes(torus_h, torus_v),
+            lambda: self._dual(self._site_graph),
+        )
 
-    def _plaquette_dual(self) -> GraphicDual | None:
-        # the stars as the dual graph, plus on the torus the ladders
-        # {h(i, j) : j} and {v(i, j) : i}
-        return self._dual(self._plaquette_group, self.star_links, torus_h, torus_v)
+    def _dual(self, other: Graph) -> Graph | None:
+        # Each graph's cycle space is spanned by the other's cuts and one
+        # loop of each of its own classes: on the torus always, off it only
+        # if the cuts alone span it (the faces of a sphere or of a planar
+        # patch), since no loops are known there.  No face graph, no dual.
+        face = self._face_graph
+        full = (1 << self.n_links) - 1
+        if face is None or self.torus_k is None and (
+            self._site_graph.rank(full) + face.rank(full) != self.n_links
+        ):
+            return None
+        return other
 
-    def _dual(self, group, rows, down, across) -> GraphicDual | None:
-        # On the torus the annihilator has two loop classes beyond the rows:
-        # {down(i, j) : j} for each i and {across(i, j) : i} for each j.  Off
-        # it, the rows alone if they span the annihilator (the plaquettes of
-        # a sphere or of a planar patch), else no dual: no loops are known.
+    def _loop_classes(self, down, across) -> tuple[tuple[int, ...], ...]:
+        # On the torus, the loops {down(i, j) : j} for each i and the loops
+        # {across(i, j) : i} for each j.  Both link functions are an offset
+        # plus j*k + i, so the loops of a class are shifts of its first one.
         k = self.torus_k
         if k is None:
-            dual = GraphicDual(rows, self.n_links, ())
-            full = (1 << self.n_links) - 1
-            spans = (
-                dual.edges is not None
-                and self.n_links == group.rank() + dual.rank(full)
-            )
-            return dual if spans else None
-        # both link functions are an offset plus j*k + i, so the loops of a
-        # class are shifts of its first one
+            return ()
         down0 = mask_from_indices([down(k, 0, j) for j in range(k)], self.n_links)
         across0 = mask_from_indices([across(k, i, 0) for i in range(k)], self.n_links)
-        classes = (
+        return (
             tuple(down0 << i for i in range(k)),
             tuple(across0 << j * k for j in range(k)),
         )
-        return GraphicDual(rows, self.n_links, classes)
 
     @cached_property
     def _neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:

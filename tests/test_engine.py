@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -30,10 +31,10 @@ from flipent import (
     random_simple_region,
     star_group,
 )
-from flipent import engine, gf2
+from flipent import engine, gf2, lattice
 from flipent.cli import main
 from flipent.engine import EntropyReport, ScanResult, entropy_bounds
-from flipent.lattice import Lattice, torus_h, torus_v
+from flipent.lattice import Lattice, torus_h, torus_v, validate_lattice
 from tests.test_lattice import cube_document
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -507,6 +508,34 @@ def loop_classes(lat, group):
     return [columns, h] if group == "stars" else [ladders, v]
 
 
+def record_ranks(monkeypatch, graph):
+    """The masks that ``graph`` is ranked on from now on; other graphs
+    are ranked unrecorded."""
+    masks = []
+    rank = gf2.Graph.rank
+
+    def recorded(self, mask):
+        if self is graph:
+            masks.append(mask)
+        return rank(self, mask)
+
+    monkeypatch.setattr(gf2.Graph, "rank", recorded)
+    return masks
+
+
+def record_face_graphs(monkeypatch):
+    """The plaquette incidences that face-graph edge lists are built from."""
+    built = []
+    edges = lattice._incidence_edges
+
+    def recorded(rows, n_cols):
+        built.append(rows)
+        return edges(rows, n_cols)
+
+    monkeypatch.setattr(lattice, "_incidence_edges", recorded)
+    return built
+
+
 def dual_path_applies(lat, group, p):
     """True iff every loop class has a loop that misses the smaller side
     (A when |A| <= |B|)."""
@@ -564,17 +593,11 @@ class TestDualPath:
     def test_matches_elimination_on_the_expected_path(self, name, group, data):
         lat = DUAL_LATTICES[name]
         matrix = star_group(lat) if group == "stars" else plaquette_group(lat)
-        assert matrix.dual is not None  # built outside the recording below
+        dual = matrix.graph.dual
+        assert dual is not None  # built outside the recording below
         p = data.draw(dual_cases(lat, group))
-        dual_ranks = []
-        dual_rank = gf2.GraphicDual.rank
-
-        def recorded(self, mask):
-            dual_ranks.append(mask)
-            return dual_rank(self, mask)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gf2.GraphicDual, "rank", recorded)
+            dual_ranks = record_ranks(mp, dual)
             report = entropy_equal_superposition(matrix, p)
         assert report == eliminated_report(matrix, p)
         assert bool(dual_ranks) == dual_path_applies(lat, group, p)
@@ -583,12 +606,7 @@ class TestDualPath:
     def test_both_paths_run(self, monkeypatch, group):
         lat = build_torus(6)
         matrix = star_group(lat) if group == "stars" else plaquette_group(lat)
-        calls = []
-        dual_rank = gf2.GraphicDual.rank
-        monkeypatch.setattr(
-            gf2.GraphicDual, "rank",
-            lambda self, mask: calls.append(mask) or dual_rank(self, mask),
-        )
+        calls = record_ranks(monkeypatch, matrix.graph.dual)
         disk = disk_region(lat, rect=(1, 1, 2, 3))[0]
         for p in (disk, disk.complement()):
             report = entropy_equal_superposition(matrix, p)
@@ -606,25 +624,26 @@ class TestDualPath:
         lat = parse_lattice_document(lattice_to_document(build_torus(3)))
         rng = random.Random(7)
         for matrix in (star_group(lat), plaquette_group(lat)):
-            assert matrix.dual is None
+            assert matrix.graph.dual is None
             for _ in range(20):
                 p = Partition(lat.n_links, rng.randint(1, (1 << lat.n_links) - 2))
                 report = entropy_equal_superposition(matrix, p)
                 assert report == eliminated_report(matrix, p)
-        cube = GRAPH_LATTICES["cube"]
-        assert star_group(cube).dual.loop_classes == ()
+        cube = star_group(GRAPH_LATTICES["cube"]).graph
+        assert cube.dual is not None
+        assert cube.loop_classes == ()
 
     def test_link_on_three_faces(self):
         # four parallel links between two sites, link 0 on all three faces:
-        # the faces span the cycle space but are no graph, so the star group
-        # has no dual, while the plaquette group (ranked by elimination) has
-        # the stars
+        # the faces span the cycle space but are no graph, so there is no
+        # face graph, neither group has a dual, and the plaquette group is
+        # ranked by elimination
         lat = parse_lattice_document(
             "LATTICE v1 open\nSITES\n0\n1\nLINKS\n0 1\n0 1\n0 1\n0 1\n"
             "PLAQUETTES\n0 1\n0 2\n0 3\n"
         )
-        assert star_group(lat).dual is None
-        assert plaquette_group(lat).dual.loop_classes == ()
+        assert star_group(lat).graph.dual is None
+        assert plaquette_group(lat).graph is None
         for matrix in (star_group(lat), plaquette_group(lat)):
             for mask in range(1, 15):
                 p = Partition(4, mask)
@@ -644,12 +663,36 @@ class TestDualPath:
         def refused(self):
             raise AssertionError("plaquette masks built")
 
-        duals = []
-        star_dual = Lattice._star_dual
         monkeypatch.setattr(Lattice, "plaquette_masks", refused)
-        monkeypatch.setattr(
-            Lattice, "_star_dual", lambda self: duals.append(self) or star_dual(self)
-        )
+        duals = record_face_graphs(monkeypatch)
         assert main(argv) == 0
         assert capsys.readouterr().out
-        assert len(duals) == 1
+        assert len(duals) == (argv[0] == "scan")
+
+    @pytest.mark.parametrize("name", ["cross", "vertical"])
+    def test_loop_hitting_cuts_build_no_face_graph(self, monkeypatch, capsys, name):
+        # both cuts meet every loop of a class, so the star group's dual is
+        # never read; `vertical` exits 1 on its documented closed-form mismatch
+        edge_lists = record_face_graphs(monkeypatch)
+        code = main(["entropy", "--lattice", "torus:k=8", "--partition", name])
+        assert code == (name == "vertical")
+        assert "S_bits: " in capsys.readouterr().out
+        assert edge_lists == []
+
+    def test_repeated_link_in_a_plaquette(self):
+        # the repeat leaves the masks alone and counts once in the face
+        # graph, so the disk takes the dual path and gets the torus's S
+        torus = build_torus(6)
+        links = torus.plaquette_links
+        lat = dataclasses.replace(
+            torus, plaquette_links=((links[0][0], *links[0]), *links[1:])
+        )
+        validate_lattice(lat)
+        assert lat.plaquette_masks() == torus.plaquette_masks()
+        p = disk_region(lat, rect=(0, 0, 2, 2))[0]
+        matrix = star_group(lat)
+        report = entropy_equal_superposition(matrix, p)
+        assert report.s_bits == 7
+        assert report == entropy_equal_superposition(star_group(torus), p)
+        assert report == eliminated_report(matrix, p)
+        assert matrix.graph.dual is not None

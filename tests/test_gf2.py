@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flipent import Gf2Matrix, ResourceLimitError
-from flipent.gf2 import _echelonize, mask_from_indices
+from flipent.gf2 import Graph, _echelonize, _incidence_edges, mask_from_indices
 from flipent.lattice import Partition, named_partition, parse_lattice_document
 
 PROPERTY_SETTINGS = settings(
@@ -266,6 +266,11 @@ def eliminated_ranks(rows, mask):
     return len(_echelonize(rows)), len(_echelonize([r & mask for r in rows]))
 
 
+def supports(rows, n_cols):
+    """Each row's columns, as the incidence lists of a graph."""
+    return [[c for c in range(n_cols) if r >> c & 1] for r in rows]
+
+
 class TestGraphicRank:
     """Matrices whose columns have weight <= 2 are ranked as graphs;
     Gaussian elimination is the reference."""
@@ -281,9 +286,10 @@ class TestGraphicRank:
     @example(case=([0, 0], 0, 0))
     def test_forest_size_equals_elimination(self, case):
         rows, n_cols, mask = case
-        m = Gf2Matrix(rows, n_cols)
+        edges = _incidence_edges(supports(rows, n_cols), n_cols)
+        assert edges is not None
+        m = Gf2Matrix(rows, n_cols, graph=Graph(len(rows) + 1, edges))
         assert (m.rank(), m.restricted_rank(mask)) == eliminated_ranks(rows, mask)
-        assert m._edges is not None
         assert "_echelon" not in m.__dict__
 
     @PROPERTY_SETTINGS
@@ -294,6 +300,15 @@ class TestGraphicRank:
         heavy = data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=3))
         rows = [r | (1 << n_cols) if i in heavy else r for i, r in enumerate(rows)]
         mask |= data.draw(st.integers(0, 1)) << n_cols
+        assert _incidence_edges(supports(rows, n_cols + 1), n_cols + 1) is None
         m = Gf2Matrix(rows, n_cols + 1)
-        assert m._edges is None
         assert (m.rank(), m.restricted_rank(mask)) == eliminated_ranks(rows, mask)
+
+    @PROPERTY_SETTINGS
+    @given(case=graphic_cases())
+    def test_rows_alone_are_ranked_by_elimination(self, case):
+        rows, n_cols, mask = case
+        m = Gf2Matrix(rows, n_cols)
+        assert m.graph is None
+        assert (m.rank(), m.restricted_rank(mask)) == eliminated_ranks(rows, mask)
+        assert "_echelon" in m.__dict__
