@@ -23,7 +23,6 @@ from .engine import (
     independent_generator_count,
     is_closed_string_net,
     is_diagonal,
-    perimeter_entropy,
 )
 from .errors import LatticeFormatError, ResourceLimitError
 from .gf2 import Gf2Matrix
@@ -110,7 +109,6 @@ __all__ = [
     "oracle_entropy",
     "p_param",
     "parse_lattice_document",
-    "perimeter_entropy",
     "plaquette_group",
     "random_rectangle_region",
     "random_simple_region",

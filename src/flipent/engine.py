@@ -110,14 +110,7 @@ def geometric_entropy(stats: BoundaryStats) -> int:
     and outside are both connected, to the rank formula on the star
     group.
     """
-    stats.check()
     return stats.sigma_ab - 1
-
-
-def perimeter_entropy(stats: BoundaryStats) -> int:
-    """The boundary-length form of the disk entropy: L - n2 - 2*n3 - 1."""
-    stats.check()
-    return stats.boundary_length - stats.n2 - 2 * stats.n3 - 1
 
 
 def entropy_bounds(boundary_length: int) -> tuple[float, float]:

@@ -1,7 +1,10 @@
 """Lattices, bipartitions and boundary bookkeeping.
 
-Spins live on links.  A lattice is described by its star incidence (links
-meeting each site) and plaquette incidence (links bounding each face),
+Spins live on links.  A lattice stores each incidence once: the two end
+sites of each link (`link_sites`) and the links bounding each face
+(`plaquette_links`).  Every other fact is derived from these two: the
+links meeting each site (`star_links`), the link and plaquette counts,
+the masks and the graphs, so no two of them can disagree.  A lattice is
 either built directly as a k x k torus or ingested from a small text
 document format (see `parse_lattice_document`).
 
@@ -38,16 +41,35 @@ MAX_TORUS_BYTES = 1 << 30
 
 @dataclass(frozen=True)
 class Lattice:
-    """Immutable incidence description of a lattice with spins on links."""
+    """Immutable incidence description of a lattice with spins on links.
+
+    Stored: the site count, each link's two end sites, each plaquette's
+    links, the genus of a closed surface and the size of a torus.  Derived
+    and cached: `n_links`, `n_plaquettes` and `star_links`, each site's
+    links in ascending order.
+    """
 
     n_sites: int
-    n_links: int
-    n_plaquettes: int
-    star_links: tuple[tuple[int, ...], ...]
-    plaquette_links: tuple[tuple[int, ...], ...]
     link_sites: tuple[tuple[int, int], ...]
+    plaquette_links: tuple[tuple[int, ...], ...]
     genus: int | None = None
     torus_k: int | None = None
+
+    @cached_property
+    def n_links(self) -> int:
+        return len(self.link_sites)
+
+    @cached_property
+    def n_plaquettes(self) -> int:
+        return len(self.plaquette_links)
+
+    @cached_property
+    def star_links(self) -> tuple[tuple[int, ...], ...]:
+        stars: list[list[int]] = [[] for _ in range(self.n_sites)]
+        for l, (a, b) in enumerate(self.link_sites):
+            stars[a].append(l)
+            stars[b].append(l)
+        return tuple(map(tuple, stars))
 
     @property
     def closed(self) -> bool:
@@ -140,24 +162,19 @@ class Lattice:
         )
 
     @cached_property
-    def _neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # per site, (neighbor site, connecting link) in link order; blob
-        # growth draws from this order, so it must not change
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_sites)]
-        for l, (a, b) in enumerate(self.link_sites):
-            adj[a].append((b, l))
-            adj[b].append((a, l))
-        return tuple(map(tuple, adj))
-
-    @cached_property
     def _neighbor_sites(self) -> tuple[tuple[int, ...], ...]:
-        # `_neighbors` without the links, in the same order
-        return tuple(tuple(v for v, _ in nbrs) for nbrs in self._neighbors)
+        # per site, the far end of each of its links, in link order; blob
+        # growth draws from this order, so it must not change
+        ends = self.link_sites
+        return tuple(
+            tuple(sum(ends[l]) - v for l in star)
+            for v, star in enumerate(self.star_links)
+        )
 
     @cached_property
     def _empty_stars(self) -> int:
         # sites with no link, which every partition counts in sigma_a
-        return self._star_masks.count(0)
+        return self.star_links.count(())
 
 
 @dataclass(frozen=True)
@@ -189,9 +206,6 @@ class Partition:
     def complement(self) -> "Partition":
         return Partition(self.n_links, self.b_mask)
 
-    def is_proper(self) -> bool:
-        return 0 < self.a_mask < (1 << self.n_links) - 1
-
 
 @dataclass(frozen=True)
 class BoundaryStats:
@@ -199,26 +213,28 @@ class BoundaryStats:
 
     sigma_a / sigma_b count sites whose stars act only on A / only on B;
     n1, n2, n3 bucket the straddling sites by how many of their incident
-    links lie in A.  The boundary length is the incidence-weighted count
-    n1 + 2*n2 + 3*n3; for a disk region cut out by a dual loop it equals
-    the loop length, i.e. the number of crossed links.
+    links lie in A, and sigma_ab, their sum, counts the straddling sites.
+    The boundary length is the incidence-weighted count n1 + 2*n2 + 3*n3;
+    for a disk region cut out by a dual loop it equals the loop length,
+    i.e. the number of crossed links.
     """
 
     sigma_a: int
     sigma_b: int
-    sigma_ab: int
     n1: int
     n2: int
     n3: int
 
     @property
+    def sigma_ab(self) -> int:
+        return self.n1 + self.n2 + self.n3
+
+    @property
     def boundary_length(self) -> int:
         return self.n1 + 2 * self.n2 + 3 * self.n3
 
-    def check(self, lat: Lattice | None = None) -> None:
-        if self.sigma_ab != self.n1 + self.n2 + self.n3:
-            raise ValueError("straddling-site buckets do not sum to sigma_ab")
-        if lat is not None and self.sigma_a + self.sigma_b + self.sigma_ab != lat.n_sites:
+    def check(self, lat: Lattice) -> None:
+        if self.sigma_a + self.sigma_b + self.sigma_ab != lat.n_sites:
             raise ValueError("site classification does not cover the lattice")
 
 
@@ -244,21 +260,11 @@ def build_torus(k: int) -> Lattice:
             f"torus k={k} needs about {k**4} bytes, over the "
             f"{MAX_TORUS_BYTES}-byte cap"
         )
-    n_links = 2 * k * k
-    stars = []
     plaqs = []
-    link_sites: list[tuple[int, int]] = [(0, 0)] * n_links
+    link_sites: list[tuple[int, int]] = [(0, 0)] * (2 * k * k)
     for j in range(k):
         for i in range(k):
             site = j * k + i
-            stars.append(
-                (
-                    torus_h(k, i, j),
-                    torus_h(k, i - 1, j),
-                    torus_v(k, i, j),
-                    torus_v(k, i, j - 1),
-                )
-            )
             # plaquette (i, j): face with corners (i, j) .. (i+1, j+1)
             plaqs.append(
                 (
@@ -272,11 +278,8 @@ def build_torus(k: int) -> Lattice:
             link_sites[torus_v(k, i, j)] = (site, ((j + 1) % k) * k + i)
     lat = Lattice(
         n_sites=k * k,
-        n_links=n_links,
-        n_plaquettes=k * k,
-        star_links=tuple(tuple(sorted(s)) for s in stars),
-        plaquette_links=tuple(tuple(sorted(p)) for p in plaqs),
         link_sites=tuple(link_sites),
+        plaquette_links=tuple(tuple(sorted(p)) for p in plaqs),
         genus=1,
         torus_k=k,
     )
@@ -285,21 +288,29 @@ def build_torus(k: int) -> Lattice:
 
 
 def validate_lattice(lat: Lattice) -> None:
-    """Check commutation (even star/plaquette overlap) and Euler count.
+    """Check link ends, commutation (even star/plaquette overlap) and Euler count.
 
-    Overlap parities are counted through link incidence: every (star,
-    link) incidence toggles each plaquette on that link.  That costs
-    O(sum over links of stars(l) * plaquettes(l)), linear in the link
-    count on bounded-degree lattices.  The error names the smallest odd
-    (star, plaquette) pair.
+    Each link must join two distinct sites in ``0..n_sites-1``, and each
+    plaquette link must lie in ``0..n_links-1``.  Overlap parities are
+    counted through link incidence: every (star, link) incidence toggles
+    each plaquette on that link.  That costs O(sum over links of
+    stars(l) * plaquettes(l)), linear in the link count on bounded-degree
+    lattices.  The error names the smallest odd (star, plaquette) pair.
     """
+    n_sites = lat.n_sites
+    for l, (a, b) in enumerate(lat.link_sites):
+        if not (0 <= a < n_sites and 0 <= b < n_sites):
+            raise LatticeFormatError(
+                f"link {l} joins sites {a} and {b}, outside 0..{n_sites - 1}"
+            )
+        if a == b:
+            raise LatticeFormatError(f"link {l} is a self-loop at site {a}")
     n = lat.n_links
-    stars = [_link_set(links, n) for links in lat.star_links]
     link_plaquettes: list[list[int]] = [[] for _ in range(n)]
     for p, links in enumerate(lat.plaquette_links):
         for l in _link_set(links, n):
             link_plaquettes[l].append(p)
-    for s, links in enumerate(stars):
+    for s, links in enumerate(lat.star_links):
         odd: set[int] = set()
         for l in links:
             odd.symmetric_difference_update(link_plaquettes[l])
@@ -316,7 +327,7 @@ def validate_lattice(lat: Lattice) -> None:
 
 
 def _link_set(links: Iterable[int], n: int) -> set[int]:
-    # the distinct links of one star or plaquette, range-checked like
+    # the distinct links of one plaquette, range-checked like
     # `mask_from_indices`
     for l in links:
         if not 0 <= l < n:
@@ -423,11 +434,6 @@ def parse_lattice_document(text: str) -> Lattice:
                 raise LatticeFormatError(f"unknown link id {l}", no)
         plaqs.append(tuple(sorted(vals)))
 
-    star_links: list[list[int]] = [[] for _ in range(n_sites)]
-    for l, (a, b) in enumerate(links):
-        star_links[a].append(l)
-        star_links[b].append(l)
-
     genus: int | None = None
     if is_closed:
         chi = n_sites - n_links + len(plaqs)
@@ -439,11 +445,8 @@ def parse_lattice_document(text: str) -> Lattice:
 
     lat = Lattice(
         n_sites=n_sites,
-        n_links=n_links,
-        n_plaquettes=len(plaqs),
-        star_links=tuple(tuple(sorted(s)) for s in star_links),
-        plaquette_links=tuple(plaqs),
         link_sites=tuple(links),
+        plaquette_links=tuple(plaqs),
         genus=genus,
         torus_k=None,
     )
@@ -575,19 +578,12 @@ def boundary_stats(
                 )
             buckets[count - 1] += 1
     n1, n2, n3 = buckets
-    return BoundaryStats(
-        sigma_a=sigma_a,
-        sigma_b=sigma_b,
-        sigma_ab=n1 + n2 + n3,
-        n1=n1,
-        n2=n2,
-        n3=n3,
-    )
+    return BoundaryStats(sigma_a=sigma_a, sigma_b=sigma_b, n1=n1, n2=n2, n3=n3)
 
 
 def _components_avoiding(lat: Lattice, crossed: int) -> list[set[int]]:
     # connected components of sites, walking only uncrossed links
-    adj = lat._neighbors
+    nbrs, stars = lat._neighbor_sites, lat.star_links
     cut = set(Partition(lat.n_links, crossed).a_links())
     seen = [False] * lat.n_sites
     comps = []
@@ -599,7 +595,7 @@ def _components_avoiding(lat: Lattice, crossed: int) -> list[set[int]]:
         stack = [start]
         while stack:
             u = stack.pop()
-            for v, l in adj[u]:
+            for v, l in zip(nbrs[u], stars[u]):
                 if not seen[v] and l not in cut:
                     seen[v] = True
                     comp.add(v)

@@ -25,7 +25,6 @@ from flipent import (
     named_partition,
     oracle_entropy,
     parse_lattice_document,
-    perimeter_entropy,
     plaquette_group,
     random_rectangle_region,
     random_simple_region,
@@ -135,7 +134,8 @@ class TestGeometricEntropy:
         lat = build_torus(4)
         _, st = disk_region(lat, rect=(0, 0, 1, 1))
         assert geometric_entropy(st) == 3
-        assert perimeter_entropy(st) == 3
+        # the paper's perimeter form, L - n2 - 2*n3 - 1
+        assert st.boundary_length - st.n2 - 2 * st.n3 - 1 == 3
 
     def test_convex_rect_is_perimeter_minus_one(self):
         lat = build_torus(7)
@@ -162,7 +162,7 @@ class TestGeometricEntropy:
             part, st = random_simple_region(lat, rng)
             s_exact = entropy_equal_superposition(stars, part).s_bits
             assert geometric_entropy(st) == s_exact
-            assert perimeter_entropy(st) == s_exact
+            assert st.boundary_length - st.n2 - 2 * st.n3 - 1 == s_exact
 
 
 class TestBoundaryBounds:
@@ -696,3 +696,37 @@ class TestDualPath:
         assert report == entropy_equal_superposition(star_group(torus), p)
         assert report == eliminated_report(matrix, p)
         assert matrix.graph.dual is not None
+
+
+class TestOneIncidence:
+    def test_swapped_link_ends(self):
+        # Masks, graph and neighbours all follow link_sites, so a lattice
+        # whose links 0 and 9 trade ends has one consistent star group.
+        # Its stars no longer commute with the torus's plaquettes, so
+        # validation rejects it, and the dual path, which needs a valid
+        # lattice, is not checked here: the group's ranks on both sides are.
+        torus = build_torus(3)
+        ends = list(torus.link_sites)
+        ends[0], ends[9] = ends[9], ends[0]
+        lat = dataclasses.replace(torus, link_sites=tuple(ends))
+        stars = lat.star_masks()
+        group = star_group(lat)
+        assert group.graph.edges == lat.link_sites
+        for v in range(lat.n_sites):
+            cut = [l for l, ab in enumerate(lat.link_sites) if v in ab]
+            assert stars[v] == sum(1 << l for l in cut)
+            assert lat._neighbor_sites[v] == tuple(
+                b if a == v else a for a, b in map(lat.link_sites.__getitem__, cut)
+            )
+        masks = Gf2Matrix(stars, lat.n_links)
+        rng = random.Random(15)
+        for _ in range(200):
+            p = Partition(lat.n_links, rng.randrange(1, (1 << lat.n_links) - 1))
+            want = eliminated_report(masks, p)
+            r_a = group.restricted_rank(p.a_mask)
+            r_b = group.restricted_rank(p.b_mask)
+            assert r_a + r_b - group.rank() == want.s_bits
+            assert (r_a, r_b) == (want.log2_group - want.log2_inside_b,
+                                  want.log2_group - want.log2_inside_a)
+        with pytest.raises(ValueError, match="star 1 and plaquette 2"):
+            validate_lattice(lat)

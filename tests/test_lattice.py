@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -98,6 +99,20 @@ class TestBuildTorus:
         lat = build_torus(5)
         assert all(len(s) == 4 for s in lat.star_links)
         assert all(len(p) == 4 for p in lat.plaquette_links)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_stars_are_derived_from_link_ends(self, k):
+        # star (i, j) is its two horizontal and two vertical links, sorted
+        lat = build_torus(k)
+        assert lat.star_links == tuple(
+            tuple(sorted((torus_h(k, i, j), torus_h(k, i - 1, j),
+                          torus_v(k, i, j), torus_v(k, i, j - 1))))
+            for j in range(k)
+            for i in range(k)
+        )
+        assert [f.name for f in dataclasses.fields(Lattice)] == [
+            "n_sites", "link_sites", "plaquette_links", "genus", "torus_k"
+        ]
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -552,7 +567,7 @@ class TestValidateLattice:
         assert pairwise_and_outcome(bad) == want
         assert validate_outcome(bad) == want
 
-    @pytest.mark.parametrize("field", ["star_links", "plaquette_links"])
+    @pytest.mark.parametrize("field", ["plaquette_links"])
     def test_repeated_link_counts_once(self, field):
         # a mask holds a repeated link once; so must the incidence count
         lat = build_torus(3)
@@ -568,6 +583,22 @@ class TestValidateLattice:
             lat, plaquette_links=lat.plaquette_links[:-1] + ((0, 8),)
         )
         with pytest.raises(ValueError, match="column index 8 out of range"):
+            validate_lattice(bad)
+
+    @pytest.mark.parametrize(
+        "ends,message",
+        [
+            ((-1, 1), "link 4 joins sites -1 and 1, outside 0..8"),
+            ((0, 9), "link 4 joins sites 0 and 9, outside 0..8"),
+            ((2, 2), "link 4 is a self-loop at site 2"),
+        ],
+    )
+    def test_bad_link_ends_rejected(self, ends, message):
+        lat = build_torus(3)
+        ends_list = list(lat.link_sites)
+        ends_list[4] = ends
+        bad = dataclasses.replace(lat, link_sites=tuple(ends_list))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             validate_lattice(bad)
 
     def test_euler_check_unchanged(self):

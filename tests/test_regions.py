@@ -62,7 +62,7 @@ def reference_boundary_stats(lat, p):
                 "n1/n2/n3 classification"
             )
     n1, n2, n3 = buckets
-    return BoundaryStats(sigma_a, sigma_b, n1 + n2 + n3, n1, n2, n3)
+    return BoundaryStats(sigma_a, sigma_b, n1, n2, n3)
 
 
 def reference_region_from_sites(lat, sites):
