@@ -411,38 +411,32 @@ def _scan_row(descriptor, part, s_bits, stats, closed, oracle_s) -> tuple:
 
 
 def _scan_partitions(args, lat, group):
-    """Yield (descriptor, partition, S_bits, stats, closed form) for each
-    scan row."""
+    """Check the mode's inputs and caps, then return an iterator of
+    (descriptor, partition, S_bits, stats, closed form), one per scan row.
+
+    The checks run here, before any row, so that an error leaves stdout
+    empty even when `cmd_scan` streams the rows.  Exhaustive rows come
+    in descriptor order (`_descriptor_walk`) and ask the engine once per
+    complement pair; the other modes give their rows in draw order.
+    """
     mode = args.mode
     n = lat.n_links
 
     def entropy(part):
         return entropy_equal_superposition(group, part).s_bits
 
-    if mode in ("exhaustive", "sampled"):
-        if mode == "sampled":
-            _require_count_seed(args)
-        masks = bipartition_masks(
-            n, mode, count=args.count, seed=args.seed, max_links=args.scan_cap
-        )
-        if mode == "exhaustive":  # once the link cap has passed
-            entropy = _paired_entropy(group, n)
-        for mask in masks:
+    def link_rows(descriptors, s_bits):
+        for mask, desc in descriptors:
             part = Partition(n, mask)
-            desc = "links:" + lat.link_list(mask)
-            yield desc, part, entropy(part), _try_stats(lat, part), None
-    elif mode in ("rects", "disks"):
-        _require_count_seed(args)
-        sample = random_rectangle_region if mode == "rects" else random_simple_region
-        rng = random.Random(args.seed)
+            yield desc, part, s_bits(part), _try_stats(lat, part), None
+
+    def region_rows(sample, rng):
         for _ in range(args.count):
             part, stats = sample(lat, rng)
             desc = _disk_descriptor(lat, part)
             yield desc, part, entropy(part), stats, float(geometric_entropy(stats))
-    elif mode == "table1":
-        if lat.torus_k is None:
-            raise ValueError("table1 mode needs a torus lattice")
-        k = lat.torus_k
+
+    def table1_rows(k):
         for name in ("single_spin", "chain", "ladder", "cross", "vertical"):
             part = named_partition(lat, name)
             closed = closed_form_entropy(name, k)
@@ -451,8 +445,53 @@ def _scan_partitions(args, lat, group):
         part, stats = disk_region(lat, rect=(0, 0, side, side))
         desc = f"rect:0,0,{side},{side}"
         yield desc, part, entropy(part), stats, float(geometric_entropy(stats))
-    else:
-        raise ValueError(f"unknown scan mode {mode!r}")
+
+    if mode == "exhaustive":
+        bipartition_masks(n, max_links=args.scan_cap)  # only for its link cap
+        return link_rows(_descriptor_walk(n), _paired_entropy(group, n))
+    if mode == "sampled":
+        _require_count_seed(args)
+        masks = bipartition_masks(
+            n, mode, count=args.count, seed=args.seed, max_links=args.scan_cap
+        )
+        return link_rows(((m, "links:" + lat.link_list(m)) for m in masks), entropy)
+    if mode in ("rects", "disks"):
+        _require_count_seed(args)
+        sample = random_rectangle_region if mode == "rects" else random_simple_region
+        return region_rows(sample, random.Random(args.seed))
+    if mode == "table1":
+        if lat.torus_k is None:
+            raise ValueError("table1 mode needs a torus lattice")
+        return table1_rows(lat.torus_k)
+    raise ValueError(f"unknown scan mode {mode!r}")
+
+
+def _descriptor_walk(n: int):
+    """Yield (mask, ``links:`` descriptor) for every proper side A of ``n``
+    links, in the order of the sorted descriptors.
+
+    A descriptor lists A's links ascending, and ``,`` sorts below every
+    digit, so that order is a depth-first walk over ascending link lists
+    which yields each list before its extensions and tries the next link
+    in the string order of its name (0, 1, 10, 11, ..., 2, ...).  Each
+    descriptor is its parent's plus one ``,<name>``, and the full mask is
+    skipped.
+    """
+    names = [str(link) for link in range(n)]
+    order = sorted(range(n), key=names.__getitem__)
+    # the links that may follow each link, reversed: the stack pops them
+    # in string order
+    later = [
+        [(1 << c, "," + names[c], c) for c in reversed(order) if c > link]
+        for link in range(n)
+    ]
+    full = (1 << n) - 1
+    stack = [(1 << c, "links:" + names[c], c) for c in reversed(order)]
+    while stack:
+        mask, desc, last = stack.pop()
+        if mask != full:
+            yield mask, desc
+        stack.extend((mask | bit, desc + tail, c) for bit, tail, c in later[last])
 
 
 def _paired_entropy(group, n: int):
@@ -504,27 +543,59 @@ def _disk_descriptor(lat, part) -> str:
     return "loop:" + lat.link_list(crossed)
 
 
-def cmd_scan(args) -> int:
-    lat = parse_lattice_spec(args.lattice)
-    group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
-    rows = []
+def _scan_rows(args, lat, partitions):
+    """Yield one scan row per partition, in `CSV_COLUMNS` order, with the
+    oracle's entropy under ``--oracle``."""
     state = support = None
     oracle_memo: dict[int, float] = {}  # a_mask -> oracle_S; draws repeat masks
-    for desc, part, s_bits, stats, closed in _scan_partitions(args, lat, group):
+    for desc, part, s_bits, stats, closed in partitions:
         oracle_s = None
         if args.oracle:
             if state is None:  # on the first row, after the mode's own input checks
-                from . import oracle
-
-                state = _oracle_state(args, lat, GroundStateCoeffs.xi(0, 0))
-                support = oracle.support(state)
+                state, support = _scan_oracle_state(args, lat)
             oracle_s = oracle_memo.get(part.a_mask)
             if oracle_s is None:
                 oracle_s = oracle_memo[part.a_mask] = _oracle_entropy(
                     args, state, part, support
                 )
-        rows.append(_scan_row(desc, part, s_bits, stats, closed, oracle_s))
-    rows.sort(key=lambda row: row[0])
+        yield _scan_row(desc, part, s_bits, stats, closed, oracle_s)
+
+
+def _scan_oracle_state(args, lat):
+    """The scan's oracle state and its support.
+
+    An exhaustive scan keeps up to n - 1 links on one side, so over
+    ``--max-subsystem`` it exits here, before any partial trace: it asks
+    for the first row over the cap in mask order, ``max(cap, 0) + 1``
+    links wide, whose trace raises the cap's error before any work.
+    """
+    from . import oracle
+
+    state = _oracle_state(args, lat, GroundStateCoeffs.xi(0, 0))
+    support = oracle.support(state)
+    n, cap = lat.n_links, args.max_subsystem
+    if args.mode == "exhaustive" and n - 1 > cap:
+        _oracle_entropy(args, state, Partition(n, (1 << max(cap + 1, 1)) - 1), support)
+    return state, support
+
+
+def cmd_scan(args) -> int:
+    """Print the scan's rows sorted by descriptor.
+
+    Exhaustive rows are made in that order, so CSV writes each row as it
+    comes: memory is the pair memo of `_paired_entropy`, 2**(n-1) bytes,
+    plus one row.  JSON and table output, every ``--oracle`` scan and the
+    drawn modes hold all rows before writing, so that an error leaves
+    stdout empty; an exhaustive JSON scan at the 24-link cap still needs
+    gigabytes, a known limit.
+    """
+    lat = parse_lattice_spec(args.lattice)
+    group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
+    rows = _scan_rows(args, lat, _scan_partitions(args, lat, group))
+    if args.mode != "exhaustive":
+        rows = sorted(rows, key=lambda row: row[0])
+    elif args.oracle:
+        rows = list(rows)  # an oracle cap on any row leaves stdout empty
     if args.format == "json":
         emit_json(
             {

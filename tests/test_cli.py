@@ -44,6 +44,7 @@ from flipent.verify import default_suite, verify_partitions
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 def run_cli(capsys, *argv):
@@ -497,7 +498,9 @@ class TestPairedScan:
         n = parse_lattice_spec(SCAN_LATTICES[lattice]).n_links
         code, paired, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
-        assert engine_calls == list(range(1, 1 << (n - 1)))
+        full = (1 << n) - 1
+        pairs = sorted(min(m, full ^ m) for m in engine_calls)
+        assert pairs == list(range(1, 1 << (n - 1)))  # each pair once
 
         def direct(matrix, n):
             return lambda part: cli.entropy_equal_superposition(matrix, part).s_bits
@@ -552,12 +555,102 @@ class TestPairedScan:
         def refuse(matrix, n):
             raise AssertionError(f"a memo of 2**{n - 1} bytes was allocated")
 
+        def refuse_walk(n):
+            raise AssertionError("the scan walked its masks")
+
         monkeypatch.setattr(cli, "_paired_entropy", refuse)
-        cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
-        (argv,) = [c["argv"] for c in cases if c["name"] == name]
+        monkeypatch.setattr(cli, "_descriptor_walk", refuse_walk)
+        (argv,) = [c["argv"] for c in GOLDEN_CASES if c["name"] == name]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that drops what is written to it."""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        return len(text)
+
+
+class TestStreamedScan:
+    """Exhaustive CSV rows are made in descriptor order and written as they
+    come; every error but a failed write comes before the first byte."""
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_walk_is_sorted_descriptor_order(self, n):
+        # from n = 11 on, link 10 sorts before link 2
+        walked = list(cli._descriptor_walk(n))
+        assert sorted(mask for mask, _ in walked) == list(range(1, (1 << n) - 1))
+        links = [",".join(str(l) for l in range(n) if mask >> l & 1) for mask, _ in walked]
+        descriptors = [desc for _, desc in walked]
+        assert descriptors == ["links:" + body for body in links]
+        assert descriptors == sorted(descriptors)
+
+    def test_exhaustive_csv_holds_one_row(self, monkeypatch):
+        # 12 links, 4,094 rows; holding every row before the sort peaked at
+        # 1,167 KiB, streaming them at 194 KiB
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--lattice", str(GOLDEN / "cube.lat"),
+                         "--mode", "exhaustive"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 512 << 10
+
+    def test_exhaustive_oracle_over_subsystem_cap_exits_before_any_trace(
+        self, capsys, monkeypatch
+    ):
+        from flipent import oracle
+
+        traced = []
+        trace = oracle.reduced_density_matrix
+
+        def counted(state, part, **kwargs):
+            rho = trace(state, part, **kwargs)
+            traced.append(part.a_mask)
+            return rho
+
+        monkeypatch.setattr(oracle, "reduced_density_matrix", counted)
+        code, out, err = run_cli(
+            capsys, "scan", "--lattice", "torus:k=3", "--mode", "exhaustive", "--oracle"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: subsystem of 13 links exceeds the 12-link cap\n"
+        assert traced == []  # in mask order 8,190 traces, 91 at |A| >= 11, come first
+
+    @pytest.mark.parametrize("cap", [-1, 0, 3, 6])
+    def test_early_exit_names_the_first_row_over_the_cap(self, capsys, cap):
+        from flipent.errors import ResourceLimitError
+        from flipent.oracle import build_ground_state, oracle_entropy
+
+        # the rows of the 8-link torus in ascending mask order, each traced
+        state = build_ground_state(build_torus(2), GroundStateCoeffs.xi(0, 0))
+        with pytest.raises(ResourceLimitError) as first_over:
+            for mask in range(1, 255):
+                oracle_entropy(state, Partition(8, mask), max_subsystem=cap)
+        code, out, err = run_cli(
+            capsys, "scan", "--lattice", "torus:k=2", "--mode", "exhaustive",
+            "--oracle", "--max-subsystem", str(cap),
+        )
+        assert (code, out, err) == (3, "", f"error: {first_over.value}\n")
+
+    @pytest.mark.parametrize(
+        "case",
+        [c for c in GOLDEN_CASES if c.get("argv", [""])[0] == "scan" and c["exit"]],
+        ids=lambda c: c["name"],
+    )
+    def test_failed_scan_prints_nothing(self, capsys, monkeypatch, case):
+        monkeypatch.chdir(GOLDEN)
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert code == case["exit"] != 4
+        assert out == ""
 
 
 class TestOracleStateBuilds:
@@ -871,8 +964,10 @@ class TestOutputFailures:
             ["lattice-info", "--lattice", "torus:k=3"],
             # larger than the stdout buffer: fails inside the emitter
             ["scan", "--lattice", "torus:k=2", "--format", "json"],
+            # streamed: fails at the first full buffer, long before the last row
+            ["scan", "--lattice", "torus:k=3", "--mode", "exhaustive"],
         ],
-        ids=["lattice-info", "scan-json"],
+        ids=["lattice-info", "scan-json", "scan-exhaustive-k3"],
     )
     def test_full_device_exit_4(self, argv):
         with open("/dev/full", "w") as full:
@@ -883,3 +978,46 @@ class TestOutputFailures:
             )
         assert_write_failure(proc.returncode, proc.stderr)
         assert proc.stderr.endswith("No space left on device\n")
+
+    def test_device_full_mid_stream_exit_4(self):
+        limit = 12 << 10
+        proc = subprocess.run(
+            [sys.executable, "-c", FILLS_UP, str(limit),
+             "scan", "--lattice", "torus:k=3", "--mode", "exhaustive"],
+            capture_output=True, text=True, env=_cli_env(), timeout=60,
+        )
+        assert_write_failure(proc.returncode, proc.stderr)
+        assert proc.stderr == "error: cannot write output: No space left on device\n"
+        # rows went out before the device filled
+        assert proc.stdout.startswith(",".join(CSV_COLUMNS) + "\nlinks:0,")
+        assert len(proc.stdout) <= limit
+
+
+# A child's stdout that raises ENOSPC once LIMIT bytes have gone out, as a
+# full disk would, until `main` points descriptor 1 at the null device.
+FILLS_UP = """
+import errno, io, os, stat, sys
+from flipent.cli import main
+
+
+class FillsUp(io.RawIOBase):
+    def __init__(self, limit):
+        self.left = limit
+
+    def writable(self):
+        return True
+
+    def fileno(self):
+        return 1
+
+    def write(self, data):
+        if len(data) > self.left and stat.S_ISFIFO(os.fstat(1).st_mode):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.left -= len(data)
+        return os.write(1, data)
+
+
+limit, *argv = sys.argv[1:]
+sys.stdout = io.TextIOWrapper(io.BufferedWriter(FillsUp(int(limit))), "utf-8")
+sys.exit(main(argv))
+"""
