@@ -9,10 +9,11 @@ orders of subgroups projected onto one side of a bipartition.
 A matrix may carry a `Graph` whose vertex cuts span its row space, with
 one edge per column: the star group of a lattice is the cut space of
 the site graph (each link joins two sites), and the plaquette group is
-the cut space of the face graph (each link bounds at most two faces,
-and an outer vertex ends the others).  Its rank on any set of columns
-is then the size of a spanning forest of those columns' edges, found
-by union-find in near-linear time.  A matrix built from rows alone is
+the cut space of the face graph (a valid lattice puts each link on at
+most two faces, and an outer vertex ends the others), so every lattice
+group is graphic.  Its rank on any set of columns is then the size of
+a spanning forest of those columns' edges, found by union-find in
+near-linear time.  A matrix built from rows alone is
 ranked by Gaussian elimination (`_echelonize`), which also stays the
 reference the graphs are tested against.
 
@@ -59,27 +60,6 @@ def _echelonize(masks: Sequence[int]) -> list[int]:
                 break
             row ^= pivots[p]
     return [pivots[p] for p in sorted(pivots)]
-
-
-def _incidence_edges(
-    rows: Sequence[Iterable[int]], n_cols: int
-) -> list[tuple[int, int]] | None:
-    # Column c as the edge between the (at most two) rows that list it; a
-    # missing end is the outer vertex len(rows), so a column no row lists is
-    # a loop on it.  A row's repeats count once, as in `mask_from_indices`.
-    # None as soon as some column is on three rows.
-    outer = len(rows)
-    first = [outer] * n_cols
-    second = [outer] * n_cols
-    for v, cols in enumerate(rows):
-        for c in set(cols):
-            if first[c] == outer:
-                first[c] = v
-            elif second[c] == outer:
-                second[c] = v
-            else:
-                return None
-    return list(zip(first, second))
 
 
 def _forest_size(n_vertices: int, edges: Iterable[tuple[int, int]]) -> int:

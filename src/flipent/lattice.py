@@ -3,10 +3,12 @@
 Spins live on links.  A lattice stores each incidence once: the two end
 sites of each link (`link_sites`) and the links bounding each face
 (`plaquette_links`).  Every other fact is derived from these two: the
-links meeting each site (`star_links`), the link and plaquette counts,
-the masks and the graphs, so no two of them can disagree.  A lattice is
-either built directly as a k x k torus or ingested from a small text
-document format (see `parse_lattice_document`).
+links meeting each site (`star_links`), the faces on each link
+(`link_faces`), the counts, the masks and the graphs, so no two of them
+can disagree.  Every lattice is validated when it is built, so later
+paths may rely on `validate_lattice`.  A lattice is either built
+directly as a k x k torus or ingested from a small text document format
+(see `parse_lattice_document`).
 
 Torus link indexing convention (0-based, periodic both ways, sites (i, j)
 with i the column and j the row):
@@ -27,7 +29,7 @@ from itertools import compress
 from typing import Collection, Iterable, Sequence
 
 from .errors import LatticeFormatError, ResourceLimitError
-from .gf2 import Gf2Matrix, Graph, _bit_flags, _incidence_edges, mask_from_indices
+from .gf2 import Gf2Matrix, Graph, _bit_flags, mask_from_indices
 
 DOCUMENT_HEADER = "LATTICE v1"
 
@@ -45,8 +47,9 @@ class Lattice:
 
     Stored: the site count, each link's two end sites, each plaquette's
     links, the genus of a closed surface and the size of a torus.  Derived
-    and cached: `n_links`, `n_plaquettes` and `star_links`, each site's
-    links in ascending order.
+    and cached: `n_links`, `n_plaquettes`, `star_links`, each site's links
+    in ascending order, and `link_faces`.  Construction, also through
+    ``dataclasses.replace``, runs `validate_lattice`.
     """
 
     n_sites: int
@@ -54,6 +57,9 @@ class Lattice:
     plaquette_links: tuple[tuple[int, ...], ...]
     genus: int | None = None
     torus_k: int | None = None
+
+    def __post_init__(self) -> None:
+        validate_lattice(self)
 
     @cached_property
     def n_links(self) -> int:
@@ -70,6 +76,29 @@ class Lattice:
             stars[a].append(l)
             stars[b].append(l)
         return tuple(map(tuple, stars))
+
+    @cached_property
+    def link_faces(self) -> tuple[tuple[int, int], ...]:
+        """Each link's two plaquettes, the outer vertex ``n_plaquettes``
+        standing in for a missing one: the face graph's edges.  A repeated
+        link counts once; a link on three plaquettes raises."""
+        n, outer = self.n_links, self.n_plaquettes
+        first, second = [outer] * n, [outer] * n
+        for p, links in enumerate(self.plaquette_links):
+            for l in links:
+                if not 0 <= l < n:
+                    raise LatticeFormatError(
+                        f"plaquette {p} lists link {l}, outside 0..{n - 1}"
+                    )
+                if first[l] == outer:
+                    first[l] = p
+                elif second[l] == outer and first[l] != p:
+                    second[l] = p
+                elif p not in (first[l], second[l]):
+                    raise LatticeFormatError(
+                        f"link {l} lies on plaquettes {first[l]}, {second[l]} and {p}"
+                    )
+        return tuple(zip(first, second))
 
     @property
     def closed(self) -> bool:
@@ -120,16 +149,13 @@ class Lattice:
         )
 
     @cached_property
-    def _face_graph(self) -> Graph | None:
+    def _face_graph(self) -> Graph:
         # the plaquette group's graph, with an outer vertex for links on fewer
-        # than two faces, or None when a link lies on three; on the torus its
-        # loops are the ladders {h(i, j) : j} and {v(i, j) : i}
-        edges = _incidence_edges(self.plaquette_links, self.n_links)
-        if edges is None:
-            return None
+        # than two faces; on the torus its loops are the ladders
+        # {h(i, j) : j} and {v(i, j) : i}
         return Graph(
             self.n_plaquettes + 1,
-            edges,
+            self.link_faces,
             self._loop_classes(torus_h, torus_v),
             lambda: self._dual(self._site_graph),
         )
@@ -138,11 +164,10 @@ class Lattice:
         # Each graph's cycle space is spanned by the other's cuts and one
         # loop of each of its own classes: on the torus always, off it only
         # if the cuts alone span it (the faces of a sphere or of a planar
-        # patch), since no loops are known there.  No face graph, no dual.
-        face = self._face_graph
+        # patch), since no loops are known there.
         full = (1 << self.n_links) - 1
-        if face is None or self.torus_k is None and (
-            self._site_graph.rank(full) + face.rank(full) != self.n_links
+        if self.torus_k is None and (
+            self._site_graph.rank(full) + self._face_graph.rank(full) != self.n_links
         ):
             return None
         return other
@@ -276,26 +301,24 @@ def build_torus(k: int) -> Lattice:
             )
             link_sites[torus_h(k, i, j)] = (site, j * k + (i + 1) % k)
             link_sites[torus_v(k, i, j)] = (site, ((j + 1) % k) * k + i)
-    lat = Lattice(
+    return Lattice(
         n_sites=k * k,
         link_sites=tuple(link_sites),
         plaquette_links=tuple(tuple(sorted(p)) for p in plaqs),
         genus=1,
         torus_k=k,
     )
-    validate_lattice(lat)
-    return lat
 
 
 def validate_lattice(lat: Lattice) -> None:
-    """Check link ends, commutation (even star/plaquette overlap) and Euler count.
+    """Check link ends, face incidence, commutation and the Euler count.
 
-    Each link must join two distinct sites in ``0..n_sites-1``, and each
-    plaquette link must lie in ``0..n_links-1``.  Overlap parities are
-    counted through link incidence: every (star, link) incidence toggles
-    each plaquette on that link.  That costs O(sum over links of
-    stars(l) * plaquettes(l)), linear in the link count on bounded-degree
-    lattices.  The error names the smallest odd (star, plaquette) pair.
+    `Lattice` runs this when it is built.  Each link must join two
+    distinct sites in ``0..n_sites-1``, and lie on at most two plaquettes
+    (`Lattice.link_faces`), exactly two on a closed surface.  Overlap
+    parities are counted through that incidence: each link of a star
+    toggles its faces, so the check costs O(links), and the error names
+    the smallest odd (star, plaquette) pair.
     """
     n_sites = lat.n_sites
     for l, (a, b) in enumerate(lat.link_sites):
@@ -305,34 +328,29 @@ def validate_lattice(lat: Lattice) -> None:
             )
         if a == b:
             raise LatticeFormatError(f"link {l} is a self-loop at site {a}")
-    n = lat.n_links
-    link_plaquettes: list[list[int]] = [[] for _ in range(n)]
-    for p, links in enumerate(lat.plaquette_links):
-        for l in _link_set(links, n):
-            link_plaquettes[l].append(p)
+    faces = lat.link_faces
+    outer = lat.n_plaquettes
     for s, links in enumerate(lat.star_links):
         odd: set[int] = set()
         for l in links:
-            odd.symmetric_difference_update(link_plaquettes[l])
+            odd.symmetric_difference_update(faces[l])
+        odd.discard(outer)
         if odd:
             raise LatticeFormatError(
                 f"star {s} and plaquette {min(odd)} share an odd number of links"
             )
     if lat.genus is not None:
+        for l, (f, g) in enumerate(faces):
+            if g == outer:
+                on = "one plaquette" if f != outer else "no plaquette"
+                raise LatticeFormatError(
+                    f"link {l} lies on {on}; a closed surface needs two"
+                )
         chi = lat.n_sites - lat.n_links + lat.n_plaquettes
         if chi != 2 * (1 - lat.genus):
             raise LatticeFormatError(
                 f"Euler count {chi} inconsistent with genus {lat.genus}"
             )
-
-
-def _link_set(links: Iterable[int], n: int) -> set[int]:
-    # the distinct links of one plaquette, range-checked like
-    # `mask_from_indices`
-    for l in links:
-        if not 0 <= l < n:
-            raise ValueError(f"column index {l} out of range for width {n}")
-    return set(links)
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +461,13 @@ def parse_lattice_document(text: str) -> Lattice:
             )
         genus = (2 - chi) // 2
 
-    lat = Lattice(
+    return Lattice(
         n_sites=n_sites,
         link_sites=tuple(links),
         plaquette_links=tuple(plaqs),
         genus=genus,
         torus_k=None,
     )
-    validate_lattice(lat)
-    return lat
 
 
 def lattice_to_document(lat: Lattice) -> str:
@@ -657,11 +673,14 @@ def disk_region(
         return region_from_sites(lat, sites)
 
     crossed = mask_from_indices(dual_loop, lat.n_links)
-    if crossed.bit_count() != len(list(dual_loop)):
+    if crossed.bit_count() != len(dual_loop):
         raise ValueError("dual loop repeats a link")
     # each dual vertex (= plaquette) must meet the cycle 0 or 2 times
-    for pi, pm in enumerate(lat.plaquette_masks()):
-        d = (pm & crossed).bit_count()
+    hits = [0] * (lat.n_plaquettes + 1)  # the last counts the outer vertex
+    for l in dual_loop:
+        for f in lat.link_faces[l]:
+            hits[f] += 1
+    for pi, d in enumerate(hits[:-1]):
         if d not in (0, 2):
             raise ValueError(
                 f"dual edges meet plaquette {pi} {d} times; not a simple cycle"
@@ -719,14 +738,15 @@ def _torus_block(k: int, x: int, y: int, w: int, h: int) -> bytearray:
 
 
 def random_simple_region(
-    lat: Lattice, rng: random.Random, max_sites: int | None = None
+    lat: Lattice, rng: random.Random
 ) -> tuple[Partition, BoundaryStats]:
     """Random simply-connected site blob grown inside a (k-2)^2 window.
 
-    The blob starts at a random window site.  Each step pops a random
-    entry of the frontier, a list of the blob's window neighbours that
-    keeps duplicates, and adds it unless it has joined already; either
-    way the pop spends one draw.  Holes are then filled so the
+    The blob aims at a size drawn from 1 to half the window, and starts
+    at a random window site.  Each step pops a random entry of the
+    frontier, a list of the blob's window neighbours that keeps
+    duplicates, and adds it unless it has joined already; either way the
+    pop spends one draw.  Holes are then filled so the
     complement stays connected: one flood from the ring of sites just
     outside the blob's bounding box walks the box's other sites, and
     every box site it misses joins the region.  The result is always a
@@ -746,9 +766,7 @@ def random_simple_region(
     side = k - 2
     x0 = rng.randrange(k)
     y0 = rng.randrange(k)
-    if max_sites is None:
-        max_sites = max(1, (side * side) // 2)
-    target = rng.randint(1, max_sites)
+    target = rng.randint(1, max(1, side * side // 2))
 
     nbrs = lat._neighbor_sites
     free = _torus_block(k, x0, y0, side, side)  # window sites not in the blob

@@ -783,6 +783,19 @@ class TestLatticeInfoCommand:
         assert code == 2
         assert "line 6" in err
 
+    def test_closed_surface_link_on_one_face_exit_2(self, capsys, tmp_path):
+        # two bigons on four parallel links, declared closed: Euler count 0
+        # (genus 1), but each link lies on one face
+        doc = tmp_path / "bigons.lat"
+        doc.write_text(
+            "LATTICE v1 closed\nSITES\n0\n1\nLINKS\n0 1\n0 1\n0 1\n0 1\n"
+            "PLAQUETTES\n0 1\n2 3\n"
+        )
+        code, out, err = run_cli(capsys, "lattice-info", "--lattice", str(doc))
+        assert (code, out) == (2, "")
+        message = "link 0 lies on one plaquette; a closed surface needs two"
+        assert err == f"error: {message}\n"
+
 
 class TestOptions:
     @pytest.mark.parametrize("command", ["verify", "lattice-info"])

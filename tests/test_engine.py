@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from flipent import (
     Gf2Matrix,
+    LatticeFormatError,
     Partition,
     ResourceLimitError,
     absolute_entanglement_scan,
@@ -30,10 +32,10 @@ from flipent import (
     random_simple_region,
     star_group,
 )
-from flipent import engine, gf2, lattice
+from flipent import engine, gf2
 from flipent.cli import main
 from flipent.engine import EntropyReport, ScanResult, entropy_bounds
-from flipent.lattice import Lattice, torus_h, torus_v, validate_lattice
+from flipent.lattice import Lattice, torus_h, torus_v
 from tests.test_lattice import cube_document
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -524,15 +526,25 @@ def record_ranks(monkeypatch, graph):
 
 
 def record_face_graphs(monkeypatch):
-    """The plaquette incidences that face-graph edge lists are built from."""
+    """What is built of face graphs from now on: "face graph" for each
+    `Lattice._face_graph` computed, then "ladders" for its loop masks."""
     built = []
-    edges = lattice._incidence_edges
+    face_graph = Lattice._face_graph.func
+    loop_classes = Lattice._loop_classes
 
-    def recorded(rows, n_cols):
-        built.append(rows)
-        return edges(rows, n_cols)
+    def recorded_graph(self):
+        built.append("face graph")
+        return face_graph(self)
 
-    monkeypatch.setattr(lattice, "_incidence_edges", recorded)
+    def recorded_loops(self, down, across):
+        if down is torus_h:
+            built.append("ladders")
+        return loop_classes(self, down, across)
+
+    prop = functools.cached_property(recorded_graph)
+    prop.__set_name__(Lattice, "_face_graph")
+    monkeypatch.setattr(Lattice, "_face_graph", prop)
+    monkeypatch.setattr(Lattice, "_loop_classes", recorded_loops)
     return built
 
 
@@ -633,22 +645,22 @@ class TestDualPath:
         assert cube.dual is not None
         assert cube.loop_classes == ()
 
-    def test_link_on_three_faces(self):
+    def test_link_on_three_faces(self, capsys, tmp_path):
         # four parallel links between two sites, link 0 on all three faces:
-        # the faces span the cycle space but are no graph, so there is no
-        # face graph, neither group has a dual, and the plaquette group is
-        # ranked by elimination
-        lat = parse_lattice_document(
+        # the faces would be no graph's vertices, so the lattice is refused
+        doc = (
             "LATTICE v1 open\nSITES\n0\n1\nLINKS\n0 1\n0 1\n0 1\n0 1\n"
             "PLAQUETTES\n0 1\n0 2\n0 3\n"
         )
-        assert star_group(lat).graph.dual is None
-        assert plaquette_group(lat).graph is None
-        for matrix in (star_group(lat), plaquette_group(lat)):
-            for mask in range(1, 15):
-                p = Partition(4, mask)
-                report = entropy_equal_superposition(matrix, p)
-                assert report == eliminated_report(matrix, p)
+        message = "link 0 lies on plaquettes 0, 1 and 2"
+        with pytest.raises(LatticeFormatError, match=f"^{message}$"):
+            parse_lattice_document(doc)
+        path = tmp_path / "three-faces.lat"
+        path.write_text(doc)
+        assert main(["lattice-info", "--lattice", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -664,20 +676,20 @@ class TestDualPath:
             raise AssertionError("plaquette masks built")
 
         monkeypatch.setattr(Lattice, "plaquette_masks", refused)
-        duals = record_face_graphs(monkeypatch)
+        built = record_face_graphs(monkeypatch)
         assert main(argv) == 0
         assert capsys.readouterr().out
-        assert len(duals) == (argv[0] == "scan")
+        assert built == ["face graph", "ladders"] * (argv[0] == "scan")
 
     @pytest.mark.parametrize("name", ["cross", "vertical"])
     def test_loop_hitting_cuts_build_no_face_graph(self, monkeypatch, capsys, name):
         # both cuts meet every loop of a class, so the star group's dual is
         # never read; `vertical` exits 1 on its documented closed-form mismatch
-        edge_lists = record_face_graphs(monkeypatch)
+        built = record_face_graphs(monkeypatch)
         code = main(["entropy", "--lattice", "torus:k=8", "--partition", name])
         assert code == (name == "vertical")
         assert "S_bits: " in capsys.readouterr().out
-        assert edge_lists == []
+        assert built == []
 
     def test_repeated_link_in_a_plaquette(self):
         # the repeat leaves the masks alone and counts once in the face
@@ -687,7 +699,6 @@ class TestDualPath:
         lat = dataclasses.replace(
             torus, plaquette_links=((links[0][0], *links[0]), *links[1:])
         )
-        validate_lattice(lat)
         assert lat.plaquette_masks() == torus.plaquette_masks()
         p = disk_region(lat, rect=(0, 0, 2, 2))[0]
         matrix = star_group(lat)
@@ -700,18 +711,22 @@ class TestDualPath:
 
 class TestOneIncidence:
     def test_swapped_link_ends(self):
-        # Masks, graph and neighbours all follow link_sites, so a lattice
-        # whose links 0 and 9 trade ends has one consistent star group.
-        # Its stars no longer commute with the torus's plaquettes, so
-        # validation rejects it, and the dual path, which needs a valid
-        # lattice, is not checked here: the group's ranks on both sides are.
+        # Masks, graphs and neighbours all follow the stored incidence, so
+        # relabelling links 0 and 9 in both fields gives one consistent
+        # lattice: the torus with two columns exchanged.  Without torus_k
+        # it has no loops, and every rank path agrees with elimination.
         torus = build_torus(3)
-        ends = list(torus.link_sites)
-        ends[0], ends[9] = ends[9], ends[0]
-        lat = dataclasses.replace(torus, link_sites=tuple(ends))
+        swap = {0: 9, 9: 0}
+        ends = [torus.link_sites[swap.get(l, l)] for l in range(torus.n_links)]
+        plaqs = [sorted(swap.get(l, l) for l in p) for p in torus.plaquette_links]
+        lat = Lattice(
+            torus.n_sites, tuple(ends), tuple(map(tuple, plaqs)), genus=1
+        )
         stars = lat.star_masks()
         group = star_group(lat)
         assert group.graph.edges == lat.link_sites
+        faces = [torus.link_faces[swap.get(l, l)] for l in range(lat.n_links)]
+        assert plaquette_group(lat).graph.edges == lat.link_faces == tuple(faces)
         for v in range(lat.n_sites):
             cut = [l for l, ab in enumerate(lat.link_sites) if v in ab]
             assert stars[v] == sum(1 << l for l in cut)
@@ -728,5 +743,18 @@ class TestOneIncidence:
             assert r_a + r_b - group.rank() == want.s_bits
             assert (r_a, r_b) == (want.log2_group - want.log2_inside_b,
                                   want.log2_group - want.log2_inside_a)
-        with pytest.raises(ValueError, match="star 1 and plaquette 2"):
-            validate_lattice(lat)
+            assert entropy_equal_superposition(group, p) == want
+
+    def test_swapping_link_ends_alone_is_refused(self):
+        # Links 0 and 9 trading ends in link_sites only: the stars no longer
+        # commute with the plaquettes.  Unchecked, the dual path gave S = 7
+        # where elimination gives 8 on 2 of 200 partitions; construction,
+        # also through dataclasses.replace, now refuses the lattice.
+        torus = build_torus(3)
+        ends = list(torus.link_sites)
+        ends[0], ends[9] = ends[9], ends[0]
+        with pytest.raises(
+            LatticeFormatError,
+            match="^star 1 and plaquette 2 share an odd number of links$",
+        ):
+            dataclasses.replace(torus, link_sites=tuple(ends))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flipent import Gf2Matrix, ResourceLimitError
-from flipent.gf2 import Graph, _echelonize, _incidence_edges, mask_from_indices
+from flipent.gf2 import Graph, _echelonize, mask_from_indices
 from flipent.lattice import Partition, named_partition, parse_lattice_document
 
 PROPERTY_SETTINGS = settings(
@@ -246,29 +246,30 @@ class TestEnumerateRowSpace:
 
 @st.composite
 def graphic_cases(draw, max_rows=8, max_cols=14):
-    """Rows, width and a column mask of a matrix whose columns have weight
-    at most 2.  Each column joins two drawn ends; an end equal to n_rows is
-    no row, so a column gets weight 0, 1 or 2, and rows that no column
-    reaches are zero rows (isolated vertices)."""
+    """Row count, column ends and a column mask of a matrix whose columns
+    have weight at most 2.  Column c is the edge between its two drawn
+    ends; an end equal to the row count is the outer vertex, no row, so a
+    column gets weight 0, 1 or 2 (a loop has weight 0), and rows that no
+    column reaches are zero rows (isolated vertices)."""
     n_rows = draw(st.integers(0, max_rows))
     end = st.integers(0, n_rows)
     ends = draw(st.lists(st.tuples(end, end), max_size=max_cols))
+    mask = draw(st.integers(0, (1 << len(ends)) - 1))
+    return n_rows, ends, mask
+
+
+def cut_rows(n_rows, ends):
+    """Row v is the cut of vertex v: the columns with exactly one end at v."""
     rows = [0] * n_rows
     for c, pair in enumerate(ends):
-        for r in set(pair) - {n_rows}:
-            rows[r] |= 1 << c
-    n_cols = len(ends)
-    mask = draw(st.integers(0, (1 << n_cols) - 1))
-    return rows, n_cols, mask
+        for r in pair:
+            if r < n_rows:
+                rows[r] ^= 1 << c
+    return rows
 
 
 def eliminated_ranks(rows, mask):
     return len(_echelonize(rows)), len(_echelonize([r & mask for r in rows]))
-
-
-def supports(rows, n_cols):
-    """Each row's columns, as the incidence lists of a graph."""
-    return [[c for c in range(n_cols) if r >> c & 1] for r in rows]
 
 
 class TestGraphicRank:
@@ -279,36 +280,38 @@ class TestGraphicRank:
     @given(case=graphic_cases())
     # rows 0 and 1 repeat, row 2 is zero (an isolated vertex), column 2
     # has weight 1 and column 3 weight 0
-    @example(case=([0b0011, 0b0011, 0, 0b0100], 4, 0))
-    @example(case=([0b0011, 0b0011, 0, 0b0100], 4, 0b1111))
-    @example(case=([0b0011, 0b0011, 0, 0b0100], 4, 0b0101))
-    @example(case=([], 3, 0b101))
-    @example(case=([0, 0], 0, 0))
+    @example(case=(4, [(0, 1), (0, 1), (3, 4), (4, 4)], 0))
+    @example(case=(4, [(0, 1), (0, 1), (3, 4), (4, 4)], 0b1111))
+    @example(case=(4, [(0, 1), (0, 1), (3, 4), (4, 4)], 0b0101))
+    @example(case=(0, [(0, 0)] * 3, 0b101))
+    @example(case=(2, [], 0))
+    # a loop at a row's vertex is a zero column
+    @example(case=(2, [(0, 0), (0, 1)], 0b11))
     def test_forest_size_equals_elimination(self, case):
-        rows, n_cols, mask = case
-        edges = _incidence_edges(supports(rows, n_cols), n_cols)
-        assert edges is not None
-        m = Gf2Matrix(rows, n_cols, graph=Graph(len(rows) + 1, edges))
+        n_rows, ends, mask = case
+        rows = cut_rows(n_rows, ends)
+        m = Gf2Matrix(rows, len(ends), graph=Graph(n_rows + 1, ends))
         assert (m.rank(), m.restricted_rank(mask)) == eliminated_ranks(rows, mask)
         assert "_echelon" not in m.__dict__
 
     @PROPERTY_SETTINGS
     @given(case=graphic_cases(max_rows=6), data=st.data())
     def test_weight_three_column_falls_back(self, case, data):
-        rows, n_cols, mask = case
-        rows = rows + [0] * (3 - len(rows))
+        n_rows, ends, mask = case
+        n_cols = len(ends)
+        rows = cut_rows(n_rows, ends) + [0] * (3 - n_rows)
         heavy = data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=3))
         rows = [r | (1 << n_cols) if i in heavy else r for i, r in enumerate(rows)]
         mask |= data.draw(st.integers(0, 1)) << n_cols
-        assert _incidence_edges(supports(rows, n_cols + 1), n_cols + 1) is None
         m = Gf2Matrix(rows, n_cols + 1)
         assert (m.rank(), m.restricted_rank(mask)) == eliminated_ranks(rows, mask)
 
     @PROPERTY_SETTINGS
     @given(case=graphic_cases())
     def test_rows_alone_are_ranked_by_elimination(self, case):
-        rows, n_cols, mask = case
-        m = Gf2Matrix(rows, n_cols)
+        n_rows, ends, mask = case
+        rows = cut_rows(n_rows, ends)
+        m = Gf2Matrix(rows, len(ends))
         assert m.graph is None
         assert (m.rank(), m.restricted_rank(mask)) == eliminated_ranks(rows, mask)
         assert "_echelon" in m.__dict__

@@ -28,7 +28,6 @@ from flipent.lattice import (
     Partition,
     torus_h,
     torus_v,
-    validate_lattice,
 )
 
 
@@ -322,6 +321,44 @@ class TestDiskRegion:
         assert via_loop == direct
         assert st_loop == st_direct
 
+    def test_loop_check_reads_the_face_incidence(self, monkeypatch):
+        # each plaquette's hits are counted from the crossed links' faces:
+        # no plaquette mask is built, and the first error is the one that
+        # ANDing every plaquette mask with the loop gives
+        lat = build_torus(5)
+        stars = lat.star_links
+        bad_loops = [
+            sorted(set(stars[0]) | set(stars[6])),  # meets plaquette 0 4 times
+            list(stars[7][:3]),  # an open path: plaquettes met once
+            [torus_v(5, i, 2) for i in range(5)],  # noncontractible, 2 each
+        ]
+        wants = []
+        for loop in bad_loops:
+            crossed = sum(1 << l for l in loop)
+            hits = [(pm & crossed).bit_count() for pm in lat.plaquette_masks()]
+            odd = [(p, d) for p, d in enumerate(hits) if d not in (0, 2)]
+            wants.append(
+                "dual edges meet plaquette {} {} times; not a simple cycle".format(
+                    *odd[0]
+                ) if odd else "loop splits the sites into 1 components"
+            )
+
+        def refused(self):
+            raise AssertionError("plaquette masks built")
+
+        monkeypatch.setattr(Lattice, "plaquette_masks", refused)
+        lat = build_torus(5)
+        for loop, want in zip(bad_loops, wants):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+                disk_region(lat, dual_loop=loop)
+        block = {0, 1, 5, 6}
+        crossed = [
+            l for l, (a, b) in enumerate(lat.link_sites) if (a in block) != (b in block)
+        ]
+        part, st = disk_region(lat, dual_loop=crossed)
+        assert (part, st) == region_from_sites(lat, block)
+        assert st.boundary_length == 8
+
     def test_noncontractible_loop_rejected(self, torus_k3):
         ring = [torus_v(3, i, 0) for i in range(3)]
         with pytest.raises(ValueError):
@@ -493,23 +530,49 @@ class TestDocumentProperty:
 # ---------------------------------------------------------------------------
 # validate_lattice: incidence counting against the pairwise-AND definition
 
-def pairwise_and_outcome(lat: Lattice):
-    """The definition: AND every star mask with every plaquette mask."""
-    stars, plaqs = lat.star_masks(), lat.plaquette_masks()
+def incidence(lat: Lattice, **changes) -> dict:
+    """The stored fields of ``lat`` with ``changes`` applied: the raw
+    incidence that `Lattice` validates when it is built."""
+    fields = {f.name: getattr(lat, f.name) for f in dataclasses.fields(Lattice)}
+    return {**fields, **changes}
+
+
+def pairwise_and_outcome(fields: dict):
+    """The definition, on the raw incidence: each link on at most two
+    plaquettes, every star mask ANDed with every plaquette mask, then on a
+    closed surface each link on exactly two plaquettes and the Euler count."""
+    link_sites, plaqs = fields["link_sites"], fields["plaquette_links"]
+    on: list[list[int]] = [[] for _ in link_sites]
+    for p, links in enumerate(plaqs):
+        for l in dict.fromkeys(links):
+            on[l].append(p)
+            if len(on[l]) == 3:
+                return f"link {l} lies on plaquettes {on[l][0]}, {on[l][1]} and {p}"
+    stars = [
+        sum(1 << l for l, ends in enumerate(link_sites) if s in ends)
+        for s in range(fields["n_sites"])
+    ]
+    plaq_masks = [sum(1 << l for l in set(links)) for links in plaqs]
     for s, sm in enumerate(stars):
-        for p, pm in enumerate(plaqs):
+        for p, pm in enumerate(plaq_masks):
             if (sm & pm).bit_count() % 2:
                 return f"star {s} and plaquette {p} share an odd number of links"
-    if lat.genus is not None:
-        chi = lat.n_sites - lat.n_links + lat.n_plaquettes
-        if chi != 2 * (1 - lat.genus):
-            return f"Euler count {chi} inconsistent with genus {lat.genus}"
+    genus = fields["genus"]
+    if genus is not None:
+        for l, faces in enumerate(on):
+            if len(faces) < 2:
+                on_faces = ("no plaquette", "one plaquette")[len(faces)]
+                return f"link {l} lies on {on_faces}; a closed surface needs two"
+        chi = fields["n_sites"] - len(link_sites) + len(plaqs)
+        if chi != 2 * (1 - genus):
+            return f"Euler count {chi} inconsistent with genus {genus}"
     return None
 
 
-def validate_outcome(lat: Lattice):
+def validate_outcome(fields: dict):
+    """The outcome of building a lattice from the raw incidence."""
     try:
-        validate_lattice(lat)
+        Lattice(**fields)
     except LatticeFormatError as exc:
         return str(exc)
     return None
@@ -523,7 +586,8 @@ BASE_LATTICES = {
 
 
 def corrupted_copies(lat: Lattice, rng: random.Random):
-    """One link dropped from a plaquette, or one plaquette link swapped."""
+    """One link dropped from a plaquette, or one plaquette link swapped,
+    as raw incidence."""
     plaqs = lat.plaquette_links
     for _ in range(6):
         p = rng.randrange(len(plaqs))
@@ -534,15 +598,15 @@ def corrupted_copies(lat: Lattice, rng: random.Random):
             spare = [l for l in range(lat.n_links) if l not in links]
             links[rng.randrange(len(links))] = rng.choice(spare)
         new = plaqs[:p] + (tuple(sorted(links)),) + plaqs[p + 1 :]
-        yield dataclasses.replace(lat, plaquette_links=new)
+        yield incidence(lat, plaquette_links=new)
 
 
 class TestValidateLattice:
     @pytest.mark.parametrize("name", BASE_LATTICES)
     def test_accepts_like_pairwise_and(self, name):
-        lat = BASE_LATTICES[name]()
-        assert pairwise_and_outcome(lat) is None
-        assert validate_outcome(lat) is None
+        fields = incidence(BASE_LATTICES[name]())
+        assert pairwise_and_outcome(fields) is None
+        assert validate_outcome(fields) is None
 
     @pytest.mark.parametrize("seed,name", enumerate(BASE_LATTICES))
     def test_corrupted_copies_match_pairwise_and(self, seed, name):
@@ -562,7 +626,7 @@ class TestValidateLattice:
         plaqs = list(lat.plaquette_links)
         plaqs[1] = tuple(l for l in plaqs[1] if l != torus_h(4, 1, 1))
         plaqs[4] = tuple(l for l in plaqs[4] if l != torus_v(4, 1, 1))
-        bad = dataclasses.replace(lat, plaquette_links=tuple(plaqs))
+        bad = incidence(lat, plaquette_links=tuple(plaqs))
         want = "star 5 and plaquette 1 share an odd number of links"
         assert pairwise_and_outcome(bad) == want
         assert validate_outcome(bad) == want
@@ -574,16 +638,16 @@ class TestValidateLattice:
         rows = list(getattr(lat, field))
         rows[0] = rows[0] + rows[0][:1]
         doubled = dataclasses.replace(lat, **{field: tuple(rows)})
-        assert pairwise_and_outcome(doubled) is None
-        assert validate_outcome(doubled) is None
+        assert pairwise_and_outcome(incidence(doubled)) is None
+        assert doubled.link_faces == lat.link_faces
 
     def test_out_of_range_link_rejected(self):
         lat = build_torus(2)
-        bad = dataclasses.replace(
-            lat, plaquette_links=lat.plaquette_links[:-1] + ((0, 8),)
-        )
-        with pytest.raises(ValueError, match="column index 8 out of range"):
-            validate_lattice(bad)
+        *plaqs, last = lat.plaquette_links
+        with pytest.raises(
+            LatticeFormatError, match="^plaquette 3 lists link 8, outside 0..7$"
+        ):
+            dataclasses.replace(lat, plaquette_links=(*plaqs, last + (8,)))
 
     @pytest.mark.parametrize(
         "ends,message",
@@ -597,14 +661,37 @@ class TestValidateLattice:
         lat = build_torus(3)
         ends_list = list(lat.link_sites)
         ends_list[4] = ends
-        bad = dataclasses.replace(lat, link_sites=tuple(ends_list))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            validate_lattice(bad)
+            dataclasses.replace(lat, link_sites=tuple(ends_list))
 
     def test_euler_check_unchanged(self):
-        lat = dataclasses.replace(build_torus(3), genus=2)
-        assert validate_outcome(lat) == pairwise_and_outcome(lat)
-        assert "Euler count 0" in validate_outcome(lat)
+        fields = incidence(build_torus(3), genus=2)
+        assert validate_outcome(fields) == pairwise_and_outcome(fields)
+        assert "Euler count 0" in validate_outcome(fields)
+
+    def test_link_on_one_face(self):
+        # Two bigons on four parallel links: each link lies on one face.
+        # An open patch allows that, with the outer vertex as each link's
+        # second face; a closed surface (Euler count 0, genus 1) does not.
+        doc = (
+            "LATTICE v1 open\nSITES\n0\n1\nLINKS\n0 1\n0 1\n0 1\n0 1\n"
+            "PLAQUETTES\n0 1\n2 3\n"
+        )
+        open_patch = parse_lattice_document(doc)
+        assert open_patch.link_faces == ((0, 2), (0, 2), (1, 2), (1, 2))
+        message = "link 0 lies on one plaquette; a closed surface needs two"
+        with pytest.raises(LatticeFormatError, match=f"^{message}$"):
+            parse_lattice_document(doc.replace("open", "closed"))
+        assert pairwise_and_outcome(incidence(open_patch, genus=1)) == message
+
+    def test_faces_are_the_face_graph_edges(self):
+        for name, build in BASE_LATTICES.items():
+            lat = build()
+            assert plaquette_group(lat).graph.edges is lat.link_faces
+            for l, faces in enumerate(lat.link_faces):
+                want = [p for p, links in enumerate(lat.plaquette_links) if l in links]
+                want += [lat.n_plaquettes] * (2 - len(want))
+                assert faces == tuple(want), name
 
     def test_does_not_build_masks(self, monkeypatch):
         def forbidden(self):

@@ -102,7 +102,7 @@ def reference_components_avoiding(lat, crossed):
     return comps
 
 
-def reference_simple_region(lat, rng, max_sites=None):
+def reference_simple_region(lat, rng):
     """Blob growth, a crossed mask from a link scan, and a hole fill that
     absorbs every complement component but the outside one."""
     k = lat.torus_k
@@ -112,9 +112,7 @@ def reference_simple_region(lat, rng, max_sites=None):
     x0 = rng.randrange(k)
     y0 = rng.randrange(k)
     window = {((y0 + b) % k) * k + (x0 + a) % k for a in range(side) for b in range(side)}
-    if max_sites is None:
-        max_sites = max(1, (side * side) // 2)
-    target = rng.randint(1, max_sites)
+    target = rng.randint(1, max(1, (side * side) // 2))
     adj = reference_site_neighbors(lat)
     start = ((y0 + rng.randrange(side)) % k) * k + (x0 + rng.randrange(side)) % k
     blob = {start}
@@ -168,6 +166,14 @@ SAMPLERS = {
 DRAWS = {"rects": 25, "disks": 200}
 
 
+class WholeWindow(random.Random):
+    """Draws blob sizes up to twice the sampler's bound of half the
+    window, so that blobs as large as the whole window occur."""
+
+    def randint(self, a, b):
+        return super().randint(a, 2 * b + 1)
+
+
 def star_of_five_document():
     # site 0 has five links (4 of them in A is outside n1/n2/n3), and
     # site 6 has none (it counts as inside A)
@@ -192,12 +198,12 @@ class TestAgainstReferenceWalks:
             return
         # Blobs as large as the window wrap the torus seam and leave holes
         # whose floods meet sites an earlier flood marked outside.
-        cases = [{}] if mode == "rects" else [{}, {"max_sites": (k - 2) ** 2}]
-        for kwargs in cases:
-            rng, ref_rng = random.Random(100 + k), random.Random(100 + k)
+        rngs = [random.Random] if mode == "rects" else [random.Random, WholeWindow]
+        for make_rng in rngs:
+            rng, ref_rng = make_rng(100 + k), make_rng(100 + k)
             for _ in range(DRAWS[mode] if k <= 16 else 50):
-                part, stats = sample(lat, rng, **kwargs)
-                assert (part, stats) == reference(lat, ref_rng, **kwargs)
+                part, stats = sample(lat, rng)
+                assert (part, stats) == reference(lat, ref_rng)
                 assert rng.getstate() == ref_rng.getstate()
                 assert _disk_descriptor(lat, part) == reference_disk_descriptor(lat, part)
 
