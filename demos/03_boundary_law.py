@@ -27,7 +27,7 @@ rng = random.Random(2024)
 
 print("convex rectangles: S should equal L - 1")
 for _ in range(5):
-    part, st = random_rectangle_region(lat, rng)
+    part, st, _ = random_rectangle_region(lat, rng)
     s = entropy_equal_superposition(stars, part).s_bits
     print(
         f"  |A|={part.size_a:3d}  L={st.boundary_length:2d}  "
@@ -38,8 +38,9 @@ print()
 print("random blobs: S = L - n2 - 2*n3 - 1, within the linear bounds")
 slack = Counter()
 for _ in range(300):
-    part, st = random_simple_region(lat, rng)
+    part, st, loop = random_simple_region(lat, rng)
     s = entropy_equal_superposition(stars, part).s_bits
+    assert st.boundary_length == loop.bit_count()  # L is the loop's length
     assert s == geometric_entropy(st)
     assert boundary_bounds_check(st, s)
     # distance from the upper bound in units of L

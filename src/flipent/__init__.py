@@ -30,6 +30,7 @@ from .lattice import (
     BoundaryStats,
     Lattice,
     Partition,
+    Region,
     boundary_stats,
     build_torus,
     disk_region,
@@ -81,6 +82,7 @@ __all__ = [
     "Lattice",
     "LatticeFormatError",
     "Partition",
+    "Region",
     "ResourceLimitError",
     "ScanResult",
     "absolute_entanglement_scan",

@@ -26,7 +26,6 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from itertools import chain, compress
 
 from . import __version__
 from .engine import (
@@ -43,7 +42,6 @@ from .errors import (
     LatticeFormatError,
     ResourceLimitError,
 )
-from .gf2 import _bit_flags
 from .lattice import (
     BoundaryStats,
     Lattice,
@@ -143,10 +141,10 @@ def parse_partition_spec(lat: Lattice, spec: str) -> ParsedPartition:
         vals = _parse_int_list(spec[5:], "rect")
         if len(vals) != 4:
             raise ValueError("rect: needs x,y,w,h")
-        part, stats = disk_region(lat, rect=tuple(vals))
+        part, stats, _ = disk_region(lat, rect=tuple(vals))
     elif spec.startswith("loop:"):
         ids = _parse_int_list(spec[5:], "loop")
-        part, stats = disk_region(lat, dual_loop=ids)
+        part, stats, _ = disk_region(lat, dual_loop=ids)
     else:
         raise ValueError(f"unknown partition spec {spec!r}")
     if not is_disk:
@@ -399,62 +397,82 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # scan command
 
-def _scan_row(descriptor, part, s_bits, stats, closed, oracle_s) -> tuple:
-    """One scan row, in `CSV_COLUMNS` order."""
-    if stats is None:
-        geometry, bounds = (None,) * 4, (None, None)
-    else:
-        length = stats.boundary_length
-        geometry = (length, stats.n1, stats.n2, stats.n3)
-        bounds = entropy_bounds(length)
-    return (descriptor, part.size_a, *geometry, s_bits, closed, *bounds, oracle_s)
-
-
-def _scan_partitions(args, lat, group):
-    """Check the mode's inputs and caps, then return an iterator of
-    (descriptor, partition, S_bits, stats, closed form), one per scan row.
+def _scan_rows(args, lat, group):
+    """Check the mode's inputs and caps, then return an iterator of scan
+    rows in `CSV_COLUMNS` order, with the oracle's entropy under
+    ``--oracle``.
 
     The checks run here, before any row, so that an error leaves stdout
     empty even when `cmd_scan` streams the rows.  Exhaustive rows come
     in descriptor order (`_descriptor_walk`) and ask the engine once per
-    complement pair; the other modes give their rows in draw order.
+    complement pair; the other modes give their rows in draw order.  A
+    region row names its region by the links of its boundary loop.
     """
     mode = args.mode
     n = lat.n_links
+    oracle = _scan_oracle(args, lat) if args.oracle else None
 
-    def entropy(part):
-        return entropy_equal_superposition(group, part).s_bits
+    def row(desc, part, stats, closed):
+        s_bits = entropy_equal_superposition(group, part).s_bits
+        if stats is None:
+            geometry, bounds = (None,) * 4, (None, None)
+        else:
+            length = stats.boundary_length
+            geometry = (length, stats.n1, stats.n2, stats.n3)
+            bounds = entropy_bounds(length)
+        oracle_s = None if oracle is None else oracle(part)
+        return (desc, part.size_a, *geometry, s_bits, closed, *bounds, oracle_s)
 
-    def link_rows(descriptors, s_bits):
-        for mask, desc in descriptors:
+    def exhaustive_rows():
+        # `row` inlined for the 2**n - 2 rows, with the engine asked once
+        # per pair and one bounds tuple per boundary length
+        s_bits = _paired_entropy(group, n)
+        bounds = {}  # boundary length -> (lower, upper)
+        for mask, desc in _descriptor_walk(n):
             part = Partition(n, mask)
-            yield desc, part, s_bits(part), _try_stats(lat, part), None
+            stats = _try_stats(lat, part)
+            s = s_bits(part)
+            oracle_s = None if oracle is None else oracle(part)
+            if stats is None:
+                yield (desc, part.size_a, None, None, None, None, s, None,
+                       None, None, oracle_s)
+                continue
+            length = stats.boundary_length
+            lower_upper = bounds.get(length)
+            if lower_upper is None:
+                lower_upper = bounds[length] = entropy_bounds(length)
+            yield (desc, part.size_a, length, stats.n1, stats.n2, stats.n3, s,
+                   None, *lower_upper, oracle_s)
+
+    def link_rows(masks):
+        for mask in masks:
+            part = Partition(n, mask)
+            yield row("links:" + lat.link_list(mask), part, _try_stats(lat, part), None)
 
     def region_rows(sample, rng):
         for _ in range(args.count):
-            part, stats = sample(lat, rng)
-            desc = _disk_descriptor(lat, part)
-            yield desc, part, entropy(part), stats, float(geometric_entropy(stats))
+            part, stats, loop = sample(lat, rng)
+            desc = "loop:" + lat.link_list(loop)
+            yield row(desc, part, stats, float(geometric_entropy(stats)))
 
     def table1_rows(k):
         for name in ("single_spin", "chain", "ladder", "cross", "vertical"):
             part = named_partition(lat, name)
-            closed = closed_form_entropy(name, k)
-            yield name, part, entropy(part), _try_stats(lat, part), closed
+            yield row(name, part, _try_stats(lat, part), closed_form_entropy(name, k))
         side = 2 if k >= 4 else 1
-        part, stats = disk_region(lat, rect=(0, 0, side, side))
+        part, stats, _ = disk_region(lat, rect=(0, 0, side, side))
         desc = f"rect:0,0,{side},{side}"
-        yield desc, part, entropy(part), stats, float(geometric_entropy(stats))
+        yield row(desc, part, stats, float(geometric_entropy(stats)))
 
     if mode == "exhaustive":
         bipartition_masks(n, max_links=args.scan_cap)  # only for its link cap
-        return link_rows(_descriptor_walk(n), _paired_entropy(group, n))
+        return exhaustive_rows()
     if mode == "sampled":
         _require_count_seed(args)
         masks = bipartition_masks(
             n, mode, count=args.count, seed=args.seed, max_links=args.scan_cap
         )
-        return link_rows(((m, "links:" + lat.link_list(m)) for m in masks), entropy)
+        return link_rows(masks)
     if mode in ("rects", "disks"):
         _require_count_seed(args)
         sample = random_rectangle_region if mode == "rects" else random_simple_region
@@ -529,36 +547,23 @@ def _require_count_seed(args) -> None:
         )
 
 
-def _disk_descriptor(lat, part) -> str:
-    # the sites inside A are those whose whole star lies in A, so they are
-    # among the sites that A's links touch; the links their boundary
-    # crosses are the XOR of those stars
-    a = part.a_mask
-    stars = lat.star_masks()
-    crossed = 0
-    for s in set(chain.from_iterable(compress(lat.link_sites, _bit_flags(a)))):
-        star = stars[s]
-        if star & a == star:
-            crossed ^= star
-    return "loop:" + lat.link_list(crossed)
-
-
-def _scan_rows(args, lat, partitions):
-    """Yield one scan row per partition, in `CSV_COLUMNS` order, with the
-    oracle's entropy under ``--oracle``."""
+def _scan_oracle(args, lat):
+    """The oracle's entropy of a scan row's partition, once per distinct
+    partition: drawn regions on small tori repeat.  The state is built on
+    the first row, after the mode's own input checks."""
     state = support = None
-    oracle_memo: dict[int, float] = {}  # a_mask -> oracle_S; draws repeat masks
-    for desc, part, s_bits, stats, closed in partitions:
-        oracle_s = None
-        if args.oracle:
-            if state is None:  # on the first row, after the mode's own input checks
-                state, support = _scan_oracle_state(args, lat)
-            oracle_s = oracle_memo.get(part.a_mask)
-            if oracle_s is None:
-                oracle_s = oracle_memo[part.a_mask] = _oracle_entropy(
-                    args, state, part, support
-                )
-        yield _scan_row(desc, part, s_bits, stats, closed, oracle_s)
+    memo: dict[int, float] = {}  # a_mask -> oracle_S
+
+    def oracle_s(part: Partition) -> float:
+        nonlocal state, support
+        if state is None:
+            state, support = _scan_oracle_state(args, lat)
+        s = memo.get(part.a_mask)
+        if s is None:
+            s = memo[part.a_mask] = _oracle_entropy(args, state, part, support)
+        return s
+
+    return oracle_s
 
 
 def _scan_oracle_state(args, lat):
@@ -591,7 +596,7 @@ def cmd_scan(args) -> int:
     """
     lat = parse_lattice_spec(args.lattice)
     group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
-    rows = _scan_rows(args, lat, _scan_partitions(args, lat, group))
+    rows = _scan_rows(args, lat, group)
     if args.mode != "exhaustive":
         rows = sorted(rows, key=lambda row: row[0])
     elif args.oracle:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from typing import Collection, Iterable, Sequence
+from itertools import chain, compress
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import LatticeFormatError, ResourceLimitError
 from .gf2 import Gf2Matrix, Graph, _bit_flags, mask_from_indices
@@ -620,11 +620,24 @@ def _components_avoiding(lat: Lattice, crossed: int) -> list[set[int]]:
     return comps
 
 
-def region_from_sites(lat: Lattice, sites: Iterable[int]) -> tuple[Partition, BoundaryStats]:
-    """Partition whose A side is every link touching the given sites.
+class Region(NamedTuple):
+    """A disk region: its partition, whose A side is every link touching
+    a region site, the partition's boundary statistics, and ``loop``, the
+    link mask of the region's boundary: the links with exactly one end
+    in the region, which the region's dual loop crosses."""
 
-    Site ids must lie in ``0..n_sites-1``.  The stats test only the
-    stars of the region and its neighbours, the sites A's links touch.
+    partition: Partition
+    stats: BoundaryStats
+    loop: int
+
+
+def region_from_sites(lat: Lattice, sites: Iterable[int]) -> Region:
+    """The region of the given sites, its A side every link touching them.
+
+    Site ids must lie in ``0..n_sites-1``.  One pass over the region's
+    stars ORs them into A and XORs them into the loop; the stats test
+    only the stars of the region and of the loop's far ends, the sites
+    A's links touch.
     """
     inside = set(sites)
     n = lat.n_sites
@@ -633,22 +646,21 @@ def region_from_sites(lat: Lattice, sites: Iterable[int]) -> tuple[Partition, Bo
             raise ValueError(f"site id {s} out of range for {n} sites")
     if not inside or len(inside) >= n:
         raise ValueError("region must enclose some but not all sites")
-    stars = lat.star_masks()
-    nbrs = lat._neighbor_sites
-    a_mask = 0
-    touched = set(inside)
-    for s in inside:
-        a_mask |= stars[s]
-        touched.update(nbrs[s])
+    a_mask = loop = 0
+    for star in map(lat.star_masks().__getitem__, inside):
+        a_mask |= star
+        loop ^= star
     part = Partition(lat.n_links, a_mask)
-    return part, boundary_stats(lat, part, sites=touched)
+    loop_ends = chain.from_iterable(compress(lat.link_sites, _bit_flags(loop)))
+    stats = boundary_stats(lat, part, sites=inside.union(loop_ends))
+    return Region(part, stats, loop)
 
 
 def disk_region(
     lat: Lattice,
     rect: tuple[int, int, int, int] | None = None,
     dual_loop: Sequence[int] | None = None,
-) -> tuple[Partition, BoundaryStats]:
+) -> Region:
     """Cut out a disk: all links inside or crossed by a dual loop.
 
     ``rect=(x, y, w, h)`` encloses the w x h block of sites with corner
@@ -656,7 +668,8 @@ def disk_region(
     boundary length is 2*(w+h).  ``dual_loop`` lists the crossed link
     ids of an explicit dual-edge cycle; it must be a single simple cycle
     that separates the sites into two components (noncontractible loops
-    do not), and the smaller component becomes the interior.
+    do not), and the smaller component becomes the interior, whose
+    region's ``loop`` must be exactly those links.
     """
     if (rect is None) == (dual_loop is None):
         raise ValueError("specify exactly one of rect or dual_loop")
@@ -694,18 +707,16 @@ def disk_region(
     comps.sort(key=len)
     if len(comps[0]) == len(comps[1]):
         raise ValueError("interior is ambiguous: both sides have equal area")
-    part, stats = region_from_sites(lat, comps[0])
-    if stats.boundary_length != crossed.bit_count():
+    region = region_from_sites(lat, comps[0])
+    if region.loop != crossed:
         raise ValueError("loop does not bound the region it encloses")
-    return part, stats
+    return region
 
 
 # ---------------------------------------------------------------------------
 # random region sampling (boundary-law sweeps)
 
-def random_rectangle_region(
-    lat: Lattice, rng: random.Random
-) -> tuple[Partition, BoundaryStats]:
+def random_rectangle_region(lat: Lattice, rng: random.Random) -> Region:
     """Random axis-aligned rectangle of sites, small enough to be convex.
 
     Sides are capped at k-2 so that every straddling site touches the
@@ -737,9 +748,7 @@ def _torus_block(k: int, x: int, y: int, w: int, h: int) -> bytearray:
     return flags
 
 
-def random_simple_region(
-    lat: Lattice, rng: random.Random
-) -> tuple[Partition, BoundaryStats]:
+def random_simple_region(lat: Lattice, rng: random.Random) -> Region:
     """Random simply-connected site blob grown inside a (k-2)^2 window.
 
     The blob aims at a size drawn from 1 to half the window, and starts

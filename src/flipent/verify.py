@@ -45,7 +45,7 @@ def default_suite(lat: Lattice) -> dict[str, Partition]:
         name: named_partition(lat, name)
         for name in ("single_spin", "chain", "ladder", "cross")
     }
-    part, _ = disk_region(lat, rect=(0, 0, 1, 1))
+    part = disk_region(lat, rect=(0, 0, 1, 1)).partition
     suite["rect:0,0,1,1"] = part
     return suite
 

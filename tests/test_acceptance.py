@@ -130,7 +130,7 @@ def test_criterion_03_oracle_equivalence_k3():
         name: named_partition(lat, name)
         for name in ("chain", "ladder", "cross", "single_spin")
     }
-    partitions["disk_1x1"], _ = disk_region(lat, rect=(0, 0, 1, 1))
+    partitions["disk_1x1"] = disk_region(lat, rect=(0, 0, 1, 1)).partition
     worst = 0.0
     for part in partitions.values():
         s_engine = entropy_equal_superposition(stars, part).s_bits
@@ -236,12 +236,12 @@ def test_criterion_08_boundary_law_k12():
     rng = random.Random(808)
     rect_bad = loop_bad = bounds_bad = 0
     for _ in range(100):
-        part, st = random_rectangle_region(lat, rng)
+        part, st, _ = random_rectangle_region(lat, rng)
         s = entropy_equal_superposition(stars, part).s_bits
         if s != st.boundary_length - 1:
             rect_bad += 1
     for _ in range(200):
-        part, st = random_simple_region(lat, rng)
+        part, st, _ = random_simple_region(lat, rng)
         s = entropy_equal_superposition(stars, part).s_bits
         if s != st.boundary_length - st.n2 - 2 * st.n3 - 1:
             loop_bad += 1

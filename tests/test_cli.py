@@ -471,6 +471,18 @@ SCAN_LATTICES = {
     "cube": str(GOLDEN / "cube.lat"),
     "patch": str(GOLDEN / "patch.lat"),  # plaquette columns of weight 1
 }
+# the exhaustive scan's output variants: every format reads the same rows,
+# and so does the oracle, which needs a torus
+SCAN_VARIANTS = {
+    **{name: (name, ()) for name in SCAN_LATTICES},
+    **{
+        f"{name}-{fmt}": (name, ("--format", fmt))
+        for name in SCAN_LATTICES
+        for fmt in ("json", "table")
+    },
+    "torus-k2-oracle": ("torus-k2", ("--oracle",)),
+    "torus-k2-oracle-json": ("torus-k2", ("--oracle", "--format", "json")),
+}
 
 
 class TestPairedScan:
@@ -489,12 +501,13 @@ class TestPairedScan:
         return calls
 
     @pytest.mark.parametrize("group", ["stars", "plaquettes"])
-    @pytest.mark.parametrize("lattice", SCAN_LATTICES)
+    @pytest.mark.parametrize("variant", SCAN_VARIANTS)
     def test_same_bytes_as_direct_evaluation(
-        self, capsys, monkeypatch, engine_calls, lattice, group
+        self, capsys, monkeypatch, engine_calls, variant, group
     ):
+        lattice, options = SCAN_VARIANTS[variant]
         argv = ["scan", "--lattice", SCAN_LATTICES[lattice], "--mode", "exhaustive",
-                "--group", group]
+                "--group", group, *options]
         n = parse_lattice_spec(SCAN_LATTICES[lattice]).n_links
         code, paired, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")

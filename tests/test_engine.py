@@ -134,7 +134,7 @@ class TestDiagonality:
 class TestGeometricEntropy:
     def test_unit_disk(self):
         lat = build_torus(4)
-        _, st = disk_region(lat, rect=(0, 0, 1, 1))
+        st = disk_region(lat, rect=(0, 0, 1, 1)).stats
         assert geometric_entropy(st) == 3
         # the paper's perimeter form, L - n2 - 2*n3 - 1
         assert st.boundary_length - st.n2 - 2 * st.n3 - 1 == 3
@@ -142,7 +142,7 @@ class TestGeometricEntropy:
     def test_convex_rect_is_perimeter_minus_one(self):
         lat = build_torus(7)
         for w, h in [(1, 2), (3, 3), (2, 5), (4, 1)]:
-            _, st = disk_region(lat, rect=(1, 1, w, h))
+            st = disk_region(lat, rect=(1, 1, w, h)).stats
             assert geometric_entropy(st) == st.boundary_length - 1
 
     def test_notch_discounts(self):
@@ -152,7 +152,7 @@ class TestGeometricEntropy:
         block = {j * 6 + i for i in range(4) for j in range(3)}
         block.discard(2 * 6 + 3)
         block.discard(2 * 6 + 1)
-        _, st = region_from_sites(lat, block)
+        st = region_from_sites(lat, block).stats
         assert (st.n2, st.n3) == (1, 1)
         assert geometric_entropy(st) == st.boundary_length - 4
 
@@ -161,7 +161,7 @@ class TestGeometricEntropy:
         stars = star_group(lat)
         rng = random.Random(5)
         for _ in range(40):
-            part, st = random_simple_region(lat, rng)
+            part, st, _ = random_simple_region(lat, rng)
             s_exact = entropy_equal_superposition(stars, part).s_bits
             assert geometric_entropy(st) == s_exact
             assert st.boundary_length - st.n2 - 2 * st.n3 - 1 == s_exact
@@ -170,10 +170,10 @@ class TestGeometricEntropy:
 class TestBoundaryBounds:
     def test_examples(self):
         lat = build_torus(5)
-        _, st8 = disk_region(lat, rect=(0, 0, 2, 2))
+        st8 = disk_region(lat, rect=(0, 0, 2, 2)).stats
         assert st8.boundary_length == 8
         assert boundary_bounds_check(st8, 7)
-        _, st4 = disk_region(lat, rect=(0, 0, 1, 1))
+        st4 = disk_region(lat, rect=(0, 0, 1, 1)).stats
         assert boundary_bounds_check(st4, 3)
 
     def test_random_loops_within_bounds(self):
@@ -181,7 +181,7 @@ class TestBoundaryBounds:
         stars = star_group(lat)
         rng = random.Random(6)
         for _ in range(60):
-            part, st = random_simple_region(lat, rng)
+            part, st, _ = random_simple_region(lat, rng)
             s = entropy_equal_superposition(stars, part).s_bits
             assert boundary_bounds_check(st, s)
             lo, hi = entropy_bounds(st.boundary_length)

@@ -22,6 +22,7 @@ from flipent import (
     region_from_sites,
     star_group,
 )
+from flipent.gf2 import mask_from_indices
 from flipent.lattice import (
     MAX_TORUS_BYTES,
     Lattice,
@@ -257,16 +258,17 @@ class TestBoundaryStats:
 class TestDiskRegion:
     def test_unit_rect(self):
         lat = build_torus(4)
-        part, st = disk_region(lat, rect=(1, 1, 1, 1))
+        part, st, loop = disk_region(lat, rect=(1, 1, 1, 1))
         assert part.size_a == 4
+        assert loop == part.a_mask == lat.star_masks()[5]
         assert st.boundary_length == 4
         assert (st.n2, st.n3) == (0, 0)
         assert st.sigma_a == 1
 
     def test_two_by_two_rect(self):
         lat = build_torus(5)
-        part, st = disk_region(lat, rect=(0, 0, 2, 2))
-        assert st.boundary_length == 8
+        part, st, loop = disk_region(lat, rect=(0, 0, 2, 2))
+        assert st.boundary_length == 8 == loop.bit_count()
         assert (st.n2, st.n3) == (0, 0)
         assert st.sigma_ab == 8
         assert st.sigma_a == 4
@@ -276,7 +278,7 @@ class TestDiskRegion:
         lat = build_torus(7)
         for w in range(1, 6):
             for h in range(1, 6):
-                _, st = disk_region(lat, rect=(2, 3, w, h))
+                st = disk_region(lat, rect=(2, 3, w, h)).stats
                 assert st.sigma_ab == st.boundary_length == 2 * (w + h)
 
     def test_notched_region_counts(self):
@@ -287,7 +289,7 @@ class TestDiskRegion:
         block = {(j % k) * k + (i % k) for i in range(4) for j in range(3)}
         block.discard(2 * k + 3)  # corner notch
         block.discard(2 * k + 1)  # deep notch
-        part, st = region_from_sites(lat, block)
+        st = region_from_sites(lat, block).stats
         assert st.n2 == 1
         assert st.n3 == 1
 
@@ -300,8 +302,9 @@ class TestDiskRegion:
 
     def test_last_site_id_accepted(self):
         lat = build_torus(4)
-        part, st = region_from_sites(lat, [15])
+        part, st, loop = region_from_sites(lat, [15])
         assert part.a_links() == lat.star_links[15]
+        assert loop == part.a_mask
         assert (st.sigma_a, st.n1) == (1, 4)
 
     def test_loop_round_trip(self):
@@ -311,15 +314,26 @@ class TestDiskRegion:
         block = {(j % k) * k + (i % k) for i in range(4) for j in range(3)}
         block.discard(2 * k + 3)
         block.discard(2 * k + 1)
-        direct, st_direct = region_from_sites(lat, block)
+        direct = region_from_sites(lat, block)
         crossed = [
             l
             for l, (a, b) in enumerate(lat.link_sites)
             if (a in block) != (b in block)
         ]
-        via_loop, st_loop = disk_region(lat, dual_loop=crossed)
+        via_loop = disk_region(lat, dual_loop=crossed)
         assert via_loop == direct
-        assert st_loop == st_direct
+        assert via_loop.loop == direct.loop == mask_from_indices(crossed, lat.n_links)
+
+    def test_loop_that_does_not_bound_its_region(self):
+        # the path 0-1-2-3 with a second 2-3 link and no faces: cutting
+        # links 0 and 3 splits off site 0, whose loop is link 0 alone
+        lat = parse_lattice_document(
+            "LATTICE v1 open\nSITES\n0\n1\n2\n3\n"
+            "LINKS\n0 1\n1 2\n2 3\n2 3\nPLAQUETTES\n"
+        )
+        assert region_from_sites(lat, {0}).loop == 0b1
+        with pytest.raises(ValueError, match="loop does not bound the region"):
+            disk_region(lat, dual_loop=[0, 3])
 
     def test_loop_check_reads_the_face_incidence(self, monkeypatch):
         # each plaquette's hits are counted from the crossed links' faces:
@@ -355,9 +369,10 @@ class TestDiskRegion:
         crossed = [
             l for l, (a, b) in enumerate(lat.link_sites) if (a in block) != (b in block)
         ]
-        part, st = disk_region(lat, dual_loop=crossed)
-        assert (part, st) == region_from_sites(lat, block)
-        assert st.boundary_length == 8
+        region = disk_region(lat, dual_loop=crossed)
+        assert region == region_from_sites(lat, block)
+        assert region.loop == mask_from_indices(crossed, lat.n_links)
+        assert region.stats.boundary_length == 8
 
     def test_noncontractible_loop_rejected(self, torus_k3):
         ring = [torus_v(3, i, 0) for i in range(3)]
@@ -392,7 +407,7 @@ class TestDiskRegion:
         lat = build_torus(9)
         rng = random.Random(42)
         for _ in range(100):
-            part, st = random_simple_region(lat, rng)
+            part, st, loop = random_simple_region(lat, rng)
             st.check(lat)
             # recover the enclosed sites: those whose links all lie in A
             inside = {
@@ -401,17 +416,20 @@ class TestDiskRegion:
                 if all((part.a_mask >> l) & 1 for l in links)
             }
             crossed = sum(
-                1 for a, b in lat.link_sites if (a in inside) != (b in inside)
+                1 << l
+                for l, (a, b) in enumerate(lat.link_sites)
+                if (a in inside) != (b in inside)
             )
             assert st.sigma_a == len(inside)
-            assert st.boundary_length == crossed
+            assert loop == crossed
+            assert st.boundary_length == crossed.bit_count()
             assert st.sigma_ab == st.n1 + st.n2 + st.n3
 
     def test_random_rectangles_are_convex(self):
         lat = build_torus(8)
         rng = random.Random(1)
         for _ in range(50):
-            _, st = random_rectangle_region(lat, rng)
+            st = random_rectangle_region(lat, rng).stats
             assert (st.n2, st.n3) == (0, 0)
             assert st.sigma_ab == st.boundary_length
 

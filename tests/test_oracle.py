@@ -211,6 +211,18 @@ class TestVonNeumannEntropy:
         with pytest.raises(ValueError):
             von_neumann_entropy(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("row, col", [(0, 129), (129, 0), (64, 127), (127, 64)])
+    def test_hermitian_check_covers_every_block(self, row, col):
+        # the check runs over blocks of 64 rows; a 130 x 130 matrix has a
+        # short last block
+        rho = np.eye(130, dtype=complex) / 130
+        assert von_neumann_entropy(rho) == pytest.approx(math.log2(130), abs=1e-9)
+        rho[row, col] = 1e-9j
+        with pytest.raises(ValueError, match="not Hermitian"):
+            reduced_spectrum(rho)
+        rho[col, row] = -1e-9j  # conjugate entries: Hermitian again
+        assert reduced_spectrum(rho).sum() == pytest.approx(1.0, abs=1e-9)
+
     def test_entropy_symmetric_under_swap(self, torus_k2, xi00_k2):
         rng = random.Random(21)
         for _ in range(20):

@@ -1,11 +1,12 @@
 """Region layer: disk regions, boundary buckets and scan descriptors.
 
-The region code computes everything from star masks: the links a site
-set's boundary crosses are the XOR of its stars, a site lies inside A
-when its whole star does, and a site's bucket is the popcount of its
-star within A.  The reference functions below are the earlier
-whole-lattice walks over ``link_sites`` and ``star_links``; the tests
-require identical results from both, draw for draw.
+The region code computes everything from star masks: a region's loop,
+the links its boundary crosses, is the XOR of its stars, and a site's
+bucket is the popcount of its star within A.  The reference functions
+below are the earlier whole-lattice walks over ``link_sites`` and
+``star_links``, and the descriptor that scans built from a region's
+link mask alone; the tests require identical results from both, draw
+for draw.
 """
 
 import csv
@@ -30,7 +31,7 @@ from flipent import (
     region_from_sites,
     star_group,
 )
-from flipent.cli import _disk_descriptor, main, parse_partition_spec
+from flipent.cli import main, parse_partition_spec
 from flipent.lattice import BoundaryStats, Partition
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -65,12 +66,21 @@ def reference_boundary_stats(lat, p):
     return BoundaryStats(sigma_a, sigma_b, n1, n2, n3)
 
 
+def reference_loop(lat, sites):
+    """The links with exactly one end among ``sites``."""
+    return sum(
+        1 << l
+        for l, (a, b) in enumerate(lat.link_sites)
+        if (a in sites) != (b in sites)
+    )
+
+
 def reference_region_from_sites(lat, sites):
     links = set()
     for s in sites:
         links.update(lat.star_links[s])
     part = Partition.from_links(links, lat.n_links)
-    return part, reference_boundary_stats(lat, part)
+    return part, reference_boundary_stats(lat, part), reference_loop(lat, set(sites))
 
 
 def reference_site_neighbors(lat):
@@ -123,10 +133,7 @@ def reference_simple_region(lat, rng):
             continue
         blob.add(v)
         frontier.extend(u for u, _ in adj[v] if u in window and u not in blob)
-    crossed = 0
-    for l, (a, b) in enumerate(lat.link_sites):
-        if (a in blob) != (b in blob):
-            crossed |= 1 << l
+    crossed = reference_loop(lat, blob)
     outside_probe = ((y0 - 1) % k) * k + (x0 - 1) % k
     for comp in reference_components_avoiding(lat, crossed):
         if comp == blob or outside_probe in comp:
@@ -145,18 +152,45 @@ def reference_rectangle_region(lat, rng):
     return reference_region_from_sites(lat, sites)
 
 
-def reference_disk_descriptor(lat, part):
-    inside = {
+def reference_inside_sites(lat, part):
+    """The sites whose whole star lies in A."""
+    return {
         s
         for s, links in enumerate(lat.star_links)
         if all((part.a_mask >> l) & 1 for l in links)
     }
+
+
+def reference_disk_descriptor(lat, part):
+    """A disk row's descriptor rebuilt from its link mask alone: the
+    links with one end inside A, the way scans named regions before a
+    region carried its loop."""
+    inside = reference_inside_sites(lat, part)
     crossed = sorted(
         l
         for l, (a, b) in enumerate(lat.link_sites)
         if (a in inside) != (b in inside)
     )
     return "loop:" + ",".join(map(str, crossed))
+
+
+def assert_loop_parses_back(lat, region):
+    """``loop:`` plus the region's loop names the region's side with fewer
+    sites: the region itself, or the complement's region."""
+    part, stats, loop = region
+    spec = "loop:" + lat.link_list(loop)
+    assert spec == reference_disk_descriptor(lat, part)
+    inside = reference_inside_sites(lat, part)
+    if 2 * len(inside) == lat.n_sites:
+        with pytest.raises(ValueError, match="interior is ambiguous"):
+            parse_partition_spec(lat, spec)
+        return
+    parsed = parse_partition_spec(lat, spec)
+    if 2 * len(inside) > lat.n_sites:
+        part, stats, _ = reference_region_from_sites(
+            lat, set(range(lat.n_sites)) - inside
+        )
+    assert (parsed.partition, parsed.stats) == (part, stats)
 
 
 SAMPLERS = {
@@ -202,10 +236,11 @@ class TestAgainstReferenceWalks:
         for make_rng in rngs:
             rng, ref_rng = make_rng(100 + k), make_rng(100 + k)
             for _ in range(DRAWS[mode] if k <= 16 else 50):
-                part, stats = sample(lat, rng)
-                assert (part, stats) == reference(lat, ref_rng)
+                region = sample(lat, rng)
+                # the loop is the links with exactly one end in the region
+                assert region == reference(lat, ref_rng)
                 assert rng.getstate() == ref_rng.getstate()
-                assert _disk_descriptor(lat, part) == reference_disk_descriptor(lat, part)
+                assert_loop_parses_back(lat, region)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     def test_boundary_stats_on_random_partitions(self, k):
@@ -247,8 +282,9 @@ class TestLoopDescriptors:
         rng = random.Random(seed)
         sampled = {}
         for _ in range(count):
-            part, stats = SAMPLERS[mode][0](lat, rng)
-            sampled[reference_disk_descriptor(lat, part)] = (part, stats)
+            part, stats, loop = SAMPLERS[mode][0](lat, rng)
+            assert "loop:" + lat.link_list(loop) == reference_disk_descriptor(lat, part)
+            sampled["loop:" + lat.link_list(loop)] = (part, stats)
         assert {r["partition"] for r in rows} == set(sampled)
         smaller_side = 0
         for row in rows:
@@ -262,7 +298,12 @@ class TestLoopDescriptors:
             # side with fewer sites, so only such regions come back as sampled.
             if 2 * stats.sigma_a > lat.n_sites:
                 assert parsed.stats.sigma_a == lat.n_sites - stats.sigma_a
-                assert _disk_descriptor(lat, parsed.partition) == row["partition"]
+                ids = [int(l) for l in row["partition"][5:].split(",")]
+                complement = disk_region(lat, dual_loop=ids)
+                assert complement[:2] == (parsed.partition, parsed.stats)
+                assert "loop:" + lat.link_list(complement.loop) == row["partition"]
+                descriptor = reference_disk_descriptor(lat, parsed.partition)
+                assert descriptor == row["partition"]
             else:
                 assert (parsed.partition, parsed.stats) == (part, stats)
                 smaller_side += 1
@@ -271,9 +312,11 @@ class TestLoopDescriptors:
     def test_half_lattice_loop_is_refused(self):
         # an 8 x 9 rect on the k=12 torus is one a rects scan can print
         lat = build_torus(12)
-        part, _ = disk_region(lat, rect=(0, 0, 8, 9))
+        part, _, loop = disk_region(lat, rect=(0, 0, 8, 9))
+        spec = "loop:" + lat.link_list(loop)
+        assert spec == reference_disk_descriptor(lat, part)
         with pytest.raises(ValueError, match="interior is ambiguous"):
-            parse_partition_spec(lat, _disk_descriptor(lat, part))
+            parse_partition_spec(lat, spec)
 
 
 LATTICES = {
@@ -325,12 +368,14 @@ class TestRegionStats:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 region_from_sites(lat, sites)
             return
-        assert region_from_sites(lat, sites) == (part, expected)
+        region = region_from_sites(lat, sites)
+        assert region == (part, expected, reference_loop(lat, sites))
+        assert (region.partition, region.stats) == (part, expected)
 
     def test_isolated_site_stays_in_sigma_a(self):
         # site 6 of the star of five has no links
         lat = LATTICES["star_of_five"]
-        _, stats = region_from_sites(lat, {1})
+        stats = region_from_sites(lat, {1}).stats
         assert (stats.sigma_a, stats.sigma_b, stats.n1) == (2, 4, 1)
 
 
@@ -340,7 +385,7 @@ class TestBoundaryLawAtScale:
         stars = star_group(lat)
         rng = random.Random(64)
         for _ in range(20):
-            part, stats = random_simple_region(lat, rng)
+            part, stats, _ = random_simple_region(lat, rng)
             s = entropy_equal_superposition(stars, part).s_bits
             assert s == stats.sigma_ab - 1 == geometric_entropy(stats)
             assert boundary_bounds_check(stats, s)
