@@ -412,57 +412,46 @@ def _scan_rows(args, lat, group):
     n = lat.n_links
     oracle = _scan_oracle(args, lat) if args.oracle else None
 
-    def row(desc, part, stats, closed):
-        s_bits = entropy_equal_superposition(group, part).s_bits
-        if stats is None:
-            geometry, bounds = (None,) * 4, (None, None)
-        else:
-            length = stats.boundary_length
-            geometry = (length, stats.n1, stats.n2, stats.n3)
-            bounds = entropy_bounds(length)
+    def row(desc, part, stats, closed, s_bits):
         oracle_s = None if oracle is None else oracle(part)
-        return (desc, part.size_a, *geometry, s_bits, closed, *bounds, oracle_s)
+        if stats is None:
+            return (desc, part.size_a, None, None, None, None, s_bits, closed,
+                    None, None, oracle_s)
+        length = stats.boundary_length
+        lower, upper = entropy_bounds(length)
+        return (desc, part.size_a, length, stats.n1, stats.n2, stats.n3, s_bits,
+                closed, lower, upper, oracle_s)
+
+    def entropy(part):
+        return entropy_equal_superposition(group, part).s_bits
 
     def exhaustive_rows():
-        # `row` inlined for the 2**n - 2 rows, with the engine asked once
-        # per pair and one bounds tuple per boundary length
-        s_bits = _paired_entropy(group, n)
-        bounds = {}  # boundary length -> (lower, upper)
+        s_bits = _paired_entropy(group, n)  # the engine once per pair
         for mask, desc in _descriptor_walk(n):
             part = Partition(n, mask)
-            stats = _try_stats(lat, part)
-            s = s_bits(part)
-            oracle_s = None if oracle is None else oracle(part)
-            if stats is None:
-                yield (desc, part.size_a, None, None, None, None, s, None,
-                       None, None, oracle_s)
-                continue
-            length = stats.boundary_length
-            lower_upper = bounds.get(length)
-            if lower_upper is None:
-                lower_upper = bounds[length] = entropy_bounds(length)
-            yield (desc, part.size_a, length, stats.n1, stats.n2, stats.n3, s,
-                   None, *lower_upper, oracle_s)
+            yield row(desc, part, _try_stats(lat, part), None, s_bits(part))
 
     def link_rows(masks):
         for mask in masks:
             part = Partition(n, mask)
-            yield row("links:" + lat.link_list(mask), part, _try_stats(lat, part), None)
+            desc = "links:" + lat.link_list(mask)
+            yield row(desc, part, _try_stats(lat, part), None, entropy(part))
 
     def region_rows(sample, rng):
         for _ in range(args.count):
             part, stats, loop = sample(lat, rng)
             desc = "loop:" + lat.link_list(loop)
-            yield row(desc, part, stats, float(geometric_entropy(stats)))
+            yield row(desc, part, stats, float(geometric_entropy(stats)), entropy(part))
 
     def table1_rows(k):
         for name in ("single_spin", "chain", "ladder", "cross", "vertical"):
             part = named_partition(lat, name)
-            yield row(name, part, _try_stats(lat, part), closed_form_entropy(name, k))
+            closed = closed_form_entropy(name, k)
+            yield row(name, part, _try_stats(lat, part), closed, entropy(part))
         side = 2 if k >= 4 else 1
         part, stats, _ = disk_region(lat, rect=(0, 0, side, side))
         desc = f"rect:0,0,{side},{side}"
-        yield row(desc, part, stats, float(geometric_entropy(stats)))
+        yield row(desc, part, stats, float(geometric_entropy(stats)), entropy(part))
 
     if mode == "exhaustive":
         bipartition_masks(n, max_links=args.scan_cap)  # only for its link cap
