@@ -26,6 +26,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from . import __version__
 from .engine import (
@@ -195,17 +196,112 @@ def parse_state_spec(spec: str) -> tuple[str, GroundStateCoeffs, bool]:
 # ---------------------------------------------------------------------------
 # output helpers
 
+#: characters per write of the row emitters: one write per 8 KiB of rows,
+#: not one per row, which an unbuffered stdout makes a system call
+BLOCK_CHARS = 8192
+#: most distinct row tails an emitter keeps formatted: the k=3 sweep has
+#: 341, while drawn regions rarely repeat one
+TAIL_MEMO_SIZE = 512
+
+
 def emit_json(obj, out) -> None:
     json.dump(obj, out, indent=2)
     out.write("\n")
 
 
+def emit_rows_json(fixed: dict, rows, out) -> None:
+    """Write `emit_json`'s bytes for ``fixed`` plus a last key ``"rows"``,
+    the rows as objects keyed by `CSV_COLUMNS`, one row at a time and in
+    blocks (`_row_texts`, `_write_blocks`)."""
+    keys = [json.dumps(c) for c in CSV_COLUMNS]
+    head = "{\n      %s: " % keys[0]
+
+    def tail_text(tail) -> str:
+        fields = "".join(
+            f",\n      {key}: {json.dumps(v)}" for key, v in zip(keys[1:], tail)
+        )
+        return fields + "\n    }"
+
+    def texts():
+        yield json.dumps({**fixed, "rows": []}, indent=2)[:-3]  # through "["
+        sep = "\n    "
+        for text in _row_texts(rows, lambda v: head + json.dumps(v), tail_text):
+            yield sep + text
+            sep = ",\n    "
+        yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"  # [] when no rows
+
+    _write_blocks(texts(), out)
+
+
+class _Echo:
+    """A pseudo-file whose ``write`` returns its text, so that a csv
+    writer over it returns each line it formats."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+_csv_line = csv.writer(_Echo(), lineterminator="\n").writerow
+
+
+def _csv_head(value) -> str:
+    """The first field of a row of several, as the csv module writes it."""
+    if type(value) is str and value.isprintable() and not ('"' in value or " " in value):
+        return f'"{value}"' if "," in value else value  # quoted, never escaped
+    return _csv_line((value, None))[:-2]
+
+
 def emit_rows_csv(rows, out, columns=CSV_COLUMNS) -> None:
-    """Rows are sequences in ``columns`` order; the csv module writes
-    None as an empty field and a float as its repr."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
+    """Rows are sequences in ``columns`` order, written as the csv module
+    writes them: None as an empty field and a float as its repr.  Lines
+    are made by `_row_texts` and written in blocks by `_write_blocks`."""
+    lines = chain(
+        [_csv_line(columns)],
+        # one field: a row holding one empty field is written as ""
+        map(_csv_line, rows) if len(columns) < 2 else
+        _row_texts(rows, _csv_head, lambda tail: _csv_line(("", *tail))),
+    )
+    _write_blocks(lines, out)
+
+
+def _row_texts(rows, head_text, tail_text):
+    """Yield ``head_text(row[0]) + tail_text(row[1:])`` for each row.
+
+    ``tail_text`` runs once per distinct tail, for up to `TAIL_MEMO_SIZE`
+    tails: an exhaustive scan's rows share a few hundred.  Tails are
+    keyed by the type of each field as well as its value, since 1, 1.0
+    and True are equal but print differently, and a tail holding a
+    non-int zero is not kept, since 0.0 and -0.0 share a type.
+    """
+    memo = {}
+    for row in rows:
+        if type(row) is not tuple:
+            row = tuple(row)
+        tail = row[1:]
+        key = (tail, *map(type, tail))
+        text = memo.get(key)
+        if text is None:
+            text = tail_text(tail)
+            if len(memo) < TAIL_MEMO_SIZE and not any(
+                v == 0 and type(v) is not int for v in tail
+            ):
+                memo[key] = text
+        yield head_text(row[0]) + text
+
+
+def _write_blocks(texts, out) -> None:
+    """Write ``texts`` joined into blocks of at most `BLOCK_CHARS`
+    characters, one ``out.write`` each; a longer text is a block alone."""
+    block, size = [], 0
+    for text in texts:
+        size += len(text)
+        if size > BLOCK_CHARS and block:
+            out.write("".join(block))
+            block.clear()
+            size = len(text)
+        block.append(text)
+    if block:
+        out.write("".join(block))
 
 
 def _text(value) -> str:
@@ -576,12 +672,13 @@ def _scan_oracle_state(args, lat):
 def cmd_scan(args) -> int:
     """Print the scan's rows sorted by descriptor.
 
-    Exhaustive rows are made in that order, so CSV writes each row as it
-    comes: memory is the pair memo of `_paired_entropy`, 2**(n-1) bytes,
-    plus one row.  JSON and table output, every ``--oracle`` scan and the
-    drawn modes hold all rows before writing, so that an error leaves
-    stdout empty; an exhaustive JSON scan at the 24-link cap still needs
-    gigabytes, a known limit.
+    Exhaustive rows are made in that order, so CSV and JSON write them as
+    they come, in blocks of at most `BLOCK_CHARS` characters: memory is
+    the pair memo of `_paired_entropy`, 2**(n-1) bytes, plus one block.
+    Table output, which needs its column widths first, every ``--oracle``
+    scan and the drawn modes hold all rows before writing, so that an
+    error leaves stdout empty; an exhaustive table at the 24-link cap
+    still needs gigabytes, a known limit.
     """
     lat = parse_lattice_spec(args.lattice)
     group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
@@ -591,17 +688,14 @@ def cmd_scan(args) -> int:
     elif args.oracle:
         rows = list(rows)  # an oracle cap on any row leaves stdout empty
     if args.format == "json":
-        emit_json(
-            {
-                "command": "scan",
-                "mode": args.mode,
-                "lattice": args.lattice,
-                "seed": args.seed,
-                "count": args.count,
-                "rows": [dict(zip(CSV_COLUMNS, row)) for row in rows],
-            },
-            sys.stdout,
-        )
+        fixed = {
+            "command": "scan",
+            "mode": args.mode,
+            "lattice": args.lattice,
+            "seed": args.seed,
+            "count": args.count,
+        }
+        emit_rows_json(fixed, rows, sys.stdout)
     elif args.format == "table":
         emit_rows_table(rows, sys.stdout)
     else:

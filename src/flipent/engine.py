@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ResourceLimitError
 from .gf2 import Gf2Matrix
@@ -37,8 +37,7 @@ from .lattice import BoundaryStats, Lattice, Partition, plaquette_group, star_gr
 EXHAUSTIVE_SCAN_MAX_LINKS = 24
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     """Exact rank bookkeeping behind one entropy evaluation.
 
     log2_free is the number of group elements acting distinctly on A
@@ -92,9 +91,7 @@ def entropy_equal_superposition(group: Gf2Matrix, p: Partition) -> EntropyReport
     inside_b = r - r_a
     s = r - inside_a - inside_b
     assert 0 <= s <= min(size_a, n - size_a)
-    return EntropyReport(
-        s_bits=s, log2_group=r, log2_inside_a=inside_a, log2_inside_b=inside_b
-    )
+    return EntropyReport(s, r, inside_a, inside_b)
 
 
 def is_diagonal(group: Gf2Matrix, p: Partition) -> bool:

@@ -202,16 +202,29 @@ class Lattice:
         return self.star_links.count(())
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A bipartition (A, B) of the links; ``a_mask`` marks side A."""
-
+class _PartitionFields(NamedTuple):
     n_links: int
     a_mask: int
 
-    def __post_init__(self) -> None:
-        if self.a_mask < 0 or self.a_mask >> self.n_links:
+
+class Partition(_PartitionFields):
+    """A bipartition (A, B) of the links; ``a_mask`` marks side A.
+
+    A named tuple, cheap to build: an exhaustive scan makes one per row.
+    Every constructor, ``_make`` and ``_replace`` included, checks that
+    the mask fits the links.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n_links: int, a_mask: int) -> "Partition":
+        if a_mask < 0 or a_mask >> n_links:
             raise ValueError("partition mask wider than the lattice")
+        return tuple.__new__(cls, (n_links, a_mask))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "Partition":
+        return cls(*iterable)
 
     @classmethod
     def from_links(cls, links: Iterable[int], n_links: int) -> "Partition":
@@ -232,8 +245,7 @@ class Partition:
         return Partition(self.n_links, self.b_mask)
 
 
-@dataclass(frozen=True)
-class BoundaryStats:
+class BoundaryStats(NamedTuple):
     """Site classification of a bipartition.
 
     sigma_a / sigma_b count sites whose stars act only on A / only on B;
@@ -594,7 +606,7 @@ def boundary_stats(
                 )
             buckets[count - 1] += 1
     n1, n2, n3 = buckets
-    return BoundaryStats(sigma_a=sigma_a, sigma_b=sigma_b, n1=n1, n2=n2, n3=n3)
+    return BoundaryStats(sigma_a, sigma_b, n1, n2, n3)
 
 
 def _components_avoiding(lat: Lattice, crossed: int) -> list[set[int]]:

@@ -32,6 +32,7 @@ from flipent.cli import (
     _paired_entropy,
     build_parser,
     emit_fields,
+    emit_json,
     emit_rows_csv,
     emit_rows_table,
     main,
@@ -589,9 +590,24 @@ class _Discard(io.TextIOBase):
         return len(text)
 
 
+class _CountingRaw(io.RawIOBase):
+    """A raw stream that keeps each write it is given."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
 class TestStreamedScan:
-    """Exhaustive CSV rows are made in descriptor order and written as they
-    come; every error but a failed write comes before the first byte."""
+    """Exhaustive CSV and JSON rows are made in descriptor order and written
+    as they come, in blocks; every error but a failed write comes before
+    the first byte."""
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_walk_is_sorted_descriptor_order(self, n):
@@ -616,6 +632,45 @@ class TestStreamedScan:
             tracemalloc.stop()
         assert code == 0
         assert peak < 512 << 10
+
+    def test_exhaustive_json_holds_one_block(self, monkeypatch):
+        # 12 links, 4,094 rows; holding every row object before the dump
+        # peaked at 2,558 KiB, streaming them at 278 KiB
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--lattice", str(GOLDEN / "cube.lat"),
+                         "--mode", "exhaustive", "--format", "json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 512 << 10
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unbuffered_stdout_gets_one_write_per_block(self, capsys, monkeypatch, fmt):
+        # a write-through stdout over a raw stream, as PYTHONUNBUFFERED=1
+        # makes it: each text write is one raw write, which was one per row
+        argv = ["scan", "--lattice", str(GOLDEN / "cube.lat"), "--mode", "exhaustive",
+                "--format", fmt]
+        _, buffered, _ = run_cli(capsys, *argv)
+        raw = _CountingRaw()
+        stdout = io.TextIOWrapper(raw, "utf-8", newline="\n", write_through=True)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        data = b"".join(raw.writes)
+        assert data.decode() == buffered
+        sizes = [len(w) for w in raw.writes]
+        # full blocks but the last: a row is under 512 characters in both formats
+        assert all(cli.BLOCK_CHARS - 512 < n <= cli.BLOCK_CHARS for n in sizes[:-1])
+        assert len(sizes) <= len(data) // cli.BLOCK_CHARS + 5
+
+    def test_exhaustive_json_is_the_dump_of_its_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--lattice", str(GOLDEN / "cube.lat"),
+                               "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 4094
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_exhaustive_oracle_over_subsystem_cap_exits_before_any_trace(
         self, capsys, monkeypatch
@@ -946,6 +1001,68 @@ class TestEmitters:
         emit_fields(record, new)
         reference_fields(record, ref)
         assert new.getvalue() == ref.getvalue()
+
+    @staticmethod
+    def equal_tail_rows():
+        # tails that compare equal but print differently, each row twice so
+        # that a memo keyed by value alone would reuse the first text
+        nan = math.nan
+        values = [0.0, -0.0, 1, 1.0, True, 0, False, nan, nan, float("nan"), None]
+        rows = []
+        for i, v in enumerate(values * 2):
+            rows.append((f"links:{i}", v, 3, None, 0, 1, v, None, 0.5, v, None))
+            rows.append((f"links:{i},{i + 1}", 2, v, v, 0, 1, 2, None, 0.5, 1.0, nan))
+        return rows
+
+    def test_equal_tails_that_print_differently(self):
+        rows = self.equal_tail_rows()
+        new, ref = io.StringIO(), io.StringIO()
+        emit_rows_csv(rows, new)
+        reference_rows_csv([dict(zip(CSV_COLUMNS, r)) for r in rows], ref, CSV_COLUMNS)
+        assert new.getvalue() == ref.getvalue()
+        assert "-0.0,3" in new.getvalue() and ",True,3," in new.getvalue()
+
+    @pytest.mark.parametrize("seed,count", [(1, 0), (2, 1), (3, 50), (5, 3000)])
+    def test_json_rows_match_the_dump(self, seed, count):
+        fixed = {"command": "scan", "mode": "exhaustive", "seed": None}
+        for rows in (random_rows(seed, count), self.equal_tail_rows()):
+            new, ref = io.StringIO(), io.StringIO()
+            cli.emit_rows_json(fixed, rows, new)
+            emit_json({**fixed, "rows": [dict(zip(CSV_COLUMNS, r)) for r in rows]}, ref)
+            assert new.getvalue() == ref.getvalue()
+
+    def test_first_fields_the_csv_module_quotes(self):
+        heads = ["", "a b", 'x"y', "a\nb", "a\rb", "tab\t", "\u00e9,\u00e9", ",", '"',
+                 "links:0,1", "chain", None, 7, -0.0, True]
+        rows = [(h, *r[1:]) for h, r in zip(heads, random_rows(6, len(heads)))]
+        new, ref = io.StringIO(), io.StringIO()
+        emit_rows_csv(rows, new)
+        reference_rows_csv([dict(zip(CSV_COLUMNS, r)) for r in rows], ref, CSV_COLUMNS)
+        assert new.getvalue() == ref.getvalue()
+
+    def test_rows_span_several_blocks(self):
+        # 3,000 rows with repeating tails, and two rows longer than a block
+        rows = [(f"links:{i}", *r[1:]) for i, r in
+                enumerate(random_rows(7, 20) * 150)]
+        rows[100] = ("loop:" + ",".join(map(str, range(3000))), *rows[100][1:])
+        rows[101] = (rows[100][0], *rows[101][1:])
+
+        class Recording(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.sizes = []
+
+            def write(self, text):
+                self.sizes.append(len(text))
+                return super().write(text)
+
+        new, ref = Recording(), io.StringIO()
+        emit_rows_csv(rows, new)
+        reference_rows_csv([dict(zip(CSV_COLUMNS, r)) for r in rows], ref, CSV_COLUMNS)
+        assert new.getvalue() == ref.getvalue()
+        long_rows = [n for n in new.sizes if n > cli.BLOCK_CHARS]
+        assert len(long_rows) == 2 and len(new.sizes) > 10
+        assert all(len(rows[100][0]) < n < len(rows[100][0]) + 512 for n in long_rows)
 
     def test_lone_empty_field_is_quoted(self):
         new, ref = io.StringIO(), io.StringIO()

@@ -35,7 +35,7 @@ from flipent import (
 from flipent import engine, gf2
 from flipent.cli import main
 from flipent.engine import EntropyReport, ScanResult, entropy_bounds
-from flipent.lattice import Lattice, torus_h, torus_v
+from flipent.lattice import BoundaryStats, Lattice, torus_h, torus_v
 from tests.test_lattice import cube_document
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -51,6 +51,54 @@ def symplectic_generator_count(lat):
     rows = list(lat.star_masks())
     rows += [m << lat.n_links for m in lat.plaquette_masks()]
     return len(gf2._echelonize(rows))
+
+
+class TestValueTypes:
+    """The per-row value types are immutable, hashable named tuples."""
+
+    VALUES = {
+        "partition": lambda: Partition(8, 0b1011),
+        "stats": lambda: BoundaryStats(1, 2, 3, 0, 1),
+        "report": lambda: EntropyReport(2, 7, 1, 3),
+    }
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_fields_are_read_only(self, name):
+        value = self.VALUES[name]()
+        for field in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            value.other = 0
+        assert value == self.VALUES[name]()
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_equal_values_hash_equal(self, name):
+        a, b = self.VALUES[name](), self.VALUES[name]()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_mask_wider_than_the_lattice(self):
+        for make in (
+            lambda: Partition(3, 8),
+            lambda: Partition(3, -1),
+            lambda: Partition(3, 5)._replace(a_mask=8),
+            lambda: Partition._make((3, 8)),
+        ):
+            with pytest.raises(ValueError, match="partition mask wider than the lattice"):
+                make()
+        assert Partition(3, 7).b_mask == 0
+
+    def test_properties(self):
+        p = Partition(8, 0b1011)
+        assert (p.b_mask, p.size_a, p.a_links()) == (0b11110100, 3, (0, 1, 3))
+        assert p.complement() == Partition(8, 0b11110100)
+        assert repr(p) == "Partition(n_links=8, a_mask=11)"
+        stats = BoundaryStats(1, 2, 3, 0, 1)
+        assert (stats.sigma_ab, stats.boundary_length) == (4, 6)
+        report = EntropyReport(2, 7, 0, 3)
+        assert (report.log2_free, report.diagonal) == (4, True)
 
 
 class TestEqualSuperpositionEntropy:
