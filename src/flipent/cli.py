@@ -316,14 +316,19 @@ def emit_fields(obj: dict, out) -> None:
 
 
 def emit_rows_table(rows, out) -> None:
-    cells = [[_text(v) for v in row] for row in rows]
-    widths = [
-        max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
-        for i, h in enumerate(CSV_COLUMNS)
-    ]
-    out.write("  ".join(h.ljust(w) for h, w in zip(CSV_COLUMNS, widths)) + "\n")
-    for c in cells:
-        out.write("  ".join(v.ljust(w) for v, w in zip(c, widths)) + "\n")
+    """Columns padded to their widest cell, ``-`` for None.  ``rows`` is
+    walked twice, for the widths and then to write in blocks, so it must
+    give the same rows on each walk: a list, or `_Rewalk`."""
+    # the distinct tuples of cell lengths, a tail's found once
+    lengths = set(_row_texts(
+        rows, lambda v: (len(_text(v)),), lambda tail: tuple(len(_text(v)) for v in tail)
+    ))
+    widths = [max(col) for col in zip(map(len, CSV_COLUMNS), *lengths)]
+
+    def line(row) -> str:
+        return "  ".join(_text(v).ljust(w) for v, w in zip(row, widths)) + "\n"
+
+    _write_blocks(chain([line(CSV_COLUMNS)], map(line, rows)), out)
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +499,17 @@ def cmd_verify(args) -> int:
 # scan command
 
 def _scan_rows(args, lat, group):
-    """Check the mode's inputs and caps, then return an iterator of scan
+    """Check the mode's inputs and caps, then return an iterable of scan
     rows in `CSV_COLUMNS` order, with the oracle's entropy under
     ``--oracle``.
 
     The checks run here, before any row, so that an error leaves stdout
     empty even when `cmd_scan` streams the rows.  Exhaustive rows come
-    in descriptor order (`_descriptor_walk`) and ask the engine once per
-    complement pair; the other modes give their rows in draw order.  A
-    region row names its region by the links of its boundary loop.
+    in descriptor order (`_descriptor_walk`), as a `_Rewalk` whose walks
+    share one `_paired_entropy` memo, so the engine runs once per
+    complement pair however often they are walked.  The other modes
+    give their rows in draw order, once.  A region row names its region
+    by the links of its boundary loop.
     """
     mode = args.mode
     n = lat.n_links
@@ -521,8 +528,7 @@ def _scan_rows(args, lat, group):
     def entropy(part):
         return entropy_equal_superposition(group, part).s_bits
 
-    def exhaustive_rows():
-        s_bits = _paired_entropy(group, n)  # the engine once per pair
+    def exhaustive_rows(s_bits):
         for mask, desc in _descriptor_walk(n):
             part = Partition(n, mask)
             yield row(desc, part, _try_stats(lat, part), None, s_bits(part))
@@ -551,7 +557,8 @@ def _scan_rows(args, lat, group):
 
     if mode == "exhaustive":
         bipartition_masks(n, max_links=args.scan_cap)  # only for its link cap
-        return exhaustive_rows()
+        s_bits = _paired_entropy(group, n)  # the engine once per pair, over all walks
+        return _Rewalk(lambda: exhaustive_rows(s_bits))
     if mode == "sampled":
         _require_count_seed(args)
         masks = bipartition_masks(
@@ -567,6 +574,16 @@ def _scan_rows(args, lat, group):
             raise ValueError("table1 mode needs a torus lattice")
         return table1_rows(lat.torus_k)
     raise ValueError(f"unknown scan mode {mode!r}")
+
+
+class _Rewalk:
+    """An iterable that calls ``walk`` for a new iterator on each walk."""
+
+    def __init__(self, walk):
+        self.walk = walk
+
+    def __iter__(self):
+        return self.walk()
 
 
 def _descriptor_walk(n: int):
@@ -675,10 +692,10 @@ def cmd_scan(args) -> int:
     Exhaustive rows are made in that order, so CSV and JSON write them as
     they come, in blocks of at most `BLOCK_CHARS` characters: memory is
     the pair memo of `_paired_entropy`, 2**(n-1) bytes, plus one block.
-    Table output, which needs its column widths first, every ``--oracle``
-    scan and the drawn modes hold all rows before writing, so that an
-    error leaves stdout empty; an exhaustive table at the 24-link cap
-    still needs gigabytes, a known limit.
+    A table walks the exhaustive rows twice, first for its column widths
+    and then to write them, so any error comes before its first write.
+    Every ``--oracle`` scan and the drawn modes hold all rows before
+    writing, so that an error leaves stdout empty.
     """
     lat = parse_lattice_spec(args.lattice)
     group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)

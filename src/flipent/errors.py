@@ -6,8 +6,10 @@ option defaults without importing numpy.
 
 #: statevector cap of the oracle, in links (2**n amplitudes)
 MAX_ORACLE_LINKS = 26
-#: partial-trace cap of the oracle, in links kept: the reduced density
-#: matrix is 2**12 x 2**12 complex, 256 MiB
+#: partial-trace cap of the oracle, in links of side A.  `oracle_entropy`
+#: keeps the smaller side, so its matrix is at most 2**(n/2) wide; a
+#: direct `reduced_density_matrix` of 12 links is 2**12 x 2**12 complex,
+#: 256 MiB
 MAX_SUBSYSTEM_LINKS = 12
 
 

@@ -2,9 +2,11 @@
 
 Builds explicit ground-state vectors by enumerating the star group,
 takes partial traces from the state's support (its nonzero amplitudes,
-4 |G| of 2**n) into an (A bits, B bits) amplitude matrix, and evaluates
-von Neumann entropy and two-spin concurrence from dense
-eigendecompositions.
+4 |G| of 2**n) into an amplitude matrix on the A and B bit patterns that
+occur, and evaluates von Neumann entropy and two-spin concurrence from
+dense eigendecompositions.  `oracle_entropy` traces out the larger side
+and eigensolves only the occupied rows, so its cost follows the state's
+support and the smaller side, not 2**|A|.
 
 Basis convention: computational basis index = binary expansion over
 link occupation with link 0 as the least significant bit.  The reduced
@@ -100,6 +102,13 @@ def support(state: np.ndarray) -> np.ndarray:
     return np.flatnonzero(state)
 
 
+def _check_subsystem(size: int, max_subsystem: int) -> None:
+    if size > max_subsystem:
+        raise ResourceLimitError(
+            f"subsystem of {size} links exceeds the {max_subsystem}-link cap"
+        )
+
+
 def reduced_density_matrix(
     state: np.ndarray,
     p: Partition,
@@ -111,31 +120,31 @@ def reduced_density_matrix(
 
     Works from the support of the state (``support``, or the nonzero
     amplitudes found here when it is None).  Each supported basis index
-    splits into a row index, its A bits gathered with A's lowest link
-    as the least significant bit, and a column, its B bits.  The
-    amplitudes fill the matrix M whose columns are only the B bit
-    patterns that occur, ascending; rho = M M^dagger keeps all
-    2**|A| rows, and a column of zeros would add nothing to it.
+    splits into its A bits, gathered with A's lowest link as the least
+    significant bit, and its B bits.  The amplitudes fill the matrix M
+    whose rows are only the A bit patterns that occur and whose columns
+    are only the B patterns that occur, both ascending.  M M^dagger is
+    written into the rows and columns of those A patterns of the full
+    2**|A| x 2**|A| rho; the rest of rho is zero.
     """
     n = p.n_links
     if len(state) != 1 << n:
         raise ValueError("state size does not match the partition width")
     a_links = p.a_links()
-    if len(a_links) > max_subsystem:
-        raise ResourceLimitError(
-            f"subsystem of {len(a_links)} links exceeds the "
-            f"{max_subsystem}-link cap"
-        )
+    _check_subsystem(len(a_links), max_subsystem)
     idx = np.flatnonzero(state) if support is None else support
     rows = np.zeros(len(idx), dtype=np.int64)
     for pos, link in enumerate(a_links):
         rows |= ((idx >> link) & 1) << pos
+    a_keys, rows = np.unique(rows, return_inverse=True)
     # gathering B's bits keeps their order, so the masked indices sort
     # the columns as the gathered B indices would
     b_keys, cols = np.unique(idx & p.b_mask, return_inverse=True)
-    m = np.zeros((1 << len(a_links), len(b_keys)), dtype=np.complex128)
+    m = np.zeros((len(a_keys), len(b_keys)), dtype=np.complex128)
     m[rows, cols] = state[idx]
-    return m @ m.conj().T
+    rho = np.zeros((1 << len(a_links),) * 2, dtype=np.complex128)
+    rho[np.ix_(a_keys, a_keys)] = m @ m.conj().T
+    return rho
 
 
 def reduced_spectrum(rho: np.ndarray) -> np.ndarray:
@@ -157,8 +166,19 @@ def reduced_spectrum(rho: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy in bits; eigenvalues below 1e-12 contribute zero."""
-    eigs = reduced_spectrum(rho)
+    """Entropy in bits; eigenvalues below 1e-12 contribute zero.
+
+    Only the principal block on the rows and columns that hold a nonzero
+    entry is eigensolved: in a Hermitian matrix, a zero row and column
+    add one zero eigenvalue and nothing else.  An asymmetric entry keeps
+    its row and its column in the block, where the Hermitian check of
+    `reduced_spectrum` sees it.
+    """
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("density matrix must be square")
+    used = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
+    # an all-zero rho has no block; its entropy is -0.0
+    eigs = reduced_spectrum(rho[np.ix_(used, used)]) if len(used) else np.zeros(0)
     eigs = eigs[eigs > EIG_ZERO_TOL]
     return float(-(eigs * np.log2(eigs)).sum())
 
@@ -202,8 +222,14 @@ def oracle_entropy(
 ) -> float:
     """Entropy across ``p`` of a state from `build_ground_state`.
 
-    ``support`` is the state's `support`, found here when None.
+    ``max_subsystem`` caps the links of side A, checked before any
+    trace.  The side with fewer links is kept, A on a tie: the state is
+    pure, so S(A) = S(B).  ``support`` is the state's `support`, found
+    here when None.
     """
+    _check_subsystem(p.size_a, max_subsystem)
+    if 2 * p.size_a > p.n_links:
+        p = p.complement()
     return von_neumann_entropy(
         reduced_density_matrix(
             state, p, max_subsystem=max_subsystem, support=support

@@ -523,7 +523,9 @@ class TestPairedScan:
         engine_calls.clear()
         code, unpaired, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
-        assert len(engine_calls) == (1 << n) - 2
+        # a table walks its rows twice: widths, then writes
+        walks = 2 if "table" in options and "--oracle" not in options else 1
+        assert len(engine_calls) == walks * ((1 << n) - 2)
         assert paired == unpaired
 
     @pytest.mark.parametrize("order", ["shuffled", "descending"])
@@ -606,8 +608,9 @@ class _CountingRaw(io.RawIOBase):
 
 class TestStreamedScan:
     """Exhaustive CSV and JSON rows are made in descriptor order and written
-    as they come, in blocks; every error but a failed write comes before
-    the first byte."""
+    as they come, in blocks; a table walks them once for its widths and
+    again to write.  Every error but a failed write comes before the
+    first byte."""
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_walk_is_sorted_descriptor_order(self, n):
@@ -646,6 +649,36 @@ class TestStreamedScan:
             tracemalloc.stop()
         assert code == 0
         assert peak < 512 << 10
+
+    def test_exhaustive_table_holds_one_block(self, monkeypatch):
+        # the rows are walked twice, for the widths and then to write;
+        # holding every row's cells for the widths peaked at 2,993 KiB,
+        # the two walks at 273 KiB
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--lattice", str(GOLDEN / "cube.lat"),
+                         "--mode", "exhaustive", "--format", "table"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 512 << 10
+
+    def test_table_error_on_the_last_row_prints_nothing(self, capsys, monkeypatch):
+        # the rows are written only after the widths walk meets every row
+        *_, (last_mask, _) = cli._descriptor_walk(8)
+        try_stats = cli._try_stats
+
+        def failing(lat, part):
+            if part.a_mask == last_mask:
+                raise ValueError("last row")
+            return try_stats(lat, part)
+
+        monkeypatch.setattr(cli, "_try_stats", failing)
+        code, out, err = run_cli(capsys, "scan", "--lattice", "torus:k=2",
+                                 "--mode", "exhaustive", "--format", "table")
+        assert (code, out, err) == (2, "", "error: last row\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unbuffered_stdout_gets_one_write_per_block(self, capsys, monkeypatch, fmt):

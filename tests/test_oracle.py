@@ -109,10 +109,17 @@ class TestReducedDensityMatrix:
 
 
 def bit_gather_density_matrix(state, p):
-    """Reference partial trace: M filled entry by entry from index bits.
+    """Reference partial trace: rho = M M^dagger of `bit_gather_amplitudes`."""
+    m = bit_gather_amplitudes(state, p)
+    return m @ m.conj().T
+
+
+def bit_gather_amplitudes(state, p):
+    """The full 2**|A| x 2**|B| amplitude matrix M, filled entry by entry
+    from index bits.
 
     Row index bit ``pos`` is link ``a_links[pos]`` of the basis index,
-    column index bit ``pos`` is link ``b_links[pos]``; rho = M M^dagger.
+    column index bit ``pos`` is link ``b_links[pos]``.
     """
     idx = np.arange(len(state), dtype=np.int64)
 
@@ -125,7 +132,7 @@ def bit_gather_density_matrix(state, p):
     a_links, b_links = p.a_links(), p.complement().a_links()
     m = np.zeros((1 << len(a_links), 1 << len(b_links)), dtype=np.complex128)
     m[gather(a_links), gather(b_links)] = state
-    return m @ m.conj().T
+    return m
 
 
 class TestPartialTraceAgainstBitGather:
@@ -359,6 +366,104 @@ class TestOracleProperties:
         p = Partition(8, mask)
         s_bits = entropy_equal_superposition(stars_k2, p).s_bits
         assert abs(oracle_entropy(state, p) - s_bits) <= 1e-9
+
+
+ORACLE_STATES = st.one_of(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)).map(
+        lambda ij: GroundStateCoeffs.xi(*ij)
+    ),
+    # the states of random:<seed> and coeffs:<a00,a01,a10,a11>
+    st.integers(0, 2**32 - 1).map(lambda seed: GroundStateCoeffs.random(random.Random(seed))),
+    AMPLITUDES.map(lambda amps: GroundStateCoeffs.from_sequence(amps, renormalize=True)),
+)
+
+
+class TestSmallerSide:
+    """`oracle_entropy` traces the side with fewer links and eigensolves
+    only the occupied rows; the entropy is the one of side A's full
+    reduced matrix."""
+
+    @pytest.mark.parametrize(
+        "k, smallest, largest",
+        [(2, 1, 3), (2, 4, 4), (2, 5, 7), (3, 1, 8), (3, 9, 9), (3, 10, 12)],
+        ids=["k2-smaller", "k2-tie", "k2-larger", "k3-smaller", "k3-tie", "k3-larger"],
+    )
+    @settings(derandomize=True, database=None, max_examples=10, deadline=None)
+    @given(data=st.data(), coeffs=ORACLE_STATES)
+    def test_matches_bit_gather_spectrum(self, k, smallest, largest, data, coeffs):
+        n = 2 * k * k
+        size = data.draw(st.integers(smallest, largest), label="size_A")
+        links = data.draw(st.permutations(range(n)), label="links")[:size]
+        p = Partition.from_links(links, n)
+        state = build_ground_state(build_torus(k), coeffs)
+        # the spectrum of bit_gather_density_matrix, M M^dagger, is the
+        # squared singular values of M (and zeros); this skips its
+        # 2**12 x 2**12 product at |A| = 12
+        sv = np.linalg.svd(bit_gather_amplitudes(state, p), compute_uv=False)
+        eigs = sv**2
+        eigs = eigs[eigs > 1e-12]
+        expected = -(eigs * np.log2(eigs)).sum()
+        assert abs(oracle_entropy(state, p) - expected) <= 1e-12
+
+    def test_twelve_link_side_at_k3_stays_small(self, xi00_k3):
+        # |A| = 12 of 18: the kept side B is 64 x 64; rho of A would be
+        # 2**12 x 2**12 complex, 256 MiB
+        p = Partition.from_links(range(12), 18)
+        tracemalloc.start()
+        try:
+            s = oracle_entropy(xi00_k3, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s == pytest.approx(5.0, abs=1e-12)
+        assert peak < 16 << 20
+
+    def test_cap_counts_side_a_before_any_trace(self, monkeypatch, xi00_k3):
+        from flipent import oracle
+
+        traced = []
+        monkeypatch.setattr(
+            oracle, "reduced_density_matrix", lambda *a, **kw: traced.append(a)
+        )
+        # B has 5 links, under the cap, but the cap counts A's 13
+        with pytest.raises(ResourceLimitError, match="^subsystem of 13 links exceeds the 12-link cap$"):
+            oracle_entropy(xi00_k3, Partition.from_links(range(13), 18))
+        assert traced == []
+
+
+class TestOccupiedBlock:
+    def random_block(self, rng, size):
+        g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        rho = g @ g.conj().T
+        return rho / np.trace(rho).real
+
+    @pytest.mark.parametrize("size, pad", [(1, 3), (5, 11), (16, 100)])
+    def test_zero_rows_and_columns_change_nothing(self, size, pad):
+        rng = np.random.default_rng(size)
+        block = self.random_block(rng, size)
+        at = np.sort(rng.choice(size + pad, size, replace=False))
+        padded = np.zeros((size + pad, size + pad), dtype=complex)
+        padded[np.ix_(at, at)] = block
+        assert von_neumann_entropy(padded) == von_neumann_entropy(block)
+
+    @pytest.mark.parametrize("where", ["padding", "mixed", "block"])
+    def test_asymmetric_entry_still_raises(self, where):
+        block = self.random_block(np.random.default_rng(7), 4)
+        padded = np.zeros((10, 10), dtype=complex)
+        at = [1, 3, 4, 8]
+        padded[np.ix_(at, at)] = block
+        row, col = {"padding": (0, 9), "mixed": (2, 3), "block": (1, 8)}[where]
+        padded[row, col] += 1e-9
+        with pytest.raises(ValueError, match="not Hermitian"):
+            von_neumann_entropy(padded)
+
+    def test_all_zero_is_negative_zero(self):
+        s = von_neumann_entropy(np.zeros((8, 8), dtype=complex))
+        assert s == 0 and math.copysign(1, s) == -1
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="must be square"):
+            von_neumann_entropy(np.zeros((1, 3), dtype=complex))
 
 
 class TestFlipApplication:
