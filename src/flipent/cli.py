@@ -145,6 +145,8 @@ def parse_partition_spec(lat: Lattice, spec: str) -> ParsedPartition:
         part, stats, _ = disk_region(lat, rect=tuple(vals))
     elif spec.startswith("loop:"):
         ids = _parse_int_list(spec[5:], "loop")
+        if not ids:
+            raise ValueError("loop: needs at least one link id")
         part, stats, _ = disk_region(lat, dual_loop=ids)
     else:
         raise ValueError(f"unknown partition spec {spec!r}")
@@ -199,8 +201,9 @@ def parse_state_spec(spec: str) -> tuple[str, GroundStateCoeffs, bool]:
 #: characters per write of the row emitters: one write per 8 KiB of rows,
 #: not one per row, which an unbuffered stdout makes a system call
 BLOCK_CHARS = 8192
-#: most distinct row tails an emitter keeps formatted: the k=3 sweep has
-#: 341, while drawn regions rarely repeat one
+#: most distinct row tails the scan's row builder shares, and most tail
+#: objects an emitter keeps formatted: the k=3 sweep has 341, while drawn
+#: regions rarely repeat one
 TAIL_MEMO_SIZE = 512
 
 
@@ -211,8 +214,8 @@ def emit_json(obj, out) -> None:
 
 def emit_rows_json(fixed: dict, rows, out) -> None:
     """Write `emit_json`'s bytes for ``fixed`` plus a last key ``"rows"``,
-    the rows as objects keyed by `CSV_COLUMNS`, one row at a time and in
-    blocks (`_row_texts`, `_write_blocks`)."""
+    the (descriptor, tail) rows as objects keyed by `CSV_COLUMNS`, one row
+    at a time and in blocks (`_row_texts`, `_write_blocks`)."""
     keys = [json.dumps(c) for c in CSV_COLUMNS]
     head = "{\n      %s: " % keys[0]
 
@@ -252,41 +255,36 @@ def _csv_head(value) -> str:
 
 
 def emit_rows_csv(rows, out, columns=CSV_COLUMNS) -> None:
-    """Rows are sequences in ``columns`` order, written as the csv module
-    writes them: None as an empty field and a float as its repr.  Lines
-    are made by `_row_texts` and written in blocks by `_write_blocks`."""
+    """Rows are (first field, tail) pairs, the tail holding the other
+    fields in ``columns`` order, written as the csv module writes them:
+    None as an empty field and a float as its repr.  Lines are made by
+    `_row_texts` and written in blocks by `_write_blocks`."""
     lines = chain(
         [_csv_line(columns)],
         # one field: a row holding one empty field is written as ""
-        map(_csv_line, rows) if len(columns) < 2 else
+        (_csv_line((head, *tail)) for head, tail in rows) if len(columns) < 2 else
         _row_texts(rows, _csv_head, lambda tail: _csv_line(("", *tail))),
     )
     _write_blocks(lines, out)
 
 
 def _row_texts(rows, head_text, tail_text):
-    """Yield ``head_text(row[0]) + tail_text(row[1:])`` for each row.
+    """Yield ``head_text(head) + tail_text(tail)`` for each (head, tail) row.
 
-    ``tail_text`` runs once per distinct tail, for up to `TAIL_MEMO_SIZE`
-    tails: an exhaustive scan's rows share a few hundred.  Tails are
-    keyed by the type of each field as well as its value, since 1, 1.0
-    and True are equal but print differently, and a tail holding a
-    non-int zero is not kept, since 0.0 and -0.0 share a type.
+    ``tail_text`` runs once per tail object, for up to `TAIL_MEMO_SIZE`
+    objects: the scan's rows share one tail per distinct set of values
+    (`_scan_rows`), a few hundred in an exhaustive scan.  The memo is
+    keyed by identity and holds each tail it keys, so that no other
+    object can take its id; a tail must not change while it is walked.
     """
     memo = {}
-    for row in rows:
-        if type(row) is not tuple:
-            row = tuple(row)
-        tail = row[1:]
-        key = (tail, *map(type, tail))
-        text = memo.get(key)
-        if text is None:
-            text = tail_text(tail)
-            if len(memo) < TAIL_MEMO_SIZE and not any(
-                v == 0 and type(v) is not int for v in tail
-            ):
-                memo[key] = text
-        yield head_text(row[0]) + text
+    for head, tail in rows:
+        kept = memo.get(id(tail))
+        if kept is None:
+            kept = tail, tail_text(tail)
+            if len(memo) < TAIL_MEMO_SIZE:
+                memo[id(tail)] = kept
+        yield head_text(head) + kept[1]
 
 
 def _write_blocks(texts, out) -> None:
@@ -316,19 +314,22 @@ def emit_fields(obj: dict, out) -> None:
 
 
 def emit_rows_table(rows, out) -> None:
-    """Columns padded to their widest cell, ``-`` for None.  ``rows`` is
-    walked twice, for the widths and then to write in blocks, so it must
-    give the same rows on each walk: a list, or `_Rewalk`."""
+    """Columns padded to their widest cell, ``-`` for None.  The
+    (descriptor, tail) ``rows`` are walked twice, for the widths and then
+    to write in blocks, so they must be the same on each walk: a list, or
+    `_Rewalk`.  Each walk measures or pads a tail once (`_row_texts`)."""
     # the distinct tuples of cell lengths, a tail's found once
     lengths = set(_row_texts(
         rows, lambda v: (len(_text(v)),), lambda tail: tuple(len(_text(v)) for v in tail)
     ))
-    widths = [max(col) for col in zip(map(len, CSV_COLUMNS), *lengths)]
+    head_width, *tail_widths = (max(col) for col in zip(map(len, CSV_COLUMNS), *lengths))
 
-    def line(row) -> str:
-        return "  ".join(_text(v).ljust(w) for v, w in zip(row, widths)) + "\n"
+    def tail_line(tail) -> str:
+        return "".join(f"  {_text(v).ljust(w)}" for v, w in zip(tail, tail_widths)) + "\n"
 
-    _write_blocks(chain([line(CSV_COLUMNS)], map(line, rows)), out)
+    head, *tail = CSV_COLUMNS
+    lines = _row_texts(rows, lambda v: _text(v).ljust(head_width), tail_line)
+    _write_blocks(chain([head.ljust(head_width) + tail_line(tail)], lines), out)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +429,8 @@ def cmd_entropy(args) -> int:
     if args.format == "json":
         emit_json(out, sys.stdout)
     elif args.format == "csv":
-        emit_rows_csv([out.values()], sys.stdout, list(out))
+        head, *tail = out.values()
+        emit_rows_csv([(head, tail)], sys.stdout, list(out))
     else:
         emit_fields(out, sys.stdout)
     if mismatch:
@@ -500,30 +502,45 @@ def cmd_verify(args) -> int:
 
 def _scan_rows(args, lat, group):
     """Check the mode's inputs and caps, then return an iterable of scan
-    rows in `CSV_COLUMNS` order, with the oracle's entropy under
-    ``--oracle``.
+    rows, with the oracle's entropy under ``--oracle``.
+
+    A row is a (descriptor, tail) pair, the tail holding the other
+    `CSV_COLUMNS` fields.  Rows with the same values share one tail
+    object, for up to `TAIL_MEMO_SIZE` distinct tails, so that an emitter
+    formats each once (`_row_texts`); a float is matched by its repr,
+    since 0.0 and -0.0 are equal and NaN is not, and each prints as its
+    repr.
 
     The checks run here, before any row, so that an error leaves stdout
     empty even when `cmd_scan` streams the rows.  Exhaustive rows come
     in descriptor order (`_descriptor_walk`), as a `_Rewalk` whose walks
-    share one `_paired_entropy` memo, so the engine runs once per
-    complement pair however often they are walked.  The other modes
-    give their rows in draw order, once.  A region row names its region
-    by the links of its boundary loop.
+    share one `_paired_entropy` memo and one set of tails, so the engine
+    runs once per complement pair however often they are walked.  The
+    other modes give their rows in draw order, once.  A region row names
+    its region by the links of its boundary loop.
     """
     mode = args.mode
     n = lat.n_links
     oracle = _scan_oracle(args, lat) if args.oracle else None
 
+    tails = {}  # the values a tail is made of -> the rows' shared tail
+
     def row(desc, part, stats, closed, s_bits):
         oracle_s = None if oracle is None else oracle(part)
-        if stats is None:
-            return (desc, part.size_a, None, None, None, None, s_bits, closed,
-                    None, None, oracle_s)
-        length = stats.boundary_length
-        lower, upper = entropy_bounds(length)
-        return (desc, part.size_a, length, stats.n1, stats.n2, stats.n3, s_bits,
-                closed, lower, upper, oracle_s)
+        key = (part.size_a, stats, s_bits, None if closed is None else repr(closed),
+               None if oracle_s is None else repr(oracle_s))
+        tail = tails.get(key)
+        if tail is None:
+            if stats is None:
+                tail = (part.size_a, None, None, None, None, s_bits, closed,
+                        None, None, oracle_s)
+            else:
+                length = stats.boundary_length
+                tail = (part.size_a, length, stats.n1, stats.n2, stats.n3, s_bits,
+                        closed, *entropy_bounds(length), oracle_s)
+            if len(tails) < TAIL_MEMO_SIZE:
+                tails[key] = tail
+        return desc, tail
 
     def entropy(part):
         return entropy_equal_superposition(group, part).s_bits
@@ -687,11 +704,12 @@ def _scan_oracle_state(args, lat):
 
 
 def cmd_scan(args) -> int:
-    """Print the scan's rows sorted by descriptor.
+    """Print the scan's (descriptor, tail) rows sorted by descriptor.
 
     Exhaustive rows are made in that order, so CSV and JSON write them as
     they come, in blocks of at most `BLOCK_CHARS` characters: memory is
-    the pair memo of `_paired_entropy`, 2**(n-1) bytes, plus one block.
+    the pair memo of `_paired_entropy`, 2**(n-1) bytes, the shared tails
+    and their texts, at most `TAIL_MEMO_SIZE` each, plus one block.
     A table walks the exhaustive rows twice, first for its column widths
     and then to write them, so any error comes before its first write.
     Every ``--oracle`` scan and the drawn modes hold all rows before
@@ -701,7 +719,7 @@ def cmd_scan(args) -> int:
     group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
     rows = _scan_rows(args, lat, group)
     if args.mode != "exhaustive":
-        rows = sorted(rows, key=lambda row: row[0])
+        rows = sorted(rows, key=lambda row: row[0])  # a tail may hold None
     elif args.oracle:
         rows = list(rows)  # an oracle cap on any row leaves stdout empty
     if args.format == "json":

@@ -94,6 +94,17 @@ class TestSpecParsers:
         assert out == ""
         assert err == "error: spin: needs exactly one link id\n"
 
+    @pytest.mark.parametrize("kind", ["links", "loop"])
+    @pytest.mark.parametrize("body", ["", ","])
+    def test_empty_link_list_exit_2(self, capsys, kind, body):
+        # refused by the parser: the loop check would report that an empty
+        # loop splits the sites into 1 component
+        code, out, err = run_cli(
+            capsys, "entropy", "--lattice", "torus:k=3", "--partition", f"{kind}:{body}"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {kind}: needs at least one link id\n"
+
     def test_state_specs(self):
         _, c, basis = parse_state_spec("xi:1,0")
         assert basis and c.a10 == 1
@@ -837,6 +848,109 @@ class TestOracleStateBuilds:
         assert len(masks) < 100
 
 
+class TestSharedTails:
+    """Scan rows with the same values share one tail object, and each
+    emitter formats a tail once per walk; values that compare equal but
+    print differently never share a tail."""
+
+    @pytest.fixture
+    def tail_walks(self, monkeypatch):
+        # the tails each walk of `_row_texts` formats, one list per walk
+        walks = []
+        row_texts = cli._row_texts
+
+        def counted(rows, head_text, tail_text):
+            calls = []
+            walks.append(calls)
+
+            def counting(tail):
+                calls.append(tuple(tail))
+                return tail_text(tail)
+
+            return row_texts(rows, head_text, counting)
+
+        monkeypatch.setattr(cli, "_row_texts", counted)
+        return walks
+
+    @pytest.mark.parametrize(
+        "lattice, distinct",
+        [("torus:k=2", 19), (str(GOLDEN / "cube.lat"), 65)],
+        ids=["torus-k2", "cube"],
+    )
+    def test_each_tail_formatted_once_per_walk(self, capsys, tail_walks, lattice, distinct):
+        argv = ["scan", "--lattice", lattice, "--mode", "exhaustive"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        tails = {tuple(r[1:]) for r in list(csv.reader(io.StringIO(out)))[1:]}
+        assert len(tails) == distinct
+        for fmt, walk_count in (("csv", 1), ("json", 1), ("table", 2)):
+            tail_walks.clear()
+            assert run_cli(capsys, *argv, "--format", fmt)[0] == 0
+            assert len(tail_walks) == walk_count
+            for calls in tail_walks:
+                assert len(calls) == len(set(calls)) == distinct
+
+    def test_oracle_zeros_and_nans_print_as_given(self, capsys, monkeypatch):
+        # the oracle's 0.0, -0.0 and NaN compare equal or unequal to
+        # themselves unlike how they print; rects at k=3 repeat their
+        # other values, so only a tail matched by repr keeps them apart
+        from flipent import oracle, random_rectangle_region
+
+        values = (0.0, -0.0, math.nan)
+        given = {}  # a_mask -> the fake oracle's value
+
+        def fake(state, part, **kwargs):
+            return given.setdefault(part.a_mask, values[len(given) % 3])
+
+        monkeypatch.setattr(oracle, "oracle_entropy", fake)
+        argv = ["scan", "--lattice", "torus:k=3", "--mode", "rects", "--count", "100",
+                "--seed", "1", "--oracle"]
+        outs = {}
+        for fmt in ("csv", "json", "table"):
+            code, outs[fmt], err = run_cli(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+
+        lat, rng = build_torus(3), random.Random(1)
+        group = star_group(lat)
+        ref = []
+        for _ in range(100):
+            part, stats, loop = random_rectangle_region(lat, rng)
+            length = stats.boundary_length
+            ref.append({
+                "partition": "loop:" + lat.link_list(loop),
+                "size_A": part.size_a,
+                "L": length,
+                "n1": stats.n1,
+                "n2": stats.n2,
+                "n3": stats.n3,
+                "S_bits": entropy_equal_superposition(group, part).s_bits,
+                "S_closed_form": float(stats.sigma_ab - 1),
+                "lower_bound": length / 3 - 1,
+                "upper_bound": 7 * length / 6 - 1,
+                "oracle_S": given[part.a_mask],
+            })
+        ref.sort(key=lambda r: r["partition"])
+        # rows equal but for an oracle value that prints differently
+        others = [tuple(r[c] for c in CSV_COLUMNS[1:-1]) for r in ref]
+        assert any(
+            others[i] == others[j] and repr(ref[i]["oracle_S"]) != repr(ref[j]["oracle_S"])
+            for i in range(len(ref)) for j in range(i) if ref[i]["oracle_S"] == 0
+        )
+
+        expected = io.StringIO()
+        reference_rows_csv(ref, expected, CSV_COLUMNS)
+        assert outs["csv"] == expected.getvalue()
+        oracle_texts = {line.rsplit(",", 1)[1] for line in outs["csv"].splitlines()}
+        assert {"0.0", "-0.0", "nan"} <= oracle_texts
+        expected = io.StringIO()
+        emit_json({"command": "scan", "mode": "rects", "lattice": "torus:k=3",
+                   "seed": 1, "count": 100, "rows": ref}, expected)
+        assert outs["json"] == expected.getvalue()
+        expected = io.StringIO()
+        reference_rows_table(ref, expected)
+        assert outs["table"] == expected.getvalue()
+
+
 class TestLatticeInfoCommand:
     def test_torus_info(self, capsys):
         code, out, _ = run_cli(
@@ -999,10 +1113,17 @@ def random_cell(rng):
 
 
 def random_rows(seed, count):
+    """(descriptor, tail) rows of random cells, as the emitters take them."""
     rng = random.Random(seed)
     return [
-        tuple(random_cell(rng) for _ in CSV_COLUMNS) for _ in range(count)
+        (random_cell(rng), tuple(random_cell(rng) for _ in CSV_COLUMNS[1:]))
+        for _ in range(count)
     ]
+
+
+def dict_rows(rows, columns=CSV_COLUMNS):
+    """The reference writers' rows: one dict per (descriptor, tail) row."""
+    return [dict(zip(columns, (head, *tail))) for head, tail in rows]
 
 
 class TestEmitters:
@@ -1011,7 +1132,7 @@ class TestEmitters:
         rows = random_rows(seed, count)
         new, ref = io.StringIO(), io.StringIO()
         emit_rows_csv(rows, new)
-        reference_rows_csv([dict(zip(CSV_COLUMNS, r)) for r in rows], ref, CSV_COLUMNS)
+        reference_rows_csv(dict_rows(rows), ref, CSV_COLUMNS)
         assert new.getvalue() == ref.getvalue()
 
     @pytest.mark.parametrize("seed,count", [(1, 0), (2, 1), (3, 50), (4, 400)])
@@ -1019,15 +1140,16 @@ class TestEmitters:
         rows = random_rows(seed, count)
         new, ref = io.StringIO(), io.StringIO()
         emit_rows_table(rows, new)
-        reference_rows_table([dict(zip(CSV_COLUMNS, r)) for r in rows], ref)
+        reference_rows_table(dict_rows(rows), ref)
         assert new.getvalue() == ref.getvalue()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_one_record_matches_reference(self, seed):
         # the entropy command's csv and table paths: one dict, its keys as columns
-        record = dict(zip(CSV_COLUMNS, random_rows(seed, 1)[0]))
+        [record] = dict_rows(random_rows(seed, 1))
+        head, *tail = record.values()
         new, ref = io.StringIO(), io.StringIO()
-        emit_rows_csv([record.values()], new, list(record))
+        emit_rows_csv([(head, tail)], new, list(record))
         reference_rows_csv([record], ref, list(record))
         assert new.getvalue() == ref.getvalue()
         new, ref = io.StringIO(), io.StringIO()
@@ -1037,21 +1159,24 @@ class TestEmitters:
 
     @staticmethod
     def equal_tail_rows():
-        # tails that compare equal but print differently, each row twice so
-        # that a memo keyed by value alone would reuse the first text
+        # tails that compare equal but print differently, each tail object
+        # in two rows, so that a memo keyed by value rather than by object
+        # would reuse the first text
         nan = math.nan
         values = [0.0, -0.0, 1, 1.0, True, 0, False, nan, nan, float("nan"), None]
         rows = []
-        for i, v in enumerate(values * 2):
-            rows.append((f"links:{i}", v, 3, None, 0, 1, v, None, 0.5, v, None))
-            rows.append((f"links:{i},{i + 1}", 2, v, v, 0, 1, 2, None, 0.5, 1.0, nan))
+        for i, v in enumerate(values):
+            first = (v, 3, None, 0, 1, v, None, 0.5, v, None)
+            second = (2, v, v, 0, 1, 2, None, 0.5, 1.0, nan)
+            for j in (i, i + len(values)):
+                rows += [(f"links:{j}", first), (f"links:{j},{j + 1}", second)]
         return rows
 
     def test_equal_tails_that_print_differently(self):
         rows = self.equal_tail_rows()
         new, ref = io.StringIO(), io.StringIO()
         emit_rows_csv(rows, new)
-        reference_rows_csv([dict(zip(CSV_COLUMNS, r)) for r in rows], ref, CSV_COLUMNS)
+        reference_rows_csv(dict_rows(rows), ref, CSV_COLUMNS)
         assert new.getvalue() == ref.getvalue()
         assert "-0.0,3" in new.getvalue() and ",True,3," in new.getvalue()
 
@@ -1061,24 +1186,24 @@ class TestEmitters:
         for rows in (random_rows(seed, count), self.equal_tail_rows()):
             new, ref = io.StringIO(), io.StringIO()
             cli.emit_rows_json(fixed, rows, new)
-            emit_json({**fixed, "rows": [dict(zip(CSV_COLUMNS, r)) for r in rows]}, ref)
+            emit_json({**fixed, "rows": dict_rows(rows)}, ref)
             assert new.getvalue() == ref.getvalue()
 
     def test_first_fields_the_csv_module_quotes(self):
         heads = ["", "a b", 'x"y', "a\nb", "a\rb", "tab\t", "\u00e9,\u00e9", ",", '"',
                  "links:0,1", "chain", None, 7, -0.0, True]
-        rows = [(h, *r[1:]) for h, r in zip(heads, random_rows(6, len(heads)))]
+        rows = [(h, tail) for h, (_, tail) in zip(heads, random_rows(6, len(heads)))]
         new, ref = io.StringIO(), io.StringIO()
         emit_rows_csv(rows, new)
-        reference_rows_csv([dict(zip(CSV_COLUMNS, r)) for r in rows], ref, CSV_COLUMNS)
+        reference_rows_csv(dict_rows(rows), ref, CSV_COLUMNS)
         assert new.getvalue() == ref.getvalue()
 
     def test_rows_span_several_blocks(self):
         # 3,000 rows with repeating tails, and two rows longer than a block
-        rows = [(f"links:{i}", *r[1:]) for i, r in
+        rows = [(f"links:{i}", tail) for i, (_, tail) in
                 enumerate(random_rows(7, 20) * 150)]
-        rows[100] = ("loop:" + ",".join(map(str, range(3000))), *rows[100][1:])
-        rows[101] = (rows[100][0], *rows[101][1:])
+        rows[100] = ("loop:" + ",".join(map(str, range(3000))), rows[100][1])
+        rows[101] = (rows[100][0], rows[101][1])
 
         class Recording(io.StringIO):
             def __init__(self):
@@ -1091,7 +1216,7 @@ class TestEmitters:
 
         new, ref = Recording(), io.StringIO()
         emit_rows_csv(rows, new)
-        reference_rows_csv([dict(zip(CSV_COLUMNS, r)) for r in rows], ref, CSV_COLUMNS)
+        reference_rows_csv(dict_rows(rows), ref, CSV_COLUMNS)
         assert new.getvalue() == ref.getvalue()
         long_rows = [n for n in new.sizes if n > cli.BLOCK_CHARS]
         assert len(long_rows) == 2 and len(new.sizes) > 10
@@ -1099,7 +1224,7 @@ class TestEmitters:
 
     def test_lone_empty_field_is_quoted(self):
         new, ref = io.StringIO(), io.StringIO()
-        emit_rows_csv([(None,)], new, ("oracle_S",))
+        emit_rows_csv([(None, ())], new, ("oracle_S",))
         reference_rows_csv([{"oracle_S": None}], ref, ("oracle_S",))
         assert new.getvalue() == ref.getvalue() == 'oracle_S\n""\n'
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -378,6 +379,15 @@ ORACLE_STATES = st.one_of(
 )
 
 
+@functools.lru_cache(maxsize=4)
+def shared_ground_state(k, coeffs):
+    """The ground state of the k x k torus, built once per (k, coeffs) and
+    read-only: a shrink step that keeps both does not rebuild it."""
+    state = build_ground_state(build_torus(k), coeffs)
+    state.flags.writeable = False
+    return state
+
+
 class TestSmallerSide:
     """`oracle_entropy` traces the side with fewer links and eigensolves
     only the occupied rows; the entropy is the one of side A's full
@@ -395,7 +405,7 @@ class TestSmallerSide:
         size = data.draw(st.integers(smallest, largest), label="size_A")
         links = data.draw(st.permutations(range(n)), label="links")[:size]
         p = Partition.from_links(links, n)
-        state = build_ground_state(build_torus(k), coeffs)
+        state = shared_ground_state(k, coeffs)
         # the spectrum of bit_gather_density_matrix, M M^dagger, is the
         # squared singular values of M (and zeros); this skips its
         # 2**12 x 2**12 product at |A| = 12
