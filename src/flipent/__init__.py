@@ -21,7 +21,6 @@ from .engine import (
     geometric_entropy,
     ground_degeneracy,
     independent_generator_count,
-    is_closed_string_net,
     is_diagonal,
 )
 from .errors import LatticeFormatError, ResourceLimitError
@@ -102,7 +101,6 @@ __all__ = [
     "geometric_entropy",
     "ground_degeneracy",
     "independent_generator_count",
-    "is_closed_string_net",
     "is_diagonal",
     "ladder_operators",
     "lattice_to_document",

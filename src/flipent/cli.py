@@ -40,6 +40,7 @@ from .engine import (
 from .errors import (
     MAX_ORACLE_LINKS,
     MAX_SUBSYSTEM_LINKS,
+    ORACLE_TOL,
     LatticeFormatError,
     ResourceLimitError,
 )
@@ -60,7 +61,6 @@ from .lattice import (
 from .states import GroundStateCoeffs, closed_form_entropy
 
 COEFF_NORM_SLACK = 1e-6
-ORACLE_MATCH_TOL = 1e-9
 
 CSV_COLUMNS = (
     "partition",
@@ -254,18 +254,13 @@ def _csv_head(value) -> str:
     return _csv_line((value, None))[:-2]
 
 
-def emit_rows_csv(rows, out, columns=CSV_COLUMNS) -> None:
-    """Rows are (first field, tail) pairs, the tail holding the other
-    fields in ``columns`` order, written as the csv module writes them:
-    None as an empty field and a float as its repr.  Lines are made by
+def emit_rows_csv(rows, out) -> None:
+    """Rows are (descriptor, tail) pairs, the tail holding the other
+    `CSV_COLUMNS` fields, written as the csv module writes them: None as
+    an empty field and a float as its repr.  Lines are made by
     `_row_texts` and written in blocks by `_write_blocks`."""
-    lines = chain(
-        [_csv_line(columns)],
-        # one field: a row holding one empty field is written as ""
-        (_csv_line((head, *tail)) for head, tail in rows) if len(columns) < 2 else
-        _row_texts(rows, _csv_head, lambda tail: _csv_line(("", *tail))),
-    )
-    _write_blocks(lines, out)
+    lines = _row_texts(rows, _csv_head, lambda tail: _csv_line(("", *tail)))
+    _write_blocks(chain([_csv_line(CSV_COLUMNS)], lines), out)
 
 
 def _row_texts(rows, head_text, tail_text):
@@ -335,22 +330,34 @@ def emit_rows_table(rows, out) -> None:
 # ---------------------------------------------------------------------------
 # entropy command
 
-def _oracle_state(args, lat: Lattice, coeffs):
-    """The statevector oracle's ground state, under the command's link cap."""
-    if lat.torus_k is None:
-        raise ValueError("the statevector oracle needs a torus lattice")
-    from . import oracle
+def _oracle(args, lat: Lattice, coeffs):
+    """The oracle's entropy of a partition in the state ``coeffs``, under
+    the command's ``--max-links`` and ``--max-subsystem`` caps.
 
-    return oracle.build_ground_state(lat, coeffs, max_links=args.max_links)
+    The first call imports the oracle, checks for a torus and builds the
+    state and its support, so a command's own input checks come first.
+    Each distinct side A is traced once: drawn regions on small tori repeat.
+    """
+    state = support = None
+    memo: dict[int, float] = {}  # a_mask -> oracle_S
 
+    def oracle_s(part: Partition) -> float:
+        nonlocal state, support
+        from . import oracle
 
-def _oracle_entropy(args, state, part: Partition, support=None) -> float:
-    """The oracle's entropy of ``part``, under the command's subsystem cap."""
-    from . import oracle
+        if state is None:
+            if lat.torus_k is None:
+                raise ValueError("the statevector oracle needs a torus lattice")
+            state = oracle.build_ground_state(lat, coeffs, max_links=args.max_links)
+            support = oracle.support(state)
+        s = memo.get(part.a_mask)
+        if s is None:
+            s = memo[part.a_mask] = oracle.oracle_entropy(
+                state, part, max_subsystem=args.max_subsystem, support=support
+            )
+        return s
 
-    return oracle.oracle_entropy(
-        state, part, max_subsystem=args.max_subsystem, support=support
-    )
+    return oracle_s
 
 
 def _state_entropy(lat: Lattice, parsed: ParsedPartition, coeffs, is_basis, report):
@@ -387,8 +394,7 @@ def cmd_entropy(args) -> int:
     geometric = geometric_entropy(parsed.stats) if parsed.is_disk else None
     oracle_s = None
     if args.oracle:
-        state = _oracle_state(args, lat, coeffs)
-        oracle_s = _oracle_entropy(args, state, parsed.partition)
+        oracle_s = _oracle(args, lat, coeffs)(parsed.partition)
 
     mismatch = False
     if is_basis and closed is not None and closed != report.s_bits:
@@ -396,7 +402,7 @@ def cmd_entropy(args) -> int:
     if geometric is not None and geometric != report.s_bits:
         mismatch = True
     if oracle_s is not None and s_state is not None:
-        if abs(oracle_s - s_state) > ORACLE_MATCH_TOL:
+        if abs(oracle_s - s_state) > ORACLE_TOL:
             mismatch = True
 
     stats = parsed.stats
@@ -429,8 +435,7 @@ def cmd_entropy(args) -> int:
     if args.format == "json":
         emit_json(out, sys.stdout)
     elif args.format == "csv":
-        head, *tail = out.values()
-        emit_rows_csv([(head, tail)], sys.stdout, list(out))
+        sys.stdout.write(_csv_line(out) + _csv_line(out.values()))
     else:
         emit_fields(out, sys.stdout)
     if mismatch:
@@ -521,7 +526,7 @@ def _scan_rows(args, lat, group):
     """
     mode = args.mode
     n = lat.n_links
-    oracle = _scan_oracle(args, lat) if args.oracle else None
+    oracle = _oracle(args, lat, GroundStateCoeffs.xi(0, 0)) if args.oracle else None
 
     tails = {}  # the values a tail is made of -> the rows' shared tail
 
@@ -574,6 +579,12 @@ def _scan_rows(args, lat, group):
 
     if mode == "exhaustive":
         bipartition_masks(n, max_links=args.scan_cap)  # only for its link cap
+        cap = args.max_subsystem
+        if oracle is not None and n - 1 > cap:
+            # rows keep up to n - 1 links on one side, so exit before any
+            # trace: the first row over the cap in mask order, max(cap, 0) + 1
+            # links wide, raises the cap's error before any work
+            oracle(Partition(n, (1 << max(cap + 1, 1)) - 1))
         s_bits = _paired_entropy(group, n)  # the engine once per pair, over all walks
         return _Rewalk(lambda: exhaustive_rows(s_bits))
     if mode == "sampled":
@@ -664,43 +675,6 @@ def _require_count_seed(args) -> None:
             f"--count {args.count} exceeds the row budget 2**{args.scan_cap} - 2 "
             "set by --scan-cap"
         )
-
-
-def _scan_oracle(args, lat):
-    """The oracle's entropy of a scan row's partition, once per distinct
-    partition: drawn regions on small tori repeat.  The state is built on
-    the first row, after the mode's own input checks."""
-    state = support = None
-    memo: dict[int, float] = {}  # a_mask -> oracle_S
-
-    def oracle_s(part: Partition) -> float:
-        nonlocal state, support
-        if state is None:
-            state, support = _scan_oracle_state(args, lat)
-        s = memo.get(part.a_mask)
-        if s is None:
-            s = memo[part.a_mask] = _oracle_entropy(args, state, part, support)
-        return s
-
-    return oracle_s
-
-
-def _scan_oracle_state(args, lat):
-    """The scan's oracle state and its support.
-
-    An exhaustive scan keeps up to n - 1 links on one side, so over
-    ``--max-subsystem`` it exits here, before any partial trace: it asks
-    for the first row over the cap in mask order, ``max(cap, 0) + 1``
-    links wide, whose trace raises the cap's error before any work.
-    """
-    from . import oracle
-
-    state = _oracle_state(args, lat, GroundStateCoeffs.xi(0, 0))
-    support = oracle.support(state)
-    n, cap = lat.n_links, args.max_subsystem
-    if args.mode == "exhaustive" and n - 1 > cap:
-        _oracle_entropy(args, state, Partition(n, (1 << max(cap + 1, 1)) - 1), support)
-    return state, support
 
 
 def cmd_scan(args) -> int:
@@ -813,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="oracle-vs-engine sweep (k <= 3)")
     _add_common(p, formats=("table", "json"))
     p.add_argument("--state", default="xi:0,0")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=ORACLE_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("scan", help="partition sweeps with boundary statistics")

@@ -138,16 +138,6 @@ def independent_generator_count(lat: Lattice) -> int:
     return star_group(lat).rank() + plaquette_group(lat).rank()
 
 
-def is_closed_string_net(lat: Lattice, bits: int) -> bool:
-    """True iff the flip overlaps every plaquette on an even link count.
-
-    Exactly these flips commute with every plaquette operator, i.e. with
-    the Hamiltonian; on the torus they are the star products together
-    with the noncontractible ladder flips.
-    """
-    return all((bits & pm).bit_count() % 2 == 0 for pm in lat.plaquette_masks())
-
-
 @dataclass(frozen=True)
 class ScanResult:
     min_s_bits: int

@@ -1,7 +1,8 @@
-"""Exception types and oracle size caps shared across the package.
+"""Exception types and the oracle's size caps and tolerance, shared
+across the package.
 
-The caps live here, not in `oracle`, so that the CLI can offer them as
-option defaults without importing numpy.
+These constants live here, not in `oracle`, so that the CLI can offer
+them as option defaults without importing numpy.
 """
 
 #: statevector cap of the oracle, in links (2**n amplitudes)
@@ -11,6 +12,8 @@ MAX_ORACLE_LINKS = 26
 #: direct `reduced_density_matrix` of 12 links is 2**12 x 2**12 complex,
 #: 256 MiB
 MAX_SUBSYSTEM_LINKS = 12
+#: largest gap between an oracle entropy and the exact value it checks
+ORACLE_TOL = 1e-9
 
 
 class ResourceLimitError(RuntimeError):

@@ -20,17 +20,19 @@ reference the graphs are tested against.
 A graph may also carry its dual: the other graph on the same columns,
 whose cuts, together with a few loop classes of this graph's cycles,
 span the annihilator of the row space (the vectors orthogonal to every
-row).  Matroid duality turns a rank on the complement of a column set
-into a rank of the annihilator on the set itself, so the engine can
-rank one bipartition from its smaller side alone (see
-`engine.entropy_equal_superposition`).
+row).  Whoever builds the pair sets each as the other's ``dual`` once,
+before handing either out; a lattice builds its site and face graphs
+together this way (`lattice.Lattice`).  Matroid duality turns a rank on
+the complement of a column set into a rank of the annihilator on the
+set itself, so the engine can rank one bipartition from its smaller
+side alone (see `engine.entropy_equal_superposition`).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
 
@@ -97,10 +99,10 @@ class Graph:
     ``loop_classes`` are classes of the graph's cycles, each a tuple of
     column masks any two of which differ by a cut of the dual; on the
     torus, the homologous copies of one noncontractible loop.  ``dual``
-    is called on the first read of `dual` and returns the graph on the
-    same columns whose cuts and one loop of each class span this graph's
-    cycle space, or None.  Where `spans_on(X)` holds, the dual's rank on
-    X is the cycle space's.
+    is None until the graph's builder sets it to the graph on the same
+    columns whose cuts and one loop of each class span this graph's
+    cycle space; it stays None where no such graph is known.  Where
+    `spans_on(X)` holds, the dual's rank on X is the cycle space's.
     """
 
     def __init__(
@@ -108,17 +110,11 @@ class Graph:
         n_vertices: int,
         edges: Sequence[tuple[int, int]],
         loop_classes: Sequence[Sequence[int]] = (),
-        dual: Callable[[], Graph | None] | None = None,
     ):
         self.n_vertices = n_vertices
         self.edges = edges
         self.loop_classes = loop_classes
-        self._dual_source = dual
-
-    @cached_property
-    def dual(self) -> Graph | None:
-        """The graph whose cuts span the cycle space with the loops, or None."""
-        return None if self._dual_source is None else self._dual_source()
+        self.dual: Graph | None = None
 
     def spans_on(self, mask: int) -> bool:
         """True iff each loop class has a loop disjoint from ``mask``."""

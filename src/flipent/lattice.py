@@ -130,60 +130,45 @@ class Lattice:
     # one matrix per group, so each rank is computed once per lattice
     @cached_property
     def _star_group(self) -> Gf2Matrix:
-        return Gf2Matrix(self.star_masks(), self.n_links, graph=self._site_graph)
+        return Gf2Matrix(self.star_masks(), self.n_links, graph=self._graphs[0])
 
     @cached_property
     def _plaquette_group(self) -> Gf2Matrix:
-        return Gf2Matrix(self.plaquette_masks(), self.n_links, graph=self._face_graph)
+        return Gf2Matrix(self.plaquette_masks(), self.n_links, graph=self._graphs[1])
 
     @cached_property
-    def _site_graph(self) -> Graph:
-        # the star group's graph, link l joining the sites link_sites[l]; on
-        # the torus its loops are the column loops {v(i, j) : j} and the row
-        # loops {h(i, j) : i}
-        return Graph(
-            self.n_sites,
-            self.link_sites,
-            self._loop_classes(torus_v, torus_h),
-            lambda: self._dual(self._face_graph),
-        )
-
-    @cached_property
-    def _face_graph(self) -> Graph:
-        # the plaquette group's graph, with an outer vertex for links on fewer
-        # than two faces; on the torus its loops are the ladders
-        # {h(i, j) : j} and {v(i, j) : i}
-        return Graph(
-            self.n_plaquettes + 1,
-            self.link_faces,
-            self._loop_classes(torus_h, torus_v),
-            lambda: self._dual(self._site_graph),
-        )
-
-    def _dual(self, other: Graph) -> Graph | None:
-        # Each graph's cycle space is spanned by the other's cuts and one
-        # loop of each of its own classes: on the torus always, off it only
-        # if the cuts alone span it (the faces of a sphere or of a planar
+    def _graphs(self) -> tuple[Graph, Graph]:
+        # The star group's graph, link l joining the sites link_sites[l], and
+        # the plaquette group's, with an outer vertex for links on fewer than
+        # two faces.  Each graph's cycle space is spanned by the other's cuts
+        # and one loop of each of its own classes: on the torus always, off it
+        # only if the cuts alone span it (the faces of a sphere or of a planar
         # patch), since no loops are known there.
-        full = (1 << self.n_links) - 1
-        if self.torus_k is None and (
-            self._site_graph.rank(full) + self._face_graph.rank(full) != self.n_links
-        ):
-            return None
-        return other
+        loops, n = self._torus_loops, self.n_links
+        sites = Graph(self.n_sites, self.link_sites, loops[:2])
+        faces = Graph(self.n_plaquettes + 1, self.link_faces, loops[2:])
+        full = (1 << n) - 1
+        if self.torus_k is not None or sites.rank(full) + faces.rank(full) == n:
+            sites.dual, faces.dual = faces, sites
+        return sites, faces
 
-    def _loop_classes(self, down, across) -> tuple[tuple[int, ...], ...]:
-        # On the torus, the loops {down(i, j) : j} for each i and the loops
-        # {across(i, j) : i} for each j.  Both link functions are an offset
-        # plus j*k + i, so the loops of a class are shifts of its first one.
+    @cached_property
+    def _torus_loops(self) -> tuple[tuple[int, ...], ...]:
+        # On the torus, four families of k loop masks: the chains
+        # {v(i, j) : j} and the ladders {h(i, j) : j}, one per column i, and
+        # the rows {h(i, j) : i} and the rungs {v(i, j) : i}, one per row j,
+        # each loop a shift of the first column or row.  Off the torus, none.
         k = self.torus_k
         if k is None:
             return ()
-        down0 = mask_from_indices([down(k, 0, j) for j in range(k)], self.n_links)
-        across0 = mask_from_indices([across(k, i, 0) for i in range(k)], self.n_links)
+        column = sum(1 << j * k for j in range(k))  # {h(0, j) : j}
+        row = (1 << k) - 1  # {h(i, 0) : i}
+        v = k * k  # the offset of the vertical links
         return (
-            tuple(down0 << i for i in range(k)),
-            tuple(across0 << j * k for j in range(k)),
+            tuple(column << v + i for i in range(k)),  # chains
+            tuple(row << j * k for j in range(k)),  # rows
+            tuple(column << i for i in range(k)),  # ladders
+            tuple(row << v + j * k for j in range(k)),  # rungs
         )
 
     @cached_property
@@ -524,10 +509,8 @@ def ladder_operators(lat: Lattice) -> tuple[int, int]:
     """
     if lat.torus_k is None:
         raise ValueError("ladder operators are only defined for the torus builder")
-    k = lat.torus_k
-    w1 = mask_from_indices([torus_v(k, i, 0) for i in range(k)], lat.n_links)
-    w2 = mask_from_indices([torus_h(k, 0, j) for j in range(k)], lat.n_links)
-    return w1, w2
+    _, _, ladders, rungs = lat._torus_loops
+    return rungs[0], ladders[0]
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +539,13 @@ def named_partition(lat: Lattice, name: str, *ids: int) -> Partition:
         if len(ids) != 2 or ids[0] == ids[1]:
             raise ValueError("pair needs two distinct link ids")
         return Partition.from_links(ids, n)
+    chains, _, ladders, _ = lat._torus_loops
     if name == "chain":
-        return Partition.from_links([torus_v(k, 0, j) for j in range(k)], n)
+        return Partition(n, chains[0])
     if name == "ladder":
-        return Partition.from_links([torus_h(k, 0, j) for j in range(k)], n)
+        return Partition(n, ladders[0])
     if name == "cross":
-        links = [torus_v(k, 0, j) for j in range(k)]
-        links += [torus_h(k, 0, j) for j in range(k)]
-        return Partition.from_links(links, n)
+        return Partition(n, chains[0] | ladders[0])
     if name == "vertical":
         return Partition.from_links(range(k * k, 2 * k * k), n)
     raise ValueError(f"unknown partition name {name!r}")

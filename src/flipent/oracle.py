@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import MAX_ORACLE_LINKS, MAX_SUBSYSTEM_LINKS, ResourceLimitError
+from .errors import MAX_ORACLE_LINKS, MAX_SUBSYSTEM_LINKS, ORACLE_TOL, ResourceLimitError
 from .lattice import Lattice, Partition, ladder_operators, star_group
 from .states import GroundStateCoeffs
 
@@ -238,7 +238,7 @@ def oracle_entropy(
 
 
 def basis_state_entropy_invariance(
-    lat: Lattice, p: Partition, tol: float = 1e-9
+    lat: Lattice, p: Partition, tol: float = ORACLE_TOL
 ) -> bool:
     """Check all four ladder-basis ground states give the same entropy."""
     values = [

@@ -12,7 +12,6 @@ by `closed_form_entropy`; `vertical` is special, see the docstring.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -74,10 +73,6 @@ class GroundStateCoeffs:
     def random(cls, rng: random.Random) -> "GroundStateCoeffs":
         amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
         return cls.from_sequence(amps, renormalize=True)
-
-    def with_phase(self, theta: float) -> "GroundStateCoeffs":
-        ph = cmath.exp(1j * theta)
-        return GroundStateCoeffs(*(ph * a for a in self.as_tuple()))
 
 
 def alpha(c: GroundStateCoeffs) -> float:

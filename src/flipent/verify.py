@@ -5,12 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import bipartition_masks, entropy_equal_superposition
+from .errors import ORACLE_TOL
 from .gf2 import Gf2Matrix
 from .lattice import Lattice, Partition, disk_region, named_partition, star_group
 from .oracle import build_ground_state, oracle_entropy, support
 from .states import GroundStateCoeffs
 
-ORACLE_TOL = 1e-9
 VERIFY_MAX_K = 3
 
 

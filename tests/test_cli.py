@@ -815,13 +815,27 @@ class TestOracleStateBuilds:
                 ["--lattice", str(GOLDEN / "patch.lat"), "--mode", "table1"],
                 "table1 mode needs a torus lattice",
             ),
+            (
+                ["--lattice", str(GOLDEN / "patch.lat"), "--mode", "sampled"],
+                "mode 'sampled' needs --count >= 1",
+            ),
         ],
-        ids=["rects-k2", "table1-document"],
+        ids=["rects-k2", "table1-document", "sampled-document"],
     )
     def test_scan_mode_errors_come_first(self, capsys, builds, argv, message):
         # the state is built on the first row, so a mode that cannot give
         # a row reports its own error, not the oracle's link cap or torus check
         code, out, err = run_cli(capsys, "scan", *argv, "--oracle")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert builds == []
+
+    @pytest.mark.parametrize("command", ["entropy", "scan"])
+    def test_document_lattice_has_no_oracle(self, capsys, builds, command):
+        argv = ["--partition", "links:0"] if command == "entropy" else []
+        code, out, err = run_cli(
+            capsys, command, "--lattice", str(GOLDEN / "patch.lat"), *argv, "--oracle"
+        )
+        message = "the statevector oracle needs a torus lattice"
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert builds == []
 
@@ -1147,9 +1161,8 @@ class TestEmitters:
     def test_one_record_matches_reference(self, seed):
         # the entropy command's csv and table paths: one dict, its keys as columns
         [record] = dict_rows(random_rows(seed, 1))
-        head, *tail = record.values()
         new, ref = io.StringIO(), io.StringIO()
-        emit_rows_csv([(head, tail)], new, list(record))
+        new.write(cli._csv_line(record) + cli._csv_line(record.values()))
         reference_rows_csv([record], ref, list(record))
         assert new.getvalue() == ref.getvalue()
         new, ref = io.StringIO(), io.StringIO()
@@ -1221,12 +1234,6 @@ class TestEmitters:
         long_rows = [n for n in new.sizes if n > cli.BLOCK_CHARS]
         assert len(long_rows) == 2 and len(new.sizes) > 10
         assert all(len(rows[100][0]) < n < len(rows[100][0]) + 512 for n in long_rows)
-
-    def test_lone_empty_field_is_quoted(self):
-        new, ref = io.StringIO(), io.StringIO()
-        emit_rows_csv([(None, ())], new, ("oracle_S",))
-        reference_rows_csv([{"oracle_S": None}], ref, ("oracle_S",))
-        assert new.getvalue() == ref.getvalue() == 'oracle_S\n""\n'
 
 
 def _cli_env():

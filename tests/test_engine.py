@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import random
 from pathlib import Path
 
@@ -20,7 +19,6 @@ from flipent import (
     geometric_entropy,
     ground_degeneracy,
     independent_generator_count,
-    is_closed_string_net,
     is_diagonal,
     ladder_operators,
     lattice_to_document,
@@ -288,24 +286,17 @@ class TestDegeneracy:
 
 
 class TestClosedStringNets:
-    def test_stars_are_closed(self, torus_k3):
-        for sm in torus_k3.star_masks():
-            assert is_closed_string_net(torus_k3, sm)
-
-    def test_single_link_is_open(self, torus_k3):
-        assert not is_closed_string_net(torus_k3, 1)
-
-    def test_ladder_times_star_is_closed(self, torus_k3, stars_k3):
-        w1, _ = ladder_operators(torus_k3)
-        assert is_closed_string_net(torus_k3, w1 ^ stars_k3.row_masks[2])
-
     def test_equivalent_to_star_plus_ladder_membership(self, torus_k2, stars_k2):
+        # the flips that meet every plaquette on an even number of links,
+        # so commute with the Hamiltonian, are the stars and the ladders
         w1, w2 = ladder_operators(torus_k2)
         extended = Gf2Matrix(
             list(stars_k2.row_masks) + [w1, w2], 8
         )
         for v in range(256):
-            assert is_closed_string_net(torus_k2, v) == extended.contains(v)
+            closed = all((v & pm).bit_count() % 2 == 0
+                         for pm in torus_k2.plaquette_masks())
+            assert closed == extended.contains(v)
 
 
 class TestAbsoluteEntanglementScan:
@@ -573,29 +564,6 @@ def record_ranks(monkeypatch, graph):
     return masks
 
 
-def record_face_graphs(monkeypatch):
-    """What is built of face graphs from now on: "face graph" for each
-    `Lattice._face_graph` computed, then "ladders" for its loop masks."""
-    built = []
-    face_graph = Lattice._face_graph.func
-    loop_classes = Lattice._loop_classes
-
-    def recorded_graph(self):
-        built.append("face graph")
-        return face_graph(self)
-
-    def recorded_loops(self, down, across):
-        if down is torus_h:
-            built.append("ladders")
-        return loop_classes(self, down, across)
-
-    prop = functools.cached_property(recorded_graph)
-    prop.__set_name__(Lattice, "_face_graph")
-    monkeypatch.setattr(Lattice, "_face_graph", prop)
-    monkeypatch.setattr(Lattice, "_loop_classes", recorded_loops)
-    return built
-
-
 def dual_path_applies(lat, group, p):
     """True iff every loop class has a loop that misses the smaller side
     (A when |A| <= |B|)."""
@@ -720,24 +688,27 @@ class TestDualPath:
         ids=["scan-disks", "entropy-cross"],
     )
     def test_builds_no_plaquette_masks(self, monkeypatch, capsys, argv):
+        # the face graph's edges are `link_faces`, so the star group's dual
+        # path ranks it without a plaquette mask
         def refused(self):
             raise AssertionError("plaquette masks built")
 
         monkeypatch.setattr(Lattice, "plaquette_masks", refused)
-        built = record_face_graphs(monkeypatch)
+        monkeypatch.setattr(Lattice, "_plaquette_masks", property(refused))
+        ranked = set()  # the vertex counts of the graphs ranked
+        rank = gf2.Graph.rank
+
+        def recorded(self, mask):
+            ranked.add(self.n_vertices)
+            return rank(self, mask)
+
+        monkeypatch.setattr(gf2.Graph, "rank", recorded)
         assert main(argv) == 0
         assert capsys.readouterr().out
-        assert built == ["face graph", "ladders"] * (argv[0] == "scan")
-
-    @pytest.mark.parametrize("name", ["cross", "vertical"])
-    def test_loop_hitting_cuts_build_no_face_graph(self, monkeypatch, capsys, name):
-        # both cuts meet every loop of a class, so the star group's dual is
-        # never read; `vertical` exits 1 on its documented closed-form mismatch
-        built = record_face_graphs(monkeypatch)
-        code = main(["entropy", "--lattice", "torus:k=8", "--partition", name])
-        assert code == (name == "vertical")
-        assert "S_bits: " in capsys.readouterr().out
-        assert built == []
+        # the disks take the dual path through the face graph (64 faces and
+        # the outer vertex); `cross` meets both loop classes, so it ranks
+        # the site graph alone
+        assert ranked == ({64, 65} if argv[0] == "scan" else {64})
 
     def test_repeated_link_in_a_plaquette(self):
         # the repeat leaves the masks alone and counts once in the face
@@ -755,6 +726,34 @@ class TestDualPath:
         assert report == entropy_equal_superposition(star_group(torus), p)
         assert report == eliminated_report(matrix, p)
         assert matrix.graph.dual is not None
+
+
+class TestTorusLoops:
+    """Both graphs' loop classes, the ladder flips and the named cuts
+    `chain`, `ladder` and `cross` come from one set of torus loops."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_loops_are_the_explicit_link_lists(self, k):
+        lat = build_torus(k)
+        n = lat.n_links
+
+        def mask(links):
+            return sum(1 << l for l in links)
+
+        chain = [torus_v(k, 0, j) for j in range(k)]
+        ladder = [torus_h(k, 0, j) for j in range(k)]
+        rung = [torus_v(k, i, 0) for i in range(k)]
+        assert ladder_operators(lat) == (mask(rung), mask(ladder))
+        for name, links in [("chain", chain), ("ladder", ladder),
+                            ("cross", chain + ladder)]:
+            assert named_partition(lat, name) == Partition(n, mask(links))
+        graphs = {"stars": star_group(lat).graph,
+                  "plaquettes": plaquette_group(lat).graph}
+        for group, graph in graphs.items():
+            want = [tuple(map(mask, loops)) for loops in loop_classes(lat, group)]
+            assert list(graph.loop_classes) == want
+        assert graphs["stars"].dual is graphs["plaquettes"]
+        assert graphs["plaquettes"].dual is graphs["stars"]
 
 
 class TestOneIncidence:
