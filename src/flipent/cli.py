@@ -519,10 +519,10 @@ def _scan_rows(args, lat, group):
     The checks run here, before any row, so that an error leaves stdout
     empty even when `cmd_scan` streams the rows.  Exhaustive rows come
     in descriptor order (`_descriptor_walk`), as a `_Rewalk` whose walks
-    share one `_paired_entropy` memo and one set of tails, so the engine
-    runs once per complement pair however often they are walked.  The
-    other modes give their rows in draw order, once.  A region row names
-    its region by the links of its boundary loop.
+    share one `_orbit_memo` and one set of tails, so the engine and the
+    boundary stats run once per translation orbit however often the rows
+    are walked.  The other modes give their rows in draw order, once.
+    A region row names its region by the links of its boundary loop.
     """
     mode = args.mode
     n = lat.n_links
@@ -550,10 +550,11 @@ def _scan_rows(args, lat, group):
     def entropy(part):
         return entropy_equal_superposition(group, part).s_bits
 
-    def exhaustive_rows(s_bits):
+    def exhaustive_rows(values):
         for mask, desc in _descriptor_walk(n):
             part = Partition(n, mask)
-            yield row(desc, part, _try_stats(lat, part), None, s_bits(part))
+            s_bits, stats = values(part)
+            yield row(desc, part, stats, None, s_bits)
 
     def link_rows(masks):
         for mask in masks:
@@ -585,8 +586,8 @@ def _scan_rows(args, lat, group):
             # trace: the first row over the cap in mask order, max(cap, 0) + 1
             # links wide, raises the cap's error before any work
             oracle(Partition(n, (1 << max(cap + 1, 1)) - 1))
-        s_bits = _paired_entropy(group, n)  # the engine once per pair, over all walks
-        return _Rewalk(lambda: exhaustive_rows(s_bits))
+        values = _orbit_memo(lat, group)  # once per orbit, over all walks
+        return _Rewalk(lambda: exhaustive_rows(values))
     if mode == "sampled":
         _require_count_seed(args)
         masks = bipartition_masks(
@@ -642,27 +643,51 @@ def _descriptor_walk(n: int):
         stack.extend((mask | bit, desc + tail, c) for bit, tail, c in later[last])
 
 
-def _paired_entropy(group, n: int):
-    """``S_bits`` of a proper partition of ``n`` links, from the engine once
-    per complement pair.
+def _orbit_memo(lat: Lattice, group):
+    """(``S_bits``, stats) of a proper side A of the lattice's links, each
+    computed once per translation orbit (`Lattice.translation_orbit`).
 
-    S(A) = S(B), so a pair has one memo byte, at the mask of the side with
-    link n - 1 clear.  The byte holds S + 1, and 0 marks a pair not yet
-    evaluated, so any order of queries gives the engine's values.
+    A torus translation maps the group to itself, so it keeps both values:
+    on a miss the value is computed once, with the engine or `_try_stats`,
+    and written at every image of the mask.  S(A) = S(B), so the S memo
+    has one byte per complement pair, at the mask of the side with link
+    n - 1 clear, holding S + 1.  The stats memo has one byte per mask, the
+    1-based index of its value in a list of the distinct stats; past 255
+    distinct values, as past `TAIL_MEMO_SIZE` tails, stats are recomputed
+    at each use.  A 0 byte marks a value not yet computed, so any order of
+    queries gives the values of direct evaluation.  Memory: 2**(n-1) plus
+    2**n bytes.  Off the torus the orbit is the mask alone.
     """
+    n = lat.n_links
     full = (1 << n) - 1
     half = (1 << n) >> 1
-    memo = bytearray(half)
+    s_memo = bytearray(half)
+    stats_memo = bytearray(1 << n)
+    distinct: list[BoundaryStats | None] = []
+    index: dict[BoundaryStats | None, int] = {}
+    orbit = lat.translation_orbit
 
-    def s_bits(part: Partition) -> int:
+    def values(part: Partition) -> tuple[int, BoundaryStats | None]:
         mask = part.a_mask
-        key = mask if mask < half else full ^ mask
-        s = memo[key]
+        s = s_memo[mask if mask < half else full ^ mask]
         if not s:
-            s = memo[key] = entropy_equal_superposition(group, part).s_bits + 1
-        return s - 1
+            s = entropy_equal_superposition(group, part).s_bits + 1
+            for image in orbit(mask):
+                s_memo[image if image < half else full ^ image] = s
+        i = stats_memo[mask]
+        if i:
+            return s - 1, distinct[i - 1]
+        stats = _try_stats(lat, part)
+        i = index.get(stats)
+        if i is None and len(distinct) < 255:
+            distinct.append(stats)
+            i = index[stats] = len(distinct)
+        if i is not None:
+            for image in orbit(mask):
+                stats_memo[image] = i
+        return s - 1, stats
 
-    return s_bits
+    return values
 
 
 def _require_count_seed(args) -> None:
@@ -682,10 +707,11 @@ def cmd_scan(args) -> int:
 
     Exhaustive rows are made in that order, so CSV and JSON write them as
     they come, in blocks of at most `BLOCK_CHARS` characters: memory is
-    the pair memo of `_paired_entropy`, 2**(n-1) bytes, the shared tails
-    and their texts, at most `TAIL_MEMO_SIZE` each, plus one block.
-    A table walks the exhaustive rows twice, first for its column widths
-    and then to write them, so any error comes before its first write.
+    `_orbit_memo`'s 2**(n-1) + 2**n bytes, which hold S and the boundary
+    stats computed once per translation orbit, the shared tails and
+    their texts, at most `TAIL_MEMO_SIZE` each, plus one block.  A table
+    walks the exhaustive rows twice, first for its column widths and then
+    to write them, so any error comes before its first write.
     Every ``--oracle`` scan and the drawn modes hold all rows before
     writing, so that an error leaves stdout empty.
     """

@@ -131,6 +131,11 @@ class Graph:
         chosen = compress(self.edges, _bit_flags(mask))
         return _forest_size(self.n_vertices, chosen)
 
+    @cached_property
+    def full_rank(self) -> int:
+        """Rank of the cuts on every column, computed once."""
+        return self.rank((1 << len(self.edges)) - 1)
+
 
 class Gf2Matrix:
     """An ordered list of GF(2) generators with cached rank structures.
@@ -171,7 +176,7 @@ class Gf2Matrix:
     def _rank(self) -> int:
         if self.graph is None:
             return len(self._echelon)
-        return self.graph.rank((1 << self.n_cols) - 1)
+        return self.graph.full_rank
 
     def echelon_masks(self) -> tuple[int, ...]:
         """Row-echelon basis (pivot columns strictly increasing)."""

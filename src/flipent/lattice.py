@@ -147,8 +147,7 @@ class Lattice:
         loops, n = self._torus_loops, self.n_links
         sites = Graph(self.n_sites, self.link_sites, loops[:2])
         faces = Graph(self.n_plaquettes + 1, self.link_faces, loops[2:])
-        full = (1 << n) - 1
-        if self.torus_k is not None or sites.rank(full) + faces.rank(full) == n:
+        if self.torus_k is not None or sites.full_rank + faces.full_rank == n:
             sites.dual, faces.dual = faces, sites
         return sites, faces
 
@@ -170,6 +169,47 @@ class Lattice:
             tuple(column << i for i in range(k)),  # ladders
             tuple(row << v + j * k for j in range(k)),  # rungs
         )
+
+    @cached_property
+    def _torus_shifts(self) -> tuple:
+        # On the torus, the two unit translations of a link mask: the column
+        # shift (i, j) -> (i+1, j) rotates each k-link row of both link
+        # blocks by one, and the row shift (i, j) -> (i, j+1) rotates each
+        # k**2-link block by k.  Both map stars to stars and plaquettes to
+        # plaquettes.  Off the torus, none.
+        k = self.torus_k
+        if k is None:
+            return ()
+        full = (1 << self.n_links) - 1
+        last = sum(1 << r * k for r in range(2 * k)) << k - 1  # column k - 1
+        top = ((1 << k) - 1) << k * k - k
+        top |= top << k * k  # row k - 1 of both blocks
+        keep_row, keep_block = full ^ last, full ^ top
+
+        def column_shift(mask: int) -> int:
+            return (mask & keep_row) << 1 | (mask & last) >> k - 1
+
+        def row_shift(mask: int) -> int:
+            return (mask & keep_block) << k | (mask & top) >> k * k - k
+
+        return column_shift, row_shift
+
+    def translation_orbit(self, mask: int) -> list[int]:
+        """The images of a link mask under every translation of the torus,
+        k**2 of them with repeats, the mask itself first; off the torus,
+        the mask alone.  A torus translation maps each group to itself, so
+        it keeps every entropy and boundary statistic."""
+        if not self._torus_shifts:
+            return [mask]
+        column_shift, row_shift = self._torus_shifts
+        k = self.torus_k
+        images = []
+        for _ in range(k):
+            for _ in range(k):
+                images.append(mask)
+                mask = column_shift(mask)
+            mask = row_shift(mask)
+        return images
 
     @cached_property
     def _neighbor_sites(self) -> tuple[tuple[int, ...], ...]:

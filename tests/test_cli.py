@@ -26,10 +26,9 @@ from flipent import (
     plaquette_group,
     star_group,
 )
-from flipent import cli
+from flipent import cli, gf2
 from flipent.cli import (
     CSV_COLUMNS,
-    _paired_entropy,
     build_parser,
     emit_fields,
     emit_json,
@@ -40,7 +39,7 @@ from flipent.cli import (
     parse_partition_spec,
     parse_state_spec,
 )
-from flipent.lattice import build_torus, lattice_to_document
+from flipent.lattice import build_torus, lattice_to_document, torus_h, torus_v
 from flipent.verify import default_suite, verify_partitions
 
 
@@ -497,9 +496,55 @@ SCAN_VARIANTS = {
 }
 
 
+def translations(lat):
+    """Every translation of the torus as a link permutation, from `torus_h`
+    and `torus_v`; off the torus, the identity alone."""
+    k = lat.torus_k
+    if k is None:
+        return [list(range(lat.n_links))]
+    perms = []
+    for a in range(k):
+        for b in range(k):
+            perm = [0] * lat.n_links
+            for i in range(k):
+                for j in range(k):
+                    perm[torus_h(k, i, j)] = torus_h(k, i + a, j + b)
+                    perm[torus_v(k, i, j)] = torus_v(k, i + a, j + b)
+            perms.append(perm)
+    return perms
+
+
+def images(perms, mask):
+    return [sum(1 << p[l] for l in range(len(p)) if mask >> l & 1) for p in perms]
+
+
+def assert_one_call_per_pair_orbit(lat, masks):
+    """The engine was called on ``masks``: no complement pair twice, and
+    exactly one pair of each translation orbit of pairs."""
+    full = (1 << lat.n_links) - 1
+    pairs = [min(m, full ^ m) for m in masks]
+    assert len(set(pairs)) == len(pairs)  # no pair evaluated twice
+    perms = translations(lat)
+
+    def orbit(mask):
+        return frozenset(min(m, full ^ m) for m in images(perms, mask))
+
+    every = {orbit(m) for m in range(1, full)}
+    assert sorted(map(orbit, pairs), key=min) == sorted(every, key=min)
+    return len(pairs)
+
+
+def direct_values(lat, group):
+    """The scan's (S_bits, stats) of a side, evaluated on every query."""
+    return lambda part: (
+        cli.entropy_equal_superposition(group, part).s_bits, cli._try_stats(lat, part)
+    )
+
+
 class TestPairedScan:
-    """The exhaustive scan asks the engine once per complement pair {A, B}
-    and prints the bytes that one engine call per row prints."""
+    """The exhaustive scan asks the engine once per translation orbit of
+    complement pairs {A, B} (each pair alone off the torus) and prints
+    the bytes that one engine call per row prints."""
 
     @pytest.fixture
     def engine_calls(self, monkeypatch):
@@ -520,17 +565,15 @@ class TestPairedScan:
         lattice, options = SCAN_VARIANTS[variant]
         argv = ["scan", "--lattice", SCAN_LATTICES[lattice], "--mode", "exhaustive",
                 "--group", group, *options]
-        n = parse_lattice_spec(SCAN_LATTICES[lattice]).n_links
+        lat = parse_lattice_spec(SCAN_LATTICES[lattice])
+        n = lat.n_links
         code, paired, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
-        full = (1 << n) - 1
-        pairs = sorted(min(m, full ^ m) for m in engine_calls)
-        assert pairs == list(range(1, 1 << (n - 1)))  # each pair once
+        calls = assert_one_call_per_pair_orbit(lat, engine_calls)
+        # 43 orbits of the 127 pairs at k=2; each pair alone off the torus
+        assert calls == {"torus-k2": 43}.get(lattice, (1 << (n - 1)) - 1)
 
-        def direct(matrix, n):
-            return lambda part: cli.entropy_equal_superposition(matrix, part).s_bits
-
-        monkeypatch.setattr(cli, "_paired_entropy", direct)
+        monkeypatch.setattr(cli, "_orbit_memo", direct_values)
         engine_calls.clear()
         code, unpaired, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
@@ -556,13 +599,41 @@ class TestPairedScan:
         masks = list(range((1 << n) - 2, 0, -1))  # complements with link n-1 first
         if order == "shuffled":
             random.Random(n).shuffle(masks)
-        s_bits = _paired_entropy(matrix, n)
+        values = cli._orbit_memo(lat, matrix)
         for mask in masks + masks[::-1]:  # fill the memo, then read it back
             part = Partition(n, mask)
-            assert s_bits(part) == entropy_equal_superposition(matrix, part).s_bits
-        full = (1 << n) - 1
-        pairs = sorted(min(m, full ^ m) for m in engine_calls)
-        assert pairs == list(range(1, 1 << (n - 1)))  # each pair once
+            s_bits = entropy_equal_superposition(matrix, part).s_bits
+            assert values(part) == (s_bits, cli._try_stats(lat, part))
+        assert_one_call_per_pair_orbit(lat, engine_calls)
+
+    @pytest.mark.parametrize("group", ["stars", "plaquettes"])
+    def test_memo_matches_direct_evaluation_on_a_k3_sample(self, monkeypatch, group):
+        # each sampled mask is queried and then every image of it, most of
+        # them read from the orbit the first query wrote
+        lat = build_torus(3)
+        n = lat.n_links
+        matrix = star_group(lat) if group == "stars" else plaquette_group(lat)
+        stats_calls = []
+        try_stats = cli._try_stats
+
+        def counted(lat, part):
+            stats_calls.append(part.a_mask)
+            return try_stats(lat, part)
+
+        monkeypatch.setattr(cli, "_try_stats", counted)
+        values = cli._orbit_memo(lat, matrix)
+        perms = translations(lat)
+        rng = random.Random(23)
+        for mask in (rng.randrange(1, (1 << n) - 1) for _ in range(300)):
+            for image in images(perms, mask):
+                part = Partition(n, image)
+                got = values(part)
+                assert got == (entropy_equal_superposition(matrix, part).s_bits,
+                               try_stats(lat, part))
+        # the stats once per orbit of masks, as the engine once per orbit
+        # of pairs
+        assert len(stats_calls) == len({min(images(perms, m)) for m in stats_calls})
+        assert len(stats_calls) <= 300
 
     def test_sampled_mode_calls_the_engine_once_per_row(self, capsys, engine_calls):
         code, out, _ = run_cli(
@@ -579,13 +650,14 @@ class TestPairedScan:
         "name", ["scan_exhaustive_k5_exit3", "scan_exhaustive_scan_cap_exit3"]
     )
     def test_capped_scan_allocates_no_memo(self, capsys, monkeypatch, name):
-        def refuse(matrix, n):
-            raise AssertionError(f"a memo of 2**{n - 1} bytes was allocated")
+        def refuse(lat, group):
+            n = lat.n_links
+            raise AssertionError(f"a memo of 2**{n - 1} + 2**{n} bytes was allocated")
 
         def refuse_walk(n):
             raise AssertionError("the scan walked its masks")
 
-        monkeypatch.setattr(cli, "_paired_entropy", refuse)
+        monkeypatch.setattr(cli, "_orbit_memo", refuse)
         monkeypatch.setattr(cli, "_descriptor_walk", refuse_walk)
         (argv,) = [c["argv"] for c in GOLDEN_CASES if c["name"] == name]
         code, out, err = run_cli(capsys, *argv)
@@ -677,8 +749,10 @@ class TestStreamedScan:
         assert peak < 512 << 10
 
     def test_table_error_on_the_last_row_prints_nothing(self, capsys, monkeypatch):
-        # the rows are written only after the widths walk meets every row
-        *_, (last_mask, _) = cli._descriptor_walk(8)
+        # the rows are written only after the widths walk meets every row;
+        # off the torus each row's stats are computed at that row, not with
+        # an earlier row of its translation orbit
+        *_, (last_mask, _) = cli._descriptor_walk(12)
         try_stats = cli._try_stats
 
         def failing(lat, part):
@@ -687,7 +761,7 @@ class TestStreamedScan:
             return try_stats(lat, part)
 
         monkeypatch.setattr(cli, "_try_stats", failing)
-        code, out, err = run_cli(capsys, "scan", "--lattice", "torus:k=2",
+        code, out, err = run_cli(capsys, "scan", "--lattice", str(GOLDEN / "cube.lat"),
                                  "--mode", "exhaustive", "--format", "table")
         assert (code, out, err) == (2, "", "error: last row\n")
 
@@ -1004,6 +1078,23 @@ class TestLatticeInfoCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert "ground_degeneracy: 4" in proc.stdout
+
+    def test_document_ranks_each_graph_once(self, capsys, monkeypatch):
+        # deciding the duals and the group ranks share one full rank per graph
+        full_ranks = []
+        rank = gf2.Graph.rank
+
+        def recorded(self, mask):
+            if mask == (1 << len(self.edges)) - 1:
+                full_ranks.append(self.n_vertices)
+            return rank(self, mask)
+
+        monkeypatch.setattr(gf2.Graph, "rank", recorded)
+        cube = str(GOLDEN / "cube.lat")
+        code, out, _ = run_cli(capsys, "lattice-info", "--lattice", cube)
+        assert code == 0
+        assert "star_rank: 7\n" in out and "plaquette_rank: 5\n" in out
+        assert sorted(full_ranks) == [7, 8]  # the face graph has an outer vertex
 
     def test_malformed_document_exit_2(self, capsys, tmp_path):
         doc = tmp_path / "broken.lat"

@@ -208,6 +208,71 @@ class TestLadderOperators:
             ladder_operators(lat)
 
 
+def reference_translation(k: int, a: int, b: int) -> list[int]:
+    """The link permutation of the torus translation (i, j) -> (i+a, j+b),
+    from `torus_h` and `torus_v`."""
+    perm = [0] * (2 * k * k)
+    for i in range(k):
+        for j in range(k):
+            perm[torus_h(k, i, j)] = torus_h(k, i + a, j + b)
+            perm[torus_v(k, i, j)] = torus_v(k, i + a, j + b)
+    return perm
+
+
+def permuted(perm: list[int], mask: int) -> int:
+    return sum(1 << perm[l] for l in range(len(perm)) if mask >> l & 1)
+
+
+class TestTorusShifts:
+    """The column and row shifts of the torus, and the translation orbit
+    the exhaustive scan shares its values over."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_shifts_map_stars_and_plaquettes_to_themselves(self, k):
+        lat = build_torus(k)
+        assert len(lat._torus_shifts) == 2
+        for shift in lat._torus_shifts:
+            for masks in (lat.star_masks(), lat.plaquette_masks()):
+                assert sorted(map(shift, masks)) == sorted(masks)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_k_shifts_are_the_identity(self, k):
+        lat = build_torus(k)
+        n = lat.n_links
+        rng = random.Random(k)
+        masks = [1 << l for l in range(n)] + [rng.getrandbits(n) for _ in range(50)]
+        for shift in lat._torus_shifts:
+            for mask in masks:
+                image = mask
+                for _ in range(k):
+                    image = shift(image)
+                    assert image >> n == 0
+                assert image == mask
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_unit_shifts_and_orbit_match_the_site_translations(self, k):
+        lat = build_torus(k)
+        column_shift, row_shift = lat._torus_shifts
+        column, row = reference_translation(k, 1, 0), reference_translation(k, 0, 1)
+        perms = [reference_translation(k, a, b) for a in range(k) for b in range(k)]
+        rng = random.Random(k)
+        for mask in [1 << l for l in range(lat.n_links)] + [
+            rng.getrandbits(lat.n_links) for _ in range(30)
+        ]:
+            assert column_shift(mask) == permuted(column, mask)
+            assert row_shift(mask) == permuted(row, mask)
+            orbit = lat.translation_orbit(mask)
+            assert orbit[0] == mask
+            assert sorted(orbit) == sorted(permuted(p, mask) for p in perms)
+
+    def test_off_the_torus_the_orbit_is_the_mask(self):
+        for doc in (cube_document(), planar_patch_document()):
+            lat = parse_lattice_document(doc)
+            assert lat._torus_shifts == ()
+            for mask in range(1 << lat.n_links):
+                assert lat.translation_orbit(mask) == [mask]
+
+
 class TestNamedPartitions:
     def test_chain_size(self, torus_k3):
         assert named_partition(torus_k3, "chain").size_a == 3
