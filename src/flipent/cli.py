@@ -25,6 +25,7 @@ import math
 import os
 import random
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 
@@ -201,9 +202,9 @@ def parse_state_spec(spec: str) -> tuple[str, GroundStateCoeffs, bool]:
 #: characters per write of the row emitters: one write per 8 KiB of rows,
 #: not one per row, which an unbuffered stdout makes a system call
 BLOCK_CHARS = 8192
-#: most distinct row tails the scan's row builder shares, and most tail
-#: objects an emitter keeps formatted: the k=3 sweep has 341, while drawn
-#: regions rarely repeat one
+#: most distinct row tails the scan's row builder shares and the exhaustive
+#: scan indexes, and most tail objects an emitter keeps formatted: the k=3
+#: sweep has 341, while drawn regions rarely repeat one
 TAIL_MEMO_SIZE = 512
 
 
@@ -519,42 +520,57 @@ def _scan_rows(args, lat, group):
     The checks run here, before any row, so that an error leaves stdout
     empty even when `cmd_scan` streams the rows.  Exhaustive rows come
     in descriptor order (`_descriptor_walk`), as a `_Rewalk` whose walks
-    share one `_orbit_memo` and one set of tails, so the engine and the
-    boundary stats run once per translation orbit however often the rows
-    are walked.  The other modes give their rows in draw order, once.
+    share one `_tail_index`, 2**(n+1) bytes (32 MiB at the 24-link cap),
+    so the engine and the boundary stats run once per translation orbit
+    however often the rows are walked; a row's own work is one index
+    read.  The oracle still runs on each row's own side.  The other
+    modes give their rows in draw order, once.
     A region row names its region by the links of its boundary loop.
     """
     mode = args.mode
     n = lat.n_links
     oracle = _oracle(args, lat, GroundStateCoeffs.xi(0, 0)) if args.oracle else None
 
-    tails = {}  # the values a tail is made of -> the rows' shared tail
+    by_values = {}  # the values a tail is made of -> the rows' shared tail
+
+    def shared(key, make):
+        tail = by_values.get(key)
+        if tail is None:
+            tail = make()
+            if len(by_values) < TAIL_MEMO_SIZE:
+                by_values[key] = tail
+        return tail
+
+    def tail_of(part, stats, closed, s_bits):
+        """The row's tail, its ``oracle_S`` None."""
+        def make():
+            if stats is None:
+                return (part.size_a, None, None, None, None, s_bits, closed,
+                        None, None, None)
+            length = stats.boundary_length
+            return (part.size_a, length, stats.n1, stats.n2, stats.n3, s_bits,
+                    closed, *entropy_bounds(length), None)
+
+        return shared((part.size_a, stats, s_bits,
+                       None if closed is None else repr(closed)), make)
+
+    def with_oracle(tail, part):
+        if oracle is None:
+            return tail
+        oracle_s = oracle(part)
+        # no float of a scan's tail is -0.0 or NaN, so the tail keys itself
+        return shared((tail, repr(oracle_s)), lambda: (*tail[:-1], oracle_s))
 
     def row(desc, part, stats, closed, s_bits):
-        oracle_s = None if oracle is None else oracle(part)
-        key = (part.size_a, stats, s_bits, None if closed is None else repr(closed),
-               None if oracle_s is None else repr(oracle_s))
-        tail = tails.get(key)
-        if tail is None:
-            if stats is None:
-                tail = (part.size_a, None, None, None, None, s_bits, closed,
-                        None, None, oracle_s)
-            else:
-                length = stats.boundary_length
-                tail = (part.size_a, length, stats.n1, stats.n2, stats.n3, s_bits,
-                        closed, *entropy_bounds(length), oracle_s)
-            if len(tails) < TAIL_MEMO_SIZE:
-                tails[key] = tail
-        return desc, tail
+        return desc, with_oracle(tail_of(part, stats, closed, s_bits), part)
 
     def entropy(part):
         return entropy_equal_superposition(group, part).s_bits
 
-    def exhaustive_rows(values):
+    def exhaustive_rows(index, tails, miss):
         for mask, desc in _descriptor_walk(n):
-            part = Partition(n, mask)
-            s_bits, stats = values(part)
-            yield row(desc, part, stats, None, s_bits)
+            tail = tails[index[mask] or miss(mask)]
+            yield desc, tail if oracle is None else with_oracle(tail, Partition(n, mask))
 
     def link_rows(masks):
         for mask in masks:
@@ -586,8 +602,8 @@ def _scan_rows(args, lat, group):
             # trace: the first row over the cap in mask order, max(cap, 0) + 1
             # links wide, raises the cap's error before any work
             oracle(Partition(n, (1 << max(cap + 1, 1)) - 1))
-        values = _orbit_memo(lat, group)  # once per orbit, over all walks
-        return _Rewalk(lambda: exhaustive_rows(values))
+        found = _tail_index(lat, group, tail_of)  # once per orbit, over all walks
+        return _Rewalk(lambda: exhaustive_rows(*found))
     if mode == "sampled":
         _require_count_seed(args)
         masks = bipartition_masks(
@@ -643,51 +659,52 @@ def _descriptor_walk(n: int):
         stack.extend((mask | bit, desc + tail, c) for bit, tail, c in later[last])
 
 
-def _orbit_memo(lat: Lattice, group):
-    """(``S_bits``, stats) of a proper side A of the lattice's links, each
-    computed once per translation orbit (`Lattice.translation_orbit`).
+def _tail_index(lat: Lattice, group, tail_of):
+    """The tails of an exhaustive scan's rows, each computed once per
+    translation orbit (`Lattice.translation_orbit`), as ``(index, tails,
+    miss)``: the tail of side A is ``tails[index[A] or miss(A)]``.
 
-    A torus translation maps the group to itself, so it keeps both values:
-    on a miss the value is computed once, with the engine or `_try_stats`,
-    and written at every image of the mask.  S(A) = S(B), so the S memo
-    has one byte per complement pair, at the mask of the side with link
-    n - 1 clear, holding S + 1.  The stats memo has one byte per mask, the
-    1-based index of its value in a list of the distinct stats; past 255
-    distinct values, as past `TAIL_MEMO_SIZE` tails, stats are recomputed
-    at each use.  A 0 byte marks a value not yet computed, so any order of
-    queries gives the values of direct evaluation.  Memory: 2**(n-1) plus
-    2**n bytes.  Off the torus the orbit is the mask alone.
+    ``index`` has one 2-byte entry per mask, the position of its tail in
+    ``tails``, or 0 for a tail not yet computed.  On a miss the engine
+    runs once for the pair {A, B}, since S(A) = S(B), `_try_stats` once
+    for each side, and ``tail_of(part, stats, None, s_bits)`` builds both
+    tails.  A torus translation maps the group to itself, so it keeps
+    both values, and the complement of an image is an image of B: A's
+    position is written at every image and B's at every complement.
+    Past `TAIL_MEMO_SIZE` distinct tails a tail is not indexed but left
+    in ``tails[0]``, and computed again at each use.  Any order of
+    queries thus gives the tails of direct evaluation.  Memory: 2**(n+1)
+    bytes.  Off the torus the orbit is the mask alone.
     """
     n = lat.n_links
     full = (1 << n) - 1
-    half = (1 << n) >> 1
-    s_memo = bytearray(half)
-    stats_memo = bytearray(1 << n)
-    distinct: list[BoundaryStats | None] = []
-    index: dict[BoundaryStats | None, int] = {}
-    orbit = lat.translation_orbit
+    index = array("H", [0]) * (1 << n)
+    tails: list = [None]
+    positions: dict[tuple, int] = {}
 
-    def values(part: Partition) -> tuple[int, BoundaryStats | None]:
-        mask = part.a_mask
-        s = s_memo[mask if mask < half else full ^ mask]
-        if not s:
-            s = entropy_equal_superposition(group, part).s_bits + 1
-            for image in orbit(mask):
-                s_memo[image if image < half else full ^ image] = s
-        i = stats_memo[mask]
-        if i:
-            return s - 1, distinct[i - 1]
-        stats = _try_stats(lat, part)
-        i = index.get(stats)
-        if i is None and len(distinct) < 255:
-            distinct.append(stats)
-            i = index[stats] = len(distinct)
-        if i is not None:
-            for image in orbit(mask):
-                stats_memo[image] = i
-        return s - 1, stats
+    def position(tail) -> int:
+        i = positions.get(tail)
+        if i is None:
+            if len(tails) > TAIL_MEMO_SIZE:
+                tails[0] = tail
+                return 0
+            tails.append(tail)
+            i = positions[tail] = len(tails) - 1
+        return i
 
-    return values
+    def miss(mask: int) -> int:
+        part, rest = Partition(n, mask), Partition(n, full ^ mask)
+        s_bits = entropy_equal_superposition(group, part).s_bits
+        # B's tail first, so that past the cap tails[0] is left holding A's
+        j = position(tail_of(rest, _try_stats(lat, rest), None, s_bits))
+        i = position(tail_of(part, _try_stats(lat, part), None, s_bits))
+        if i or j:
+            for image in lat.translation_orbit(mask):
+                index[image] = i
+                index[full ^ image] = j
+        return i
+
+    return index, tails, miss
 
 
 def _require_count_seed(args) -> None:
@@ -707,11 +724,12 @@ def cmd_scan(args) -> int:
 
     Exhaustive rows are made in that order, so CSV and JSON write them as
     they come, in blocks of at most `BLOCK_CHARS` characters: memory is
-    `_orbit_memo`'s 2**(n-1) + 2**n bytes, which hold S and the boundary
-    stats computed once per translation orbit, the shared tails and
-    their texts, at most `TAIL_MEMO_SIZE` each, plus one block.  A table
-    walks the exhaustive rows twice, first for its column widths and then
-    to write them, so any error comes before its first write.
+    `_tail_index`'s 2**(n+1) bytes (32 MiB at the 24-link cap), which
+    point each side at its tail, computed once per translation orbit,
+    the shared tails and their texts, at most `TAIL_MEMO_SIZE` each, plus
+    one block.  A table walks the exhaustive rows twice, first for its
+    column widths and then to write them, so any error comes before its
+    first write.
     Every ``--oracle`` scan and the drawn modes hold all rows before
     writing, so that an error leaves stdout empty.
     """

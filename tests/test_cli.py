@@ -39,7 +39,7 @@ from flipent.cli import (
     parse_partition_spec,
     parse_state_spec,
 )
-from flipent.lattice import build_torus, lattice_to_document, torus_h, torus_v
+from flipent.lattice import Lattice, build_torus, lattice_to_document, torus_h, torus_v
 from flipent.verify import default_suite, verify_partitions
 
 
@@ -534,11 +534,35 @@ def assert_one_call_per_pair_orbit(lat, masks):
     return len(pairs)
 
 
-def direct_values(lat, group):
-    """The scan's (S_bits, stats) of a side, evaluated on every query."""
-    return lambda part: (
-        cli.entropy_equal_superposition(group, part).s_bits, cli._try_stats(lat, part)
-    )
+def direct_index(lat, group, tail_of):
+    """`cli._tail_index` without the index: each side's tail evaluated on
+    every query."""
+    n = lat.n_links
+    tails = [None]
+
+    def miss(mask):
+        part = Partition(n, mask)
+        s_bits = cli.entropy_equal_superposition(group, part).s_bits
+        tails[0] = tail_of(part, cli._try_stats(lat, part), None, s_bits)
+        return 0
+
+    return [0] * (1 << n), tails, miss
+
+
+def scan_index(monkeypatch, lat, group):
+    """The tail builder and the `cli._tail_index` of an exhaustive scan of
+    ``lat`` in ``group``, as `cli._scan_rows` makes them."""
+    made = []
+    tail_index = cli._tail_index
+
+    def recorded(lat, group, tail_of):
+        made.append((tail_of, tail_index(lat, group, tail_of)))
+        return made[-1][1]
+
+    monkeypatch.setattr(cli, "_tail_index", recorded)
+    cli._scan_rows(build_parser().parse_args(["scan", "--lattice", "-"]), lat, group)
+    ((tail_of, found),) = made
+    return tail_of, found
 
 
 class TestPairedScan:
@@ -573,7 +597,7 @@ class TestPairedScan:
         # 43 orbits of the 127 pairs at k=2; each pair alone off the torus
         assert calls == {"torus-k2": 43}.get(lattice, (1 << (n - 1)) - 1)
 
-        monkeypatch.setattr(cli, "_orbit_memo", direct_values)
+        monkeypatch.setattr(cli, "_tail_index", direct_index)
         engine_calls.clear()
         code, unpaired, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
@@ -582,28 +606,77 @@ class TestPairedScan:
         assert len(engine_calls) == walks * ((1 << n) - 2)
         assert paired == unpaired
 
+    @pytest.mark.parametrize("variant", SCAN_VARIANTS)
+    def test_same_bytes_past_the_tail_cap(
+        self, capsys, monkeypatch, engine_calls, variant
+    ):
+        # with 3 tails indexed, the others are computed again at each use
+        lattice, options = SCAN_VARIANTS[variant]
+        argv = ["scan", "--lattice", SCAN_LATTICES[lattice], "--mode", "exhaustive",
+                *options]
+        code, indexed, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        calls = len(engine_calls)
+        monkeypatch.setattr(cli, "TAIL_MEMO_SIZE", 3)
+        engine_calls.clear()
+        code, capped, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(engine_calls) > calls
+        assert capped == indexed
+
+    @pytest.mark.parametrize(
+        "lattice, fmt, pairs",
+        [("torus:k=3", "csv", 14591),  # orbits of the 131,071 pairs
+         (str(GOLDEN / "cube.lat"), "csv", 2047),  # each pair alone
+         (str(GOLDEN / "cube.lat"), "table", 2047)],
+        ids=["torus-k3-csv", "cube-csv", "cube-table"],
+    )
+    def test_one_orbit_and_two_stats_per_miss(
+        self, monkeypatch, engine_calls, lattice, fmt, pairs
+    ):
+        orbits, stats_calls = [], []
+        translation_orbit = Lattice.translation_orbit
+        stats = cli.boundary_stats
+
+        def recorded(lat, mask):
+            orbits.append(mask)
+            return translation_orbit(lat, mask)
+
+        def counted(lat, part):
+            stats_calls.append(part.a_mask)
+            return stats(lat, part)
+
+        monkeypatch.setattr(Lattice, "translation_orbit", recorded)
+        monkeypatch.setattr(cli, "boundary_stats", counted)
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        assert main(["scan", "--lattice", lattice, "--format", fmt]) == 0
+        assert len(engine_calls) == len(orbits) == len(set(orbits)) == pairs
+        assert len(stats_calls) == 2 * pairs
+
     @pytest.mark.parametrize("order", ["shuffled", "descending"])
     @pytest.mark.parametrize("group", ["stars", "plaquettes", "single-links"])
     @pytest.mark.parametrize("lattice", SCAN_LATTICES)
     def test_memo_is_independent_of_query_order(
-        self, engine_calls, lattice, group, order
+        self, monkeypatch, engine_calls, lattice, group, order
     ):
         lat = parse_lattice_spec(SCAN_LATTICES[lattice])
         n = lat.n_links
         matrix = {
             "stars": star_group(lat),
             "plaquettes": plaquette_group(lat),
-            # every S is 0, and a 0 must be memoized like any other value
+            # every S is 0, and a 0 must be indexed like any other value
             "single-links": Gf2Matrix([1 << l for l in range(n)], n),
         }[group]
         masks = list(range((1 << n) - 2, 0, -1))  # complements with link n-1 first
         if order == "shuffled":
             random.Random(n).shuffle(masks)
-        values = cli._orbit_memo(lat, matrix)
-        for mask in masks + masks[::-1]:  # fill the memo, then read it back
+        tail_of, (index, tails, miss) = scan_index(monkeypatch, lat, matrix)
+        for mask in masks + masks[::-1]:  # fill the index, then read it back
             part = Partition(n, mask)
             s_bits = entropy_equal_superposition(matrix, part).s_bits
-            assert values(part) == (s_bits, cli._try_stats(lat, part))
+            assert tails[index[mask] or miss(mask)] == tail_of(
+                part, cli._try_stats(lat, part), None, s_bits
+            )
         assert_one_call_per_pair_orbit(lat, engine_calls)
 
     @pytest.mark.parametrize("group", ["stars", "plaquettes"])
@@ -612,6 +685,7 @@ class TestPairedScan:
         # them read from the orbit the first query wrote
         lat = build_torus(3)
         n = lat.n_links
+        full = (1 << n) - 1
         matrix = star_group(lat) if group == "stars" else plaquette_group(lat)
         stats_calls = []
         try_stats = cli._try_stats
@@ -620,20 +694,23 @@ class TestPairedScan:
             stats_calls.append(part.a_mask)
             return try_stats(lat, part)
 
+        tail_of, (index, tails, miss) = scan_index(monkeypatch, lat, matrix)
         monkeypatch.setattr(cli, "_try_stats", counted)
-        values = cli._orbit_memo(lat, matrix)
         perms = translations(lat)
         rng = random.Random(23)
-        for mask in (rng.randrange(1, (1 << n) - 1) for _ in range(300)):
+        for mask in (rng.randrange(1, full) for _ in range(300)):
             for image in images(perms, mask):
                 part = Partition(n, image)
-                got = values(part)
-                assert got == (entropy_equal_superposition(matrix, part).s_bits,
-                               try_stats(lat, part))
-        # the stats once per orbit of masks, as the engine once per orbit
-        # of pairs
-        assert len(stats_calls) == len({min(images(perms, m)) for m in stats_calls})
-        assert len(stats_calls) <= 300
+                got = tails[index[image] or miss(image)]
+                assert got == tail_of(part, try_stats(lat, part), None,
+                                   entropy_equal_superposition(matrix, part).s_bits)
+        # a miss computes the stats of the complement, then of the side,
+        # once per orbit of pairs, as the engine
+        sides = stats_calls[1::2]
+        assert stats_calls[0::2] == [full ^ m for m in sides]
+        pair_orbits = {frozenset(min(m, full ^ m) for m in images(perms, side))
+                       for side in sides}
+        assert len(pair_orbits) == len(sides) <= 300
 
     def test_sampled_mode_calls_the_engine_once_per_row(self, capsys, engine_calls):
         code, out, _ = run_cli(
@@ -650,14 +727,13 @@ class TestPairedScan:
         "name", ["scan_exhaustive_k5_exit3", "scan_exhaustive_scan_cap_exit3"]
     )
     def test_capped_scan_allocates_no_memo(self, capsys, monkeypatch, name):
-        def refuse(lat, group):
-            n = lat.n_links
-            raise AssertionError(f"a memo of 2**{n - 1} + 2**{n} bytes was allocated")
+        def refuse(lat, group, tail_of):
+            raise AssertionError(f"an index of 2**{lat.n_links + 1} bytes was allocated")
 
         def refuse_walk(n):
             raise AssertionError("the scan walked its masks")
 
-        monkeypatch.setattr(cli, "_orbit_memo", refuse)
+        monkeypatch.setattr(cli, "_tail_index", refuse)
         monkeypatch.setattr(cli, "_descriptor_walk", refuse_walk)
         (argv,) = [c["argv"] for c in GOLDEN_CASES if c["name"] == name]
         code, out, err = run_cli(capsys, *argv)
@@ -750,9 +826,14 @@ class TestStreamedScan:
 
     def test_table_error_on_the_last_row_prints_nothing(self, capsys, monkeypatch):
         # the rows are written only after the widths walk meets every row;
-        # off the torus each row's stats are computed at that row, not with
-        # an earlier row of its translation orbit
-        *_, (last_mask, _) = cli._descriptor_walk(12)
+        # off the torus a row's stats are computed at that row unless its
+        # complement came first, so fail at the last row whose did not
+        full = (1 << 12) - 1
+        seen = set()
+        for mask, _ in cli._descriptor_walk(12):
+            if full ^ mask not in seen:
+                last_mask = mask
+            seen.add(mask)
         try_stats = cli._try_stats
 
         def failing(lat, part):
