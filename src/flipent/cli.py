@@ -521,10 +521,11 @@ def _scan_rows(args, lat, group):
     empty even when `cmd_scan` streams the rows.  Exhaustive rows come
     in descriptor order (`_descriptor_walk`), as a `_Rewalk` whose walks
     share one `_tail_index`, 2**(n+1) bytes (32 MiB at the 24-link cap),
-    so the engine and the boundary stats run once per translation orbit
-    however often the rows are walked; a row's own work is one index
-    read.  The oracle still runs on each row's own side.  The other
-    modes give their rows in draw order, once.
+    so the engine and the boundary stats run once per symmetry orbit
+    of the torus (8 k**2 maps) however often the rows are walked; a
+    row's own work is one index read.  The oracle still runs on each
+    row's own side.  The other modes give their rows in draw order,
+    once.
     A region row names its region by the links of its boundary loop.
     """
     mode = args.mode
@@ -661,20 +662,23 @@ def _descriptor_walk(n: int):
 
 def _tail_index(lat: Lattice, group, tail_of):
     """The tails of an exhaustive scan's rows, each computed once per
-    translation orbit (`Lattice.translation_orbit`), as ``(index, tails,
-    miss)``: the tail of side A is ``tails[index[A] or miss(A)]``.
+    symmetry orbit (`Lattice.symmetry_orbit`, 8 k**2 maps on the torus),
+    as ``(index, tails, miss)``: the tail of side A is
+    ``tails[index[A] or miss(A)]``.
 
     ``index`` has one 2-byte entry per mask, the position of its tail in
     ``tails``, or 0 for a tail not yet computed.  On a miss the engine
-    runs once for the pair {A, B}, since S(A) = S(B), `_try_stats` once
-    for each side, and ``tail_of(part, stats, None, s_bits)`` builds both
-    tails.  A torus translation maps the group to itself, so it keeps
-    both values, and the complement of an image is an image of B: A's
-    position is written at every image and B's at every complement.
-    Past `TAIL_MEMO_SIZE` distinct tails a tail is not indexed but left
-    in ``tails[0]``, and computed again at each use.  Any order of
-    queries thus gives the tails of direct evaluation.  Memory: 2**(n+1)
-    bytes.  Off the torus the orbit is the mask alone.
+    runs once for the pair {A, B}, since S(A) = S(B), and `_try_stats`
+    and ``tail_of(part, stats, None, s_bits)`` build A's tail, then B's.
+    A torus symmetry maps the group to itself, so it keeps both values,
+    and the complement of an image is an image of B: A's position is
+    written at every image and B's at every complement.  Past
+    `TAIL_MEMO_SIZE` distinct tails a new tail is not indexed but left
+    in ``tails[0]``, and computed again at each use; once ``tails`` is
+    full a miss builds A's tail alone, so no row costs more than direct
+    evaluation.  Any order of queries thus gives the tails of direct
+    evaluation.  Memory: 2**(n+1) bytes.  Off the torus the orbit is
+    the mask alone.
     """
     n = lat.n_links
     full = (1 << n) - 1
@@ -693,15 +697,18 @@ def _tail_index(lat: Lattice, group, tail_of):
         return i
 
     def miss(mask: int) -> int:
-        part, rest = Partition(n, mask), Partition(n, full ^ mask)
+        part = Partition(n, mask)
         s_bits = entropy_equal_superposition(group, part).s_bits
-        # B's tail first, so that past the cap tails[0] is left holding A's
-        j = position(tail_of(rest, _try_stats(lat, rest), None, s_bits))
         i = position(tail_of(part, _try_stats(lat, part), None, s_bits))
-        if i or j:
-            for image in lat.translation_orbit(mask):
+        if i:
+            orbit = lat.symmetry_orbit(mask)
+            for image in orbit:
                 index[image] = i
-                index[full ^ image] = j
+            if len(tails) <= TAIL_MEMO_SIZE:  # room for B's tail
+                rest = Partition(n, full ^ mask)
+                j = position(tail_of(rest, _try_stats(lat, rest), None, s_bits))
+                for image in orbit:
+                    index[full ^ image] = j
         return i
 
     return index, tails, miss
@@ -725,7 +732,7 @@ def cmd_scan(args) -> int:
     Exhaustive rows are made in that order, so CSV and JSON write them as
     they come, in blocks of at most `BLOCK_CHARS` characters: memory is
     `_tail_index`'s 2**(n+1) bytes (32 MiB at the 24-link cap), which
-    point each side at its tail, computed once per translation orbit,
+    point each side at its tail, computed once per symmetry orbit,
     the shared tails and their texts, at most `TAIL_MEMO_SIZE` each, plus
     one block.  A table walks the exhaustive rows twice, first for its
     column widths and then to write them, so any error comes before its

@@ -172,15 +172,18 @@ class Lattice:
 
     @cached_property
     def _torus_shifts(self) -> tuple:
-        # On the torus, the two unit translations of a link mask: the column
-        # shift (i, j) -> (i+1, j) rotates each k-link row of both link
-        # blocks by one, and the row shift (i, j) -> (i, j+1) rotates each
-        # k**2-link block by k.  Both map stars to stars and plaquettes to
-        # plaquettes.  Off the torus, none.
+        # On the torus, four maps of link masks, each sending stars to stars
+        # and plaquettes to plaquettes.  The column shift (i, j) -> (i+1, j)
+        # rotates each k-link row of both link blocks by one, and the row
+        # shift (i, j) -> (i, j+1) rotates each k**2-link block by k.  The
+        # transpose (i, j) -> (j, i) swaps h(i, j) and v(j, i), and the
+        # mirror (i, j) -> (-i, j) sends h(i, j) to h(-i-1, j) and v(i, j)
+        # to v(-i, j).  Off the torus, none.
         k = self.torus_k
         if k is None:
             return ()
-        full = (1 << self.n_links) - 1
+        n = self.n_links
+        full = (1 << n) - 1
         last = sum(1 << r * k for r in range(2 * k)) << k - 1  # column k - 1
         top = ((1 << k) - 1) << k * k - k
         top |= top << k * k  # row k - 1 of both blocks
@@ -192,23 +195,38 @@ class Lattice:
         def row_shift(mask: int) -> int:
             return (mask & keep_block) << k | (mask & top) >> k * k - k
 
-        return column_shift, row_shift
+        transpose, mirror = [0] * n, [0] * n  # the image bit of each link
+        for i in range(k):
+            for j in range(k):
+                h, v = torus_h(k, i, j), torus_v(k, i, j)
+                transpose[h], transpose[v] = 1 << torus_v(k, j, i), 1 << torus_h(k, j, i)
+                mirror[h], mirror[v] = 1 << torus_h(k, -i - 1, j), 1 << torus_v(k, -i, j)
 
-    def translation_orbit(self, mask: int) -> list[int]:
-        """The images of a link mask under every translation of the torus,
-        k**2 of them with repeats, the mask itself first; off the torus,
-        the mask alone.  A torus translation maps each group to itself, so
-        it keeps every entropy and boundary statistic."""
+        def reflection(bits):
+            return lambda mask: sum(compress(bits, _bit_flags(mask)))
+
+        return column_shift, row_shift, reflection(transpose), reflection(mirror)
+
+    def symmetry_orbit(self, mask: int) -> list[int]:
+        """The images of a link mask under every symmetry of the torus, each
+        translation after each of the 8 symmetries of the square: 8 k**2
+        of them with repeats, the mask itself first; off the torus, the
+        mask alone.  A symmetry maps each group to itself, so it keeps
+        every entropy and boundary statistic."""
         if not self._torus_shifts:
             return [mask]
-        column_shift, row_shift = self._torus_shifts
+        column_shift, row_shift, transpose, mirror = self._torus_shifts
         k = self.torus_k
         images = []
-        for _ in range(k):
+        # mirror after transpose is a quarter turn, so alternating the two
+        # reflections passes the 8 point images of the mask
+        for reflect in (transpose, mirror) * 4:
             for _ in range(k):
-                images.append(mask)
-                mask = column_shift(mask)
-            mask = row_shift(mask)
+                for _ in range(k):
+                    images.append(mask)
+                    mask = column_shift(mask)
+                mask = row_shift(mask)
+            mask = reflect(mask)
         return images
 
     @cached_property

@@ -39,8 +39,9 @@ from flipent.cli import (
     parse_partition_spec,
     parse_state_spec,
 )
-from flipent.lattice import Lattice, build_torus, lattice_to_document, torus_h, torus_v
+from flipent.lattice import Lattice, build_torus, lattice_to_document
 from flipent.verify import default_suite, verify_partitions
+from tests.test_lattice import reference_symmetries
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -496,22 +497,12 @@ SCAN_VARIANTS = {
 }
 
 
-def translations(lat):
-    """Every translation of the torus as a link permutation, from `torus_h`
-    and `torus_v`; off the torus, the identity alone."""
-    k = lat.torus_k
-    if k is None:
+def symmetries(lat):
+    """Every symmetry of the torus as a link permutation, built from site
+    maps with `torus_h` and `torus_v`; off the torus, the identity alone."""
+    if lat.torus_k is None:
         return [list(range(lat.n_links))]
-    perms = []
-    for a in range(k):
-        for b in range(k):
-            perm = [0] * lat.n_links
-            for i in range(k):
-                for j in range(k):
-                    perm[torus_h(k, i, j)] = torus_h(k, i + a, j + b)
-                    perm[torus_v(k, i, j)] = torus_v(k, i + a, j + b)
-            perms.append(perm)
-    return perms
+    return reference_symmetries(lat.torus_k)
 
 
 def images(perms, mask):
@@ -520,11 +511,11 @@ def images(perms, mask):
 
 def assert_one_call_per_pair_orbit(lat, masks):
     """The engine was called on ``masks``: no complement pair twice, and
-    exactly one pair of each translation orbit of pairs."""
+    exactly one pair of each symmetry orbit of pairs."""
     full = (1 << lat.n_links) - 1
     pairs = [min(m, full ^ m) for m in masks]
     assert len(set(pairs)) == len(pairs)  # no pair evaluated twice
-    perms = translations(lat)
+    perms = symmetries(lat)
 
     def orbit(mask):
         return frozenset(min(m, full ^ m) for m in images(perms, mask))
@@ -566,7 +557,7 @@ def scan_index(monkeypatch, lat, group):
 
 
 class TestPairedScan:
-    """The exhaustive scan asks the engine once per translation orbit of
+    """The exhaustive scan asks the engine once per symmetry orbit of
     complement pairs {A, B} (each pair alone off the torus) and prints
     the bytes that one engine call per row prints."""
 
@@ -594,8 +585,8 @@ class TestPairedScan:
         code, paired, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         calls = assert_one_call_per_pair_orbit(lat, engine_calls)
-        # 43 orbits of the 127 pairs at k=2; each pair alone off the torus
-        assert calls == {"torus-k2": 43}.get(lattice, (1 << (n - 1)) - 1)
+        # 17 orbits of the 127 pairs at k=2; each pair alone off the torus
+        assert calls == {"torus-k2": 17}.get(lattice, (1 << (n - 1)) - 1)
 
         monkeypatch.setattr(cli, "_tail_index", direct_index)
         engine_calls.clear()
@@ -610,23 +601,36 @@ class TestPairedScan:
     def test_same_bytes_past_the_tail_cap(
         self, capsys, monkeypatch, engine_calls, variant
     ):
-        # with 3 tails indexed, the others are computed again at each use
+        # with 3 tails indexed, the others are computed again at each use,
+        # and a miss past the cap computes its own side's tail alone, so no
+        # row costs more than one engine call and one stats call per walk
         lattice, options = SCAN_VARIANTS[variant]
         argv = ["scan", "--lattice", SCAN_LATTICES[lattice], "--mode", "exhaustive",
                 *options]
         code, indexed, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         calls = len(engine_calls)
+        stats_calls = []
+        stats = cli.boundary_stats
+
+        def counted(lat, part):
+            stats_calls.append(part.a_mask)
+            return stats(lat, part)
+
+        monkeypatch.setattr(cli, "boundary_stats", counted)
         monkeypatch.setattr(cli, "TAIL_MEMO_SIZE", 3)
         engine_calls.clear()
         code, capped, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
-        assert len(engine_calls) > calls
         assert capped == indexed
+        walks = 2 if "table" in options and "--oracle" not in options else 1
+        rows = (1 << parse_lattice_spec(SCAN_LATTICES[lattice]).n_links) - 2
+        assert calls < len(engine_calls) <= walks * rows
+        assert len(stats_calls) <= walks * rows
 
     @pytest.mark.parametrize(
         "lattice, fmt, pairs",
-        [("torus:k=3", "csv", 14591),  # orbits of the 131,071 pairs
+        [("torus:k=3", "csv", 2111),  # orbits of the 131,071 pairs
          (str(GOLDEN / "cube.lat"), "csv", 2047),  # each pair alone
          (str(GOLDEN / "cube.lat"), "table", 2047)],
         ids=["torus-k3-csv", "cube-csv", "cube-table"],
@@ -635,18 +639,18 @@ class TestPairedScan:
         self, monkeypatch, engine_calls, lattice, fmt, pairs
     ):
         orbits, stats_calls = [], []
-        translation_orbit = Lattice.translation_orbit
+        symmetry_orbit = Lattice.symmetry_orbit
         stats = cli.boundary_stats
 
         def recorded(lat, mask):
             orbits.append(mask)
-            return translation_orbit(lat, mask)
+            return symmetry_orbit(lat, mask)
 
         def counted(lat, part):
             stats_calls.append(part.a_mask)
             return stats(lat, part)
 
-        monkeypatch.setattr(Lattice, "translation_orbit", recorded)
+        monkeypatch.setattr(Lattice, "symmetry_orbit", recorded)
         monkeypatch.setattr(cli, "boundary_stats", counted)
         monkeypatch.setattr(sys, "stdout", _Discard())
         assert main(["scan", "--lattice", lattice, "--format", fmt]) == 0
@@ -696,7 +700,7 @@ class TestPairedScan:
 
         tail_of, (index, tails, miss) = scan_index(monkeypatch, lat, matrix)
         monkeypatch.setattr(cli, "_try_stats", counted)
-        perms = translations(lat)
+        perms = symmetries(lat)
         rng = random.Random(23)
         for mask in (rng.randrange(1, full) for _ in range(300)):
             for image in images(perms, mask):
@@ -704,10 +708,10 @@ class TestPairedScan:
                 got = tails[index[image] or miss(image)]
                 assert got == tail_of(part, try_stats(lat, part), None,
                                    entropy_equal_superposition(matrix, part).s_bits)
-        # a miss computes the stats of the complement, then of the side,
+        # a miss computes the stats of the side, then of the complement,
         # once per orbit of pairs, as the engine
-        sides = stats_calls[1::2]
-        assert stats_calls[0::2] == [full ^ m for m in sides]
+        sides = stats_calls[0::2]
+        assert stats_calls[1::2] == [full ^ m for m in sides]
         pair_orbits = {frozenset(min(m, full ^ m) for m in images(perms, side))
                        for side in sides}
         assert len(pair_orbits) == len(sides) <= 300

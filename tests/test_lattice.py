@@ -12,6 +12,7 @@ from flipent import (
     boundary_stats,
     build_torus,
     disk_region,
+    entropy_equal_superposition,
     ladder_operators,
     lattice_to_document,
     named_partition,
@@ -22,6 +23,7 @@ from flipent import (
     region_from_sites,
     star_group,
 )
+from flipent.cli import _try_stats
 from flipent.gf2 import mask_from_indices
 from flipent.lattice import (
     MAX_TORUS_BYTES,
@@ -208,15 +210,40 @@ class TestLadderOperators:
             ladder_operators(lat)
 
 
-def reference_translation(k: int, a: int, b: int) -> list[int]:
-    """The link permutation of the torus translation (i, j) -> (i+a, j+b),
-    from `torus_h` and `torus_v`."""
+#: the 8 symmetries of the square as site maps (i, j) -> (xx*i + xy*j,
+#: yx*i + yy*j): the rotations by 0, 90, 180 and 270 degrees, then the
+#: mirror (i, j) -> (-i, j), the transpose and the other two reflections
+POINT_MAPS = [(1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
+              (-1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, -1), (0, -1, -1, 0)]
+IDENTITY, MIRROR, TRANSPOSE = POINT_MAPS[0], POINT_MAPS[4], POINT_MAPS[5]
+
+
+def reference_symmetry(k: int, point, a: int = 0, b: int = 0) -> list[int]:
+    """The link permutation of the torus symmetry (i, j) -> point(i, j) +
+    (a, b), from `torus_h` and `torus_v`: each link goes to the link
+    between the images of its two end sites."""
+    xx, xy, yx, yy = point
+
+    def site(i, j):  # unreduced, so that two ends differ by a unit step
+        return xx * i + xy * j + a, yx * i + yy * j + b
+
+    def link(end, other):
+        (i, j), (i2, _) = sorted((end, other))
+        return torus_v(k, i, j) if i == i2 else torus_h(k, i, j)
+
     perm = [0] * (2 * k * k)
     for i in range(k):
         for j in range(k):
-            perm[torus_h(k, i, j)] = torus_h(k, i + a, j + b)
-            perm[torus_v(k, i, j)] = torus_v(k, i + a, j + b)
+            perm[torus_h(k, i, j)] = link(site(i, j), site(i + 1, j))
+            perm[torus_v(k, i, j)] = link(site(i, j), site(i, j + 1))
     return perm
+
+
+def reference_symmetries(k: int) -> list[list[int]]:
+    """The 8 k**2 symmetries of the k x k torus, every translation after
+    every point map."""
+    return [reference_symmetry(k, point, a, b)
+            for point in POINT_MAPS for a in range(k) for b in range(k)]
 
 
 def permuted(perm: list[int], mask: int) -> int:
@@ -224,27 +251,29 @@ def permuted(perm: list[int], mask: int) -> int:
 
 
 class TestTorusShifts:
-    """The column and row shifts of the torus, and the translation orbit
-    the exhaustive scan shares its values over."""
+    """The translations and reflections of the torus, and the symmetry
+    orbit the exhaustive scan shares its values over."""
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_shifts_map_stars_and_plaquettes_to_themselves(self, k):
         lat = build_torus(k)
-        assert len(lat._torus_shifts) == 2
+        assert len(lat._torus_shifts) == 4
         for shift in lat._torus_shifts:
             for masks in (lat.star_masks(), lat.plaquette_masks()):
                 assert sorted(map(shift, masks)) == sorted(masks)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_k_shifts_are_the_identity(self, k):
+        # k unit translations, or a reflection twice
         lat = build_torus(k)
         n = lat.n_links
         rng = random.Random(k)
         masks = [1 << l for l in range(n)] + [rng.getrandbits(n) for _ in range(50)]
-        for shift in lat._torus_shifts:
+        column_shift, row_shift, transpose, mirror = lat._torus_shifts
+        for shift, order in ((column_shift, k), (row_shift, k), (transpose, 2), (mirror, 2)):
             for mask in masks:
                 image = mask
-                for _ in range(k):
+                for _ in range(order):
                     image = shift(image)
                     assert image >> n == 0
                 assert image == mask
@@ -252,25 +281,54 @@ class TestTorusShifts:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_unit_shifts_and_orbit_match_the_site_translations(self, k):
         lat = build_torus(k)
-        column_shift, row_shift = lat._torus_shifts
-        column, row = reference_translation(k, 1, 0), reference_translation(k, 0, 1)
-        perms = [reference_translation(k, a, b) for a in range(k) for b in range(k)]
+        expected = [reference_symmetry(k, IDENTITY, 1, 0),
+                    reference_symmetry(k, IDENTITY, 0, 1),
+                    reference_symmetry(k, TRANSPOSE), reference_symmetry(k, MIRROR)]
+        perms = reference_symmetries(k)
         rng = random.Random(k)
         for mask in [1 << l for l in range(lat.n_links)] + [
             rng.getrandbits(lat.n_links) for _ in range(30)
         ]:
-            assert column_shift(mask) == permuted(column, mask)
-            assert row_shift(mask) == permuted(row, mask)
-            orbit = lat.translation_orbit(mask)
+            for shift, perm in zip(lat._torus_shifts, expected):
+                assert shift(mask) == permuted(perm, mask)
+            orbit = lat.symmetry_orbit(mask)
             assert orbit[0] == mask
             assert sorted(orbit) == sorted(permuted(p, mask) for p in perms)
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_reference_maps_are_symmetries(self, k):
+        # the reference the orbit is checked against: each of its 8 k**2
+        # link permutations sends the stars onto the stars and the
+        # plaquettes onto the plaquettes
+        lat = build_torus(k)
+        perms = reference_symmetries(k)
+        assert len(perms) == 8 * k * k
+        for perm in perms:
+            assert sorted(perm) == list(range(lat.n_links))
+            for masks in (lat.star_masks(), lat.plaquette_masks()):
+                assert sorted(permuted(perm, m) for m in masks) == sorted(masks)
+
+    @pytest.mark.parametrize("group", ["stars", "plaquettes"])
+    @pytest.mark.parametrize("k, count", [(3, 40), (4, 12)])
+    def test_orbit_keeps_entropy_and_stats(self, k, count, group):
+        lat = build_torus(k)
+        matrix = star_group(lat) if group == "stars" else plaquette_group(lat)
+        n = lat.n_links
+        rng = random.Random(100 + k)
+        for mask in (rng.randrange(1, (1 << n) - 1) for _ in range(count)):
+            values = {
+                (entropy_equal_superposition(matrix, Partition(n, image)).s_bits,
+                 _try_stats(lat, Partition(n, image)))
+                for image in lat.symmetry_orbit(mask)
+            }
+            assert len(values) == 1
 
     def test_off_the_torus_the_orbit_is_the_mask(self):
         for doc in (cube_document(), planar_patch_document()):
             lat = parse_lattice_document(doc)
             assert lat._torus_shifts == ()
             for mask in range(1 << lat.n_links):
-                assert lat.translation_orbit(mask) == [mask]
+                assert lat.symmetry_orbit(mask) == [mask]
 
 
 class TestNamedPartitions:
