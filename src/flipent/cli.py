@@ -59,7 +59,7 @@ from .lattice import (
     random_simple_region,
     star_group,
 )
-from .states import GroundStateCoeffs, closed_form_entropy
+from .states import GroundStateCoeffs, amplitude_norm, closed_form_entropy
 
 COEFF_NORM_SLACK = 1e-6
 
@@ -178,7 +178,7 @@ def parse_state_spec(spec: str) -> tuple[str, GroundStateCoeffs, bool]:
             amps = [complex(t) for t in toks]
         except ValueError:
             raise ValueError(f"bad complex literal in {spec!r}")
-        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        norm = amplitude_norm(amps)
         if not abs(norm - 1) < COEFF_NORM_SLACK:  # rejects NaN too
             raise ValueError(
                 f"coefficient norm {norm!r} is too far from 1 to renormalize"
@@ -202,6 +202,8 @@ def parse_state_spec(spec: str) -> tuple[str, GroundStateCoeffs, bool]:
 #: characters per write of the row emitters: one write per 8 KiB of rows,
 #: not one per row, which an unbuffered stdout makes a system call
 BLOCK_CHARS = 8192
+#: a subtree of at most 2**WALK_TABLE_DEPTH rows is one block of `_descriptor_walk`
+WALK_TABLE_DEPTH = 7
 #: most distinct row tails the scan's row builder shares and the exhaustive
 #: scan indexes, and most tail objects an emitter keeps formatted: the k=3
 #: sweep has 341, while drawn regions rarely repeat one
@@ -215,10 +217,10 @@ def emit_json(obj, out) -> None:
 
 def emit_rows_json(fixed: dict, rows, out) -> None:
     """Write `emit_json`'s bytes for ``fixed`` plus a last key ``"rows"``,
-    the (descriptor, tail) rows as objects keyed by `CSV_COLUMNS`, one row
-    at a time and in blocks (`_row_texts`, `_write_blocks`)."""
+    the blocks of (descriptor, tail) ``rows`` as objects keyed by
+    `CSV_COLUMNS`, a block at a time (`_row_texts`, `_write_blocks`)."""
     keys = [json.dumps(c) for c in CSV_COLUMNS]
-    head = "{\n      %s: " % keys[0]
+    head = ",\n    {\n      %s: " % keys[0]
 
     def tail_text(tail) -> str:
         fields = "".join(
@@ -227,12 +229,13 @@ def emit_rows_json(fixed: dict, rows, out) -> None:
         return fields + "\n    }"
 
     def texts():
-        yield json.dumps({**fixed, "rows": []}, indent=2)[:-3]  # through "["
-        sep = "\n    "
-        for text in _row_texts(rows, lambda v: head + json.dumps(v), tail_text):
-            yield sep + text
-            sep = ",\n    "
-        yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"  # [] when no rows
+        yield [json.dumps({**fixed, "rows": []}, indent=2)[:-3]]  # through "["
+        empty = True
+        for block in _row_texts(rows, lambda v: head + json.dumps(v), tail_text):
+            if empty and block:
+                block[0], empty = block[0][1:], False  # no comma before the first
+            yield block
+        yield ["]\n}\n" if empty else "\n  ]\n}\n"]  # [] when no rows
 
     _write_blocks(texts(), out)
 
@@ -256,16 +259,17 @@ def _csv_head(value) -> str:
 
 
 def emit_rows_csv(rows, out) -> None:
-    """Rows are (descriptor, tail) pairs, the tail holding the other
-    `CSV_COLUMNS` fields, written as the csv module writes them: None as
-    an empty field and a float as its repr.  Lines are made by
-    `_row_texts` and written in blocks by `_write_blocks`."""
+    """``rows`` are blocks (iterables) of (descriptor, tail) pairs, the tail
+    holding the other `CSV_COLUMNS` fields, written as the csv module
+    writes them: None as an empty field and a float as its repr.  Lines
+    are made by `_row_texts` and written in blocks by `_write_blocks`."""
     lines = _row_texts(rows, _csv_head, lambda tail: _csv_line(("", *tail)))
-    _write_blocks(chain([_csv_line(CSV_COLUMNS)], lines), out)
+    _write_blocks(chain([[_csv_line(CSV_COLUMNS)]], lines), out)
 
 
 def _row_texts(rows, head_text, tail_text):
-    """Yield ``head_text(head) + tail_text(tail)`` for each (head, tail) row.
+    """For each block of (head, tail) ``rows``, yield the list of
+    ``head_text(head) + tail_text(tail)``, one list comprehension a block.
 
     ``tail_text`` runs once per tail object, for up to `TAIL_MEMO_SIZE`
     objects: the scan's rows share one tail per distinct set of values
@@ -273,21 +277,23 @@ def _row_texts(rows, head_text, tail_text):
     keyed by identity and holds each tail it keys, so that no other
     object can take its id; a tail must not change while it is walked.
     """
-    memo = {}
-    for head, tail in rows:
-        kept = memo.get(id(tail))
-        if kept is None:
-            kept = tail, tail_text(tail)
-            if len(memo) < TAIL_MEMO_SIZE:
-                memo[id(tail)] = kept
-        yield head_text(head) + kept[1]
+    kept, texts = {}, {}  # id(tail) -> the tail, and -> its text
+
+    def text(tail):
+        made = tail_text(tail)
+        if len(kept) < TAIL_MEMO_SIZE:
+            kept[id(tail)], texts[id(tail)] = tail, made
+        return made
+
+    for block in rows:
+        yield [head_text(h) + (texts.get(id(t)) or text(t)) for h, t in block]
 
 
 def _write_blocks(texts, out) -> None:
-    """Write ``texts`` joined into blocks of at most `BLOCK_CHARS`
-    characters, one ``out.write`` each; a longer text is a block alone."""
+    """Write the text lists ``texts`` joined into blocks of at most
+    `BLOCK_CHARS` characters, one ``out.write`` each; a longer text alone."""
     block, size = [], 0
-    for text in texts:
+    for text in chain.from_iterable(texts):
         size += len(text)
         if size > BLOCK_CHARS and block:
             out.write("".join(block))
@@ -310,14 +316,14 @@ def emit_fields(obj: dict, out) -> None:
 
 
 def emit_rows_table(rows, out) -> None:
-    """Columns padded to their widest cell, ``-`` for None.  The
+    """Columns padded to their widest cell, ``-`` for None.  The blocks of
     (descriptor, tail) ``rows`` are walked twice, for the widths and then
-    to write in blocks, so they must be the same on each walk: a list, or
-    `_Rewalk`.  Each walk measures or pads a tail once (`_row_texts`)."""
+    to write, so they must be the same on each walk: a list, or `_Rewalk`.
+    Each walk measures or pads a tail once (`_row_texts`)."""
     # the distinct tuples of cell lengths, a tail's found once
-    lengths = set(_row_texts(
+    lengths = set(chain.from_iterable(_row_texts(
         rows, lambda v: (len(_text(v)),), lambda tail: tuple(len(_text(v)) for v in tail)
-    ))
+    )))
     head_width, *tail_widths = (max(col) for col in zip(map(len, CSV_COLUMNS), *lengths))
 
     def tail_line(tail) -> str:
@@ -325,7 +331,7 @@ def emit_rows_table(rows, out) -> None:
 
     head, *tail = CSV_COLUMNS
     lines = _row_texts(rows, lambda v: _text(v).ljust(head_width), tail_line)
-    _write_blocks(chain([head.ljust(head_width) + tail_line(tail)], lines), out)
+    _write_blocks(chain([[head.ljust(head_width) + tail_line(tail)]], lines), out)
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +524,13 @@ def _scan_rows(args, lat, group):
     repr.
 
     The checks run here, before any row, so that an error leaves stdout
-    empty even when `cmd_scan` streams the rows.  Exhaustive rows come
-    in descriptor order (`_descriptor_walk`), as a `_Rewalk` whose walks
-    share one `_tail_index`, 2**(n+1) bytes (32 MiB at the 24-link cap),
-    so the engine and the boundary stats run once per symmetry orbit
-    of the torus (8 k**2 maps) however often the rows are walked; a
-    row's own work is one index read.  The oracle still runs on each
-    row's own side.  The other modes give their rows in draw order,
-    once.
-    A region row names its region by the links of its boundary loop.
+    empty even when `cmd_scan` streams the rows.  Exhaustive rows come in
+    descriptor order, a walk subtree per block (`_descriptor_walk`), as a
+    `_Rewalk` whose walks share one `_tail_index` (the engine and stats
+    run once per torus symmetry orbit): a row's own work is one index
+    read in its block's list comprehension, plus the oracle on its own
+    side.  The other modes give single rows in draw order, once.  A
+    region row names its region by the links of its boundary loop.
     """
     mode = args.mode
     n = lat.n_links
@@ -569,9 +573,12 @@ def _scan_rows(args, lat, group):
         return entropy_equal_superposition(group, part).s_bits
 
     def exhaustive_rows(index, tails, miss):
-        for mask, desc in _descriptor_walk(n):
-            tail = tails[index[mask] or miss(mask)]
-            yield desc, tail if oracle is None else with_oracle(tail, Partition(n, mask))
+        for block in _descriptor_walk(n):
+            if oracle is None:
+                yield [(desc, tails[index[mask] or miss(mask)]) for mask, desc in block]
+            else:
+                yield [(desc, with_oracle(tails[index[mask] or miss(mask)],
+                                          Partition(n, mask))) for mask, desc in block]
 
     def link_rows(masks):
         for mask in masks:
@@ -634,30 +641,38 @@ class _Rewalk:
 
 def _descriptor_walk(n: int):
     """Yield (mask, ``links:`` descriptor) for every proper side A of ``n``
-    links, in the order of the sorted descriptors.
+    links, in the order of the sorted descriptors, in lists (blocks) of at
+    most 2**`WALK_TABLE_DEPTH` pairs.
 
     A descriptor lists A's links ascending, and ``,`` sorts below every
     digit, so that order is a depth-first walk over ascending link lists
     which yields each list before its extensions and tries the next link
     in the string order of its name (0, 1, 10, 11, ..., 2, ...).  Each
     descriptor is its parent's plus one ``,<name>``, and the full mask is
-    skipped.
+    skipped.  A node whose last link c has at most `WALK_TABLE_DEPTH`
+    links above it is a block of its whole subtree, joined from c's table
+    of (mask, suffix) extensions, built once per walk; any other node is
+    a block alone.
     """
     names = [str(link) for link in range(n)]
     order = sorted(range(n), key=names.__getitem__)
-    # the links that may follow each link, reversed: the stack pops them
-    # in string order
-    later = [
-        [(1 << c, "," + names[c], c) for c in reversed(order) if c > link]
-        for link in range(n)
-    ]
-    full = (1 << n) - 1
+    tables = {}  # last link -> its subtree's (mask, suffix) extensions, in order
+    for last in range(n - 1, max(n - 2 - WALK_TABLE_DEPTH, -1), -1):
+        tables[last] = [(0, "")] + [(1 << c | mask, f",{names[c]}{suffix}")
+                                    for c in order if c > last
+                                    for mask, suffix in tables[c]]
     stack = [(1 << c, "links:" + names[c], c) for c in reversed(order)]
     while stack:
         mask, desc, last = stack.pop()
-        if mask != full:
-            yield mask, desc
-        stack.extend((mask | bit, desc + tail, c) for bit, tail, c in later[last])
+        table = tables.get(last)
+        if table is None:
+            yield [(mask, desc)]
+            stack.extend((mask | 1 << c, f"{desc},{names[c]}", c)  # popped in string order
+                         for c in reversed(order) if c > last)
+        else:
+            block = [(mask | ext, desc + suffix) for ext, suffix in table]
+            full = (1 << n) - 1  # only in the subtree of links 0 to c
+            yield block if mask != (2 << last) - 1 else [r for r in block if r[0] != full]
 
 
 def _tail_index(lat: Lattice, group, tail_of):
@@ -729,22 +744,21 @@ def _require_count_seed(args) -> None:
 def cmd_scan(args) -> int:
     """Print the scan's (descriptor, tail) rows sorted by descriptor.
 
-    Exhaustive rows are made in that order, so CSV and JSON write them as
-    they come, in blocks of at most `BLOCK_CHARS` characters: memory is
-    `_tail_index`'s 2**(n+1) bytes (32 MiB at the 24-link cap), which
-    point each side at its tail, computed once per symmetry orbit,
-    the shared tails and their texts, at most `TAIL_MEMO_SIZE` each, plus
-    one block.  A table walks the exhaustive rows twice, first for its
-    column widths and then to write them, so any error comes before its
-    first write.
-    Every ``--oracle`` scan and the drawn modes hold all rows before
+    Exhaustive rows are made in that order, a walk subtree per block
+    from the walk's suffix tables, so CSV and JSON format each block as
+    it comes and write in blocks of at most `BLOCK_CHARS` characters:
+    memory is `_tail_index`'s 2**(n+1) bytes (32 MiB at the 24-link
+    cap), the shared tails and their texts, plus a block.  A table walks
+    the exhaustive rows twice, for its column widths and then to write,
+    so any error comes before its first write.  Every ``--oracle`` scan
+    and the drawn modes (sorted into one block) hold all rows before
     writing, so that an error leaves stdout empty.
     """
     lat = parse_lattice_spec(args.lattice)
     group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
     rows = _scan_rows(args, lat, group)
     if args.mode != "exhaustive":
-        rows = sorted(rows, key=lambda row: row[0])  # a tail may hold None
+        rows = [sorted(rows, key=lambda row: row[0])]  # one block; a tail may hold None
     elif args.oracle:
         rows = list(rows)  # an oracle cap on any row leaves stdout empty
     if args.format == "json":

@@ -183,17 +183,14 @@ class Lattice:
         if k is None:
             return ()
         n = self.n_links
-        full = (1 << n) - 1
-        last = sum(1 << r * k for r in range(2 * k)) << k - 1  # column k - 1
-        top = ((1 << k) - 1) << k * k - k
-        top |= top << k * k  # row k - 1 of both blocks
-        keep_row, keep_block = full ^ last, full ^ top
+        chains, rows, ladders, rungs = self._torus_loops
+        last, top = chains[-1] | ladders[-1], rows[-1] | rungs[-1]  # column, row k - 1
 
         def column_shift(mask: int) -> int:
-            return (mask & keep_row) << 1 | (mask & last) >> k - 1
+            return (mask & ~last) << 1 | (mask & last) >> k - 1
 
         def row_shift(mask: int) -> int:
-            return (mask & keep_block) << k | (mask & top) >> k * k - k
+            return (mask & ~top) << k | (mask & top) >> k * k - k
 
         transpose, mirror = [0] * n, [0] * n  # the image bit of each link
         for i in range(k):
@@ -215,17 +212,20 @@ class Lattice:
         every entropy and boundary statistic."""
         if not self._torus_shifts:
             return [mask]
-        column_shift, row_shift, transpose, mirror = self._torus_shifts
-        k = self.torus_k
-        images = []
+        transpose, mirror = self._torus_shifts[2:]
+        chains, rows, ladders, rungs = self._torus_loops
+        last, top = chains[-1] | ladders[-1], rows[-1] | rungs[-1]  # column, row k - 1
+        k, images = self.torus_k, []
+        keep_row, keep_block, up, down = ~last, ~top, k - 1, k * k - k
         # mirror after transpose is a quarter turn, so alternating the two
-        # reflections passes the 8 point images of the mask
+        # reflections passes the 8 point images of the mask; the column and
+        # row shifts of `_torus_shifts` are written out
         for reflect in (transpose, mirror) * 4:
             for _ in range(k):
                 for _ in range(k):
                     images.append(mask)
-                    mask = column_shift(mask)
-                mask = row_shift(mask)
+                    mask = (mask & keep_row) << 1 | (mask & last) >> up
+                mask = (mask & keep_block) << k | (mask & top) >> down
             mask = reflect(mask)
         return images
 

@@ -22,6 +22,16 @@ NORMALIZATION_TOL = 1e-12
 CLOSED_FORM_NAMES = ("single_spin", "chain", "ladder", "cross", "vertical")
 
 
+def amplitude_norm(amps) -> float:
+    """The 2-norm of complex amplitudes, by hypot where the sum of squares overflows."""
+    try:
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    except OverflowError:
+        norm = math.inf
+    parts = (x for a in amps for x in (a.real, a.imag))
+    return norm if norm != math.inf else math.hypot(*parts)  # NaN stays NaN
+
+
 @dataclass(frozen=True)
 class GroundStateCoeffs:
     """Amplitudes of a toric ground state in the ladder-flip basis.
@@ -43,7 +53,8 @@ class GroundStateCoeffs:
             )
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.as_tuple())
+        norm = amplitude_norm(self.as_tuple())
+        return norm * norm  # inf, not OverflowError, past the float range
 
     def as_tuple(self) -> tuple[complex, complex, complex, complex]:
         return (self.a00, self.a01, self.a10, self.a11)
@@ -63,7 +74,7 @@ class GroundStateCoeffs:
         if len(vals) != 4:
             raise ValueError("need exactly four amplitudes")
         if renormalize:
-            norm = math.sqrt(sum(abs(a) ** 2 for a in vals))
+            norm = amplitude_norm(vals)
             if norm == 0:
                 raise ValueError("cannot normalize the zero vector")
             vals = [a / norm for a in vals]

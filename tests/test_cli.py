@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -135,6 +136,22 @@ class TestSpecParsers:
         assert err == (
             "error: coefficient norm nan is too far from 1 to renormalize\n"
         )
+
+    @pytest.mark.parametrize(
+        "amps, norm",
+        [("1e200,1e200,0,0", "1.414213562373095e+200"),
+         ("1e308+1e308j,0,0,0", "1.4142135623730951e+308"),
+         ("1e154,1e154,1e154,1e154", "2e+154")],
+    )
+    def test_huge_coeffs_exit_2(self, capsys, amps, norm):
+        # a squared modulus past the float range was an OverflowError, exit 5;
+        # a sum of squares past it was a norm of inf
+        code, out, err = run_cli(
+            capsys, "entropy", "--lattice", "torus:k=2", "--partition", "chain",
+            "--state", f"coeffs:{amps}",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: coefficient norm {norm} is too far from 1 to renormalize\n"
 
 
 class TestEntropyCommand:
@@ -769,6 +786,20 @@ class _CountingRaw(io.RawIOBase):
         return len(data)
 
 
+def reference_walk(n):
+    """(mask, descriptor) for every proper side of ``n`` links, one row at
+    a time, in the depth-first order of the sorted descriptors."""
+    names = [str(link) for link in range(n)]
+    order = sorted(range(n), key=names.__getitem__)
+    stack = [(1 << c, "links:" + names[c], c) for c in reversed(order)]
+    while stack:
+        mask, desc, last = stack.pop()
+        if mask != (1 << n) - 1:
+            yield mask, desc
+        stack.extend((mask | 1 << c, f"{desc},{names[c]}", c)
+                     for c in reversed(order) if c > last)
+
+
 class TestStreamedScan:
     """Exhaustive CSV and JSON rows are made in descriptor order and written
     as they come, in blocks; a table walks them once for its widths and
@@ -778,12 +809,20 @@ class TestStreamedScan:
     @pytest.mark.parametrize("n", range(1, 14))
     def test_walk_is_sorted_descriptor_order(self, n):
         # from n = 11 on, link 10 sorts before link 2
-        walked = list(cli._descriptor_walk(n))
+        walked = list(chain.from_iterable(cli._descriptor_walk(n)))
         assert sorted(mask for mask, _ in walked) == list(range(1, (1 << n) - 1))
         links = [",".join(str(l) for l in range(n) if mask >> l & 1) for mask, _ in walked]
         descriptors = [desc for _, desc in walked]
         assert descriptors == ["links:" + body for body in links]
         assert descriptors == sorted(descriptors)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_blocks_flatten_to_the_row_walk(self, n):
+        blocks = list(cli._descriptor_walk(n))
+        assert list(chain.from_iterable(blocks)) == list(reference_walk(n))
+        assert max(map(len, blocks)) <= 1 << cli.WALK_TABLE_DEPTH
+        full = (1 << n) - 1
+        assert all(mask != full for block in blocks for mask, _ in block)
 
     def test_exhaustive_csv_holds_one_row(self, monkeypatch):
         # 12 links, 4,094 rows; holding every row before the sort peaked at
@@ -834,7 +873,7 @@ class TestStreamedScan:
         # complement came first, so fail at the last row whose did not
         full = (1 << 12) - 1
         seen = set()
-        for mask, _ in cli._descriptor_walk(12):
+        for mask, _ in chain.from_iterable(cli._descriptor_walk(12)):
             if full ^ mask not in seen:
                 last_mask = mask
             seen.add(mask)
@@ -1311,6 +1350,18 @@ def random_rows(seed, count):
     ]
 
 
+def in_blocks(rows):
+    """``rows`` cut into blocks of random sizes, the first empty, as the
+    emitters take them."""
+    rng = random.Random(len(rows))
+    blocks, start = [[]], 0
+    while start < len(rows):
+        size = rng.randrange(130)  # now and then another empty block
+        blocks.append(rows[start:start + size])
+        start += size
+    return blocks
+
+
 def dict_rows(rows, columns=CSV_COLUMNS):
     """The reference writers' rows: one dict per (descriptor, tail) row."""
     return [dict(zip(columns, (head, *tail))) for head, tail in rows]
@@ -1321,7 +1372,7 @@ class TestEmitters:
     def test_csv_matches_reference(self, seed, count):
         rows = random_rows(seed, count)
         new, ref = io.StringIO(), io.StringIO()
-        emit_rows_csv(rows, new)
+        emit_rows_csv(in_blocks(rows), new)
         reference_rows_csv(dict_rows(rows), ref, CSV_COLUMNS)
         assert new.getvalue() == ref.getvalue()
 
@@ -1329,7 +1380,7 @@ class TestEmitters:
     def test_table_matches_reference(self, seed, count):
         rows = random_rows(seed, count)
         new, ref = io.StringIO(), io.StringIO()
-        emit_rows_table(rows, new)
+        emit_rows_table(in_blocks(rows), new)
         reference_rows_table(dict_rows(rows), ref)
         assert new.getvalue() == ref.getvalue()
 
@@ -1364,7 +1415,7 @@ class TestEmitters:
     def test_equal_tails_that_print_differently(self):
         rows = self.equal_tail_rows()
         new, ref = io.StringIO(), io.StringIO()
-        emit_rows_csv(rows, new)
+        emit_rows_csv(in_blocks(rows), new)
         reference_rows_csv(dict_rows(rows), ref, CSV_COLUMNS)
         assert new.getvalue() == ref.getvalue()
         assert "-0.0,3" in new.getvalue() and ",True,3," in new.getvalue()
@@ -1374,7 +1425,7 @@ class TestEmitters:
         fixed = {"command": "scan", "mode": "exhaustive", "seed": None}
         for rows in (random_rows(seed, count), self.equal_tail_rows()):
             new, ref = io.StringIO(), io.StringIO()
-            cli.emit_rows_json(fixed, rows, new)
+            cli.emit_rows_json(fixed, in_blocks(rows), new)
             emit_json({**fixed, "rows": dict_rows(rows)}, ref)
             assert new.getvalue() == ref.getvalue()
 
@@ -1383,7 +1434,7 @@ class TestEmitters:
                  "links:0,1", "chain", None, 7, -0.0, True]
         rows = [(h, tail) for h, (_, tail) in zip(heads, random_rows(6, len(heads)))]
         new, ref = io.StringIO(), io.StringIO()
-        emit_rows_csv(rows, new)
+        emit_rows_csv(in_blocks(rows), new)
         reference_rows_csv(dict_rows(rows), ref, CSV_COLUMNS)
         assert new.getvalue() == ref.getvalue()
 
@@ -1404,7 +1455,7 @@ class TestEmitters:
                 return super().write(text)
 
         new, ref = Recording(), io.StringIO()
-        emit_rows_csv(rows, new)
+        emit_rows_csv(in_blocks(rows), new)
         reference_rows_csv(dict_rows(rows), ref, CSV_COLUMNS)
         assert new.getvalue() == ref.getvalue()
         long_rows = [n for n in new.sizes if n > cli.BLOCK_CHARS]

@@ -295,6 +295,25 @@ class TestTorusShifts:
             assert orbit[0] == mask
             assert sorted(orbit) == sorted(permuted(p, mask) for p in perms)
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_orbit_order_is_the_shifts_composed(self, k):
+        # each translation after each point map, in the shifts' own order
+        lat = build_torus(k)
+        column_shift, row_shift, transpose, mirror = lat._torus_shifts
+        rng = random.Random(k)
+        for mask in [1 << l for l in range(lat.n_links)] + [
+            rng.getrandbits(lat.n_links) for _ in range(30)
+        ]:
+            images, image = [], mask
+            for reflect in (transpose, mirror) * 4:
+                for _ in range(k):
+                    for _ in range(k):
+                        images.append(image)
+                        image = column_shift(image)
+                    image = row_shift(image)
+                image = reflect(image)
+            assert lat.symmetry_orbit(mask) == images
+
     @pytest.mark.parametrize("k", range(2, 6))
     def test_reference_maps_are_symmetries(self, k):
         # the reference the orbit is checked against: each of its 8 k**2

@@ -29,6 +29,20 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             GroundStateCoeffs(1, 1, 0, 0)
 
+    @pytest.mark.parametrize(
+        "amps, unit",
+        [([1e200, 1e200, 0, 0], (INV_SQRT2, INV_SQRT2, 0, 0)),
+         ([1e308 + 1e308j, 0, 0, 0], (complex(INV_SQRT2, INV_SQRT2), 0, 0, 0)),
+         ([1e154] * 4, (0.5, 0.5, 0.5, 0.5))],
+    )
+    def test_renormalize_past_the_float_range(self, amps, unit):
+        # a squared modulus, or their sum, overflowed; hypot over the parts
+        # does not
+        c = GroundStateCoeffs.from_sequence(amps, renormalize=True)
+        assert all(abs(a - u) < 1e-12 for a, u in zip(c.as_tuple(), unit))
+        with pytest.raises(ValueError, match="not normalized"):
+            GroundStateCoeffs(*amps)
+
     def test_renormalize(self):
         c = GroundStateCoeffs.from_sequence([3, 0, 4, 0], renormalize=True)
         assert abs(c.a00 - 0.6) < 1e-12
