@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,7 @@ import tracemalloc
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -1278,6 +1280,62 @@ class TestOptions:
             main([*argv, "--oracle", "--enum-cap", "4"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --enum-cap 4" in capsys.readouterr().err
+
+
+def region_scan_argvs():
+    """``scan --mode rects|disks`` argvs on tori k = 2..8: counts mostly
+    small, else 0, negative or over the row budget; seeds small, negative
+    or huge; every format and group, with and without ``--oracle`` and
+    ``--scan-cap``; now and then no count or no seed."""
+    counts = {
+        "small": st.integers(1, 5),
+        "low": st.integers(-(1 << 70), 0),
+        "over": st.integers((1 << 24) - 1, 1 << 70),  # the default budget is 2**24 - 2
+    }
+    count = st.sampled_from(["small"] * 4 + ["low", "over"]).flatmap(counts.get)
+    seed = st.one_of(st.integers(-3, 3), st.integers(-(1 << 70), 1 << 70))
+
+    def mostly(option, values):  # the option about seven times in eight
+        return st.tuples(st.integers(0, 7), values).map(
+            lambda t: (option, str(t[1])) if t[0] else ()
+        )
+
+    def sometimes(*options):
+        return st.one_of(st.just(()), st.sampled_from(options))
+
+    def argv(k, mode, *options):
+        return ["scan", "--lattice", f"torus:k={k}", "--mode", mode,
+                *chain.from_iterable(options)]
+
+    return st.builds(
+        argv,
+        # extra weight on k = 3, the one torus where a rects scan runs the oracle
+        st.one_of(st.integers(2, 8), st.just(3)),
+        st.sampled_from(["rects", "disks"]),
+        mostly("--count", count),
+        mostly("--seed", seed),
+        sometimes(*(("--format", f) for f in ("csv", "json", "table"))),
+        sometimes(("--group", "stars"), ("--group", "plaquettes")),
+        sometimes(("--oracle",)),
+        sometimes(*(("--scan-cap", str(c)) for c in range(-1, 5))),
+    )
+
+
+class TestRegionScanExits:
+    """The exit-code contract over region scan argvs: a result or a
+    documented exit, and no output before an error."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(argv=region_scan_argvs())
+    def test_exit_codes(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert 0 <= code <= 3, (argv, err.getvalue())
+        assert "internal error" not in err.getvalue()
+        if code in (2, 3):
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
 
 
 class TestPackageExports:

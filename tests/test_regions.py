@@ -112,9 +112,10 @@ def reference_components_avoiding(lat, crossed):
     return comps
 
 
-def reference_simple_region(lat, rng):
+def reference_simple_region(lat, rng, holes=None):
     """Blob growth, a crossed mask from a link scan, and a hole fill that
-    absorbs every complement component but the outside one."""
+    absorbs every complement component but the outside one.  ``holes``,
+    when given, gets the number of sites the fill absorbed."""
     k = lat.torus_k
     if k < 4:
         raise ValueError("need k >= 4 for a nontrivial blob")
@@ -135,10 +136,13 @@ def reference_simple_region(lat, rng):
         frontier.extend(u for u, _ in adj[v] if u in window and u not in blob)
     crossed = reference_loop(lat, blob)
     outside_probe = ((y0 - 1) % k) * k + (x0 - 1) % k
+    grown = len(blob)
     for comp in reference_components_avoiding(lat, crossed):
         if comp == blob or outside_probe in comp:
             continue
         blob |= comp
+    if holes is not None:
+        holes.append(len(blob) - grown)
     return reference_region_from_sites(lat, blob)
 
 
@@ -202,10 +206,35 @@ DRAWS = {"rects": 25, "disks": 200}
 
 class WholeWindow(random.Random):
     """Draws blob sizes up to twice the sampler's bound of half the
-    window, so that blobs as large as the whole window occur."""
+    window, so that blobs as large as the whole window occur.  Such a
+    blob empties its frontier, and a sampler that went on drawing from
+    the empty frontier would ask for 0 bits forever: that request
+    raises instead."""
 
     def randint(self, a, b):
         return super().randint(a, 2 * b + 1)
+
+    def getrandbits(self, k):
+        if k == 0:
+            raise AssertionError("a draw from an empty frontier")
+        return super().getrandbits(k)
+
+
+class CornerWindow(random.Random):
+    """Answers a draw's first two `randrange` calls, the window's corner
+    x0 and y0, from ``corner``, which the caller sets before each draw."""
+
+    corner = ()
+
+    def randrange(self, *args):
+        if self.corner:
+            x, *self.corner = self.corner
+            return x
+        return super().randrange(*args)
+
+
+class WholeCornerWindow(CornerWindow, WholeWindow):
+    pass
 
 
 def star_of_five_document():
@@ -241,6 +270,34 @@ class TestAgainstReferenceWalks:
                 assert region == reference(lat, ref_rng)
                 assert rng.getstate() == ref_rng.getstate()
                 assert_loop_parses_back(lat, region)
+
+    @pytest.mark.parametrize("make_rng", [CornerWindow, WholeCornerWindow])
+    @pytest.mark.parametrize("k", [4, 5, 8, 13, 32])
+    def test_disks_on_the_seam_match_draw_for_draw(self, make_rng, k):
+        # windows with x0 and y0 in {k - 2, k - 1} wrap the torus seam both
+        # ways, and so do their bounding boxes and the fill's flood
+        lat = build_torus(k)
+        holes = []
+        for x0 in (k - 2, k - 1):
+            for y0 in (k - 2, k - 1):
+                rng, ref_rng = make_rng(1000 * x0 + y0), make_rng(1000 * x0 + y0)
+                for _ in range(20):
+                    rng.corner = ref_rng.corner = (x0, y0)
+                    region = random_simple_region(lat, rng)
+                    assert region == reference_simple_region(lat, ref_rng, holes)
+                    assert rng.getstate() == ref_rng.getstate()
+                    assert_loop_parses_back(lat, region)
+        # some region absorbed a hole, so the fill's hole path ran (a 2 x 2
+        # window holds none, and a 3 x 3 one only around an 8-site ring)
+        assert any(holes) or k < 8
+
+    def test_k128_disks_match_draw_for_draw(self):
+        lat = build_torus(128)
+        rng, ref_rng = WholeCornerWindow(128), WholeCornerWindow(128)
+        for corner in [(), (126, 127), (127, 126)]:
+            rng.corner = ref_rng.corner = corner
+            assert random_simple_region(lat, rng) == reference_simple_region(lat, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     def test_boundary_stats_on_random_partitions(self, k):
