@@ -204,10 +204,6 @@ def parse_state_spec(spec: str) -> tuple[str, GroundStateCoeffs, bool]:
 BLOCK_CHARS = 8192
 #: a subtree of at most 2**WALK_TABLE_DEPTH rows is one block of `_descriptor_walk`
 WALK_TABLE_DEPTH = 7
-#: most distinct row tails the scan's row builder shares and the exhaustive
-#: scan indexes, and most tail objects an emitter keeps formatted: the k=3
-#: sweep has 341, while drawn regions rarely repeat one
-TAIL_MEMO_SIZE = 512
 
 
 def emit_json(obj, out) -> None:
@@ -215,10 +211,11 @@ def emit_json(obj, out) -> None:
     out.write("\n")
 
 
-def emit_rows_json(fixed: dict, rows, out) -> None:
+def emit_rows_json(fixed: dict, tails, rows, out) -> None:
     """Write `emit_json`'s bytes for ``fixed`` plus a last key ``"rows"``,
-    the blocks of (descriptor, tail) ``rows`` as objects keyed by
-    `CSV_COLUMNS`, a block at a time (`_row_texts`, `_write_blocks`)."""
+    the blocks of (descriptor, position) ``rows`` as objects keyed by
+    `CSV_COLUMNS`, the other fields ``tails[position]``, a block at a time
+    (`_row_texts`, `_write_blocks`)."""
     keys = [json.dumps(c) for c in CSV_COLUMNS]
     head = ",\n    {\n      %s: " % keys[0]
 
@@ -231,7 +228,7 @@ def emit_rows_json(fixed: dict, rows, out) -> None:
     def texts():
         yield [json.dumps({**fixed, "rows": []}, indent=2)[:-3]]  # through "["
         empty = True
-        for block in _row_texts(rows, lambda v: head + json.dumps(v), tail_text):
+        for block in _row_texts(tails, rows, lambda v: head + json.dumps(v), tail_text):
             if empty and block:
                 block[0], empty = block[0][1:], False  # no comma before the first
             yield block
@@ -258,35 +255,30 @@ def _csv_head(value) -> str:
     return _csv_line((value, None))[:-2]
 
 
-def emit_rows_csv(rows, out) -> None:
-    """``rows`` are blocks (iterables) of (descriptor, tail) pairs, the tail
-    holding the other `CSV_COLUMNS` fields, written as the csv module
-    writes them: None as an empty field and a float as its repr.  Lines
-    are made by `_row_texts` and written in blocks by `_write_blocks`."""
-    lines = _row_texts(rows, _csv_head, lambda tail: _csv_line(("", *tail)))
+def emit_rows_csv(tails, rows, out) -> None:
+    """``rows`` are blocks (iterables) of (descriptor, position) pairs,
+    ``tails[position]`` holding the other `CSV_COLUMNS` fields, written as
+    the csv module writes them: None as an empty field and a float as its
+    repr.  Lines are made by `_row_texts` and written in blocks by
+    `_write_blocks`."""
+    lines = _row_texts(tails, rows, _csv_head, lambda tail: _csv_line(("", *tail)))
     _write_blocks(chain([[_csv_line(CSV_COLUMNS)]], lines), out)
 
 
-def _row_texts(rows, head_text, tail_text):
-    """For each block of (head, tail) ``rows``, yield the list of
-    ``head_text(head) + tail_text(tail)``, one list comprehension a block.
+def _row_texts(tails, rows, head_text, tail_text):
+    """For each block of (head, position) ``rows``, yield the list of
+    ``head_text(head) + tail_text(tails[position])``, one list
+    comprehension a block.
 
-    ``tail_text`` runs once per tail object, for up to `TAIL_MEMO_SIZE`
-    objects: the scan's rows share one tail per distinct set of values
-    (`_scan_rows`), a few hundred in an exhaustive scan.  The memo is
-    keyed by identity and holds each tail it keys, so that no other
-    object can take its id; a tail must not change while it is walked.
+    ``tail_text`` runs once per position of ``tails``, the scan's table of
+    distinct tails (`_scan_rows`), a few hundred in an exhaustive scan:
+    before each block, on the positions added since the last.  As in that
+    table, position 0 is no row's and is not formatted.
     """
-    kept, texts = {}, {}  # id(tail) -> the tail, and -> its text
-
-    def text(tail):
-        made = tail_text(tail)
-        if len(kept) < TAIL_MEMO_SIZE:
-            kept[id(tail)], texts[id(tail)] = tail, made
-        return made
-
+    texts = [None]
     for block in rows:
-        yield [head_text(h) + (texts.get(id(t)) or text(t)) for h, t in block]
+        texts += map(tail_text, tails[len(texts):])
+        yield [head_text(h) + texts[i] for h, i in block]
 
 
 def _write_blocks(texts, out) -> None:
@@ -315,14 +307,16 @@ def emit_fields(obj: dict, out) -> None:
         out.write(f"{key}: {_text(value)}\n")
 
 
-def emit_rows_table(rows, out) -> None:
+def emit_rows_table(tails, rows, out) -> None:
     """Columns padded to their widest cell, ``-`` for None.  The blocks of
-    (descriptor, tail) ``rows`` are walked twice, for the widths and then
-    to write, so they must be the same on each walk: a list, or `_Rewalk`.
-    Each walk measures or pads a tail once (`_row_texts`)."""
-    # the distinct tuples of cell lengths, a tail's found once
+    (descriptor, position) ``rows``, the other fields ``tails[position]``,
+    are walked twice, for the widths and then to write, so they must be
+    the same on each walk: a list, or `_Rewalk`.  Each walk measures or
+    pads a position once (`_row_texts`)."""
+    # the distinct tuples of cell lengths, a position's found once
     lengths = set(chain.from_iterable(_row_texts(
-        rows, lambda v: (len(_text(v)),), lambda tail: tuple(len(_text(v)) for v in tail)
+        tails, rows, lambda v: (len(_text(v)),),
+        lambda tail: tuple(len(_text(v)) for v in tail)
     )))
     head_width, *tail_widths = (max(col) for col in zip(map(len, CSV_COLUMNS), *lengths))
 
@@ -330,7 +324,7 @@ def emit_rows_table(rows, out) -> None:
         return "".join(f"  {_text(v).ljust(w)}" for v, w in zip(tail, tail_widths)) + "\n"
 
     head, *tail = CSV_COLUMNS
-    lines = _row_texts(rows, lambda v: _text(v).ljust(head_width), tail_line)
+    lines = _row_texts(tails, rows, lambda v: _text(v).ljust(head_width), tail_line)
     _write_blocks(chain([[head.ljust(head_width) + tail_line(tail)]], lines), out)
 
 
@@ -513,15 +507,17 @@ def cmd_verify(args) -> int:
 # scan command
 
 def _scan_rows(args, lat, group):
-    """Check the mode's inputs and caps, then return an iterable of scan
-    rows, with the oracle's entropy under ``--oracle``.
+    """Check the mode's inputs and caps, then return ``(tails, rows)``:
+    the scan's table of distinct row tails and an iterable of its rows,
+    with the oracle's entropy under ``--oracle``.
 
-    A row is a (descriptor, tail) pair, the tail holding the other
-    `CSV_COLUMNS` fields.  Rows with the same values share one tail
-    object, for up to `TAIL_MEMO_SIZE` distinct tails, so that an emitter
-    formats each once (`_row_texts`); a float is matched by its repr,
-    since 0.0 and -0.0 are equal and NaN is not, and each prints as its
-    repr.
+    A row is a (descriptor, position) pair, ``tails[position]`` holding
+    the other `CSV_COLUMNS` fields.  Each distinct tail is added to the
+    table once, by the first row that needs it, so that an emitter
+    formats each position once per walk (`_row_texts`); a float is
+    matched by its repr, since 0.0 and -0.0 are equal and NaN is not, and
+    each prints as its repr.  Position 0 is no row's, so that 0 in the
+    exhaustive scan's index means a tail not yet computed.
 
     The checks run here, before any row, so that an error leaves stdout
     empty even when `cmd_scan` streams the rows.  Exhaustive rows come in
@@ -536,18 +532,18 @@ def _scan_rows(args, lat, group):
     n = lat.n_links
     oracle = _oracle(args, lat, GroundStateCoeffs.xi(0, 0)) if args.oracle else None
 
-    by_values = {}  # the values a tail is made of -> the rows' shared tail
+    tails: list = [None]
+    positions = {}  # the values a tail is made of -> its position in tails
 
-    def shared(key, make):
-        tail = by_values.get(key)
-        if tail is None:
-            tail = make()
-            if len(by_values) < TAIL_MEMO_SIZE:
-                by_values[key] = tail
-        return tail
+    def shared(key, make) -> int:
+        i = positions.get(key)
+        if i is None:
+            i = positions[key] = len(tails)
+            tails.append(make())
+        return i
 
-    def tail_of(part, stats, closed, s_bits):
-        """The row's tail, its ``oracle_S`` None."""
+    def tail_of(part, stats, closed, s_bits) -> int:
+        """The position of the row's tail, its ``oracle_S`` None."""
         def make():
             if stats is None:
                 return (part.size_a, None, None, None, None, s_bits, closed,
@@ -559,12 +555,12 @@ def _scan_rows(args, lat, group):
         return shared((part.size_a, stats, s_bits,
                        None if closed is None else repr(closed)), make)
 
-    def with_oracle(tail, part):
+    def with_oracle(i, part):
         if oracle is None:
-            return tail
+            return i
         oracle_s = oracle(part)
-        # no float of a scan's tail is -0.0 or NaN, so the tail keys itself
-        return shared((tail, repr(oracle_s)), lambda: (*tail[:-1], oracle_s))
+        # the position keys the other values, which are never -0.0 or NaN
+        return shared((i, repr(oracle_s)), lambda: (*tails[i][:-1], oracle_s))
 
     def row(desc, part, stats, closed, s_bits):
         return desc, with_oracle(tail_of(part, stats, closed, s_bits), part)
@@ -572,13 +568,13 @@ def _scan_rows(args, lat, group):
     def entropy(part):
         return entropy_equal_superposition(group, part).s_bits
 
-    def exhaustive_rows(index, tails, miss):
+    def exhaustive_rows(index, miss):
         for block in _descriptor_walk(n):
             if oracle is None:
-                yield [(desc, tails[index[mask] or miss(mask)]) for mask, desc in block]
+                yield [(desc, index[mask] or miss(mask)) for mask, desc in block]
             else:
-                yield [(desc, with_oracle(tails[index[mask] or miss(mask)],
-                                          Partition(n, mask))) for mask, desc in block]
+                yield [(desc, with_oracle(index[mask] or miss(mask), Partition(n, mask)))
+                       for mask, desc in block]
 
     def link_rows(masks):
         for mask in masks:
@@ -610,22 +606,22 @@ def _scan_rows(args, lat, group):
             # trace: the first row over the cap in mask order, max(cap, 0) + 1
             # links wide, raises the cap's error before any work
             oracle(Partition(n, (1 << max(cap + 1, 1)) - 1))
-        found = _tail_index(lat, group, tail_of)  # once per orbit, over all walks
-        return _Rewalk(lambda: exhaustive_rows(*found))
+        found = _tail_index(lat, group, tails, tail_of)  # once per orbit, over all walks
+        return tails, _Rewalk(lambda: exhaustive_rows(*found))
     if mode == "sampled":
         _require_count_seed(args)
         masks = bipartition_masks(
             n, mode, count=args.count, seed=args.seed, max_links=args.scan_cap
         )
-        return link_rows(masks)
+        return tails, link_rows(masks)
     if mode in ("rects", "disks"):
         _require_count_seed(args)
         sample = random_rectangle_region if mode == "rects" else random_simple_region
-        return region_rows(sample, random.Random(args.seed))
+        return tails, region_rows(sample, random.Random(args.seed))
     if mode == "table1":
         if lat.torus_k is None:
             raise ValueError("table1 mode needs a torus lattice")
-        return table1_rows(lat.torus_k)
+        return tails, table1_rows(lat.torus_k)
     raise ValueError(f"unknown scan mode {mode!r}")
 
 
@@ -675,58 +671,42 @@ def _descriptor_walk(n: int):
             yield block if mask != (2 << last) - 1 else [r for r in block if r[0] != full]
 
 
-def _tail_index(lat: Lattice, group, tail_of):
-    """The tails of an exhaustive scan's rows, each computed once per
-    symmetry orbit (`Lattice.symmetry_orbit`, 8 k**2 maps on the torus),
-    as ``(index, tails, miss)``: the tail of side A is
-    ``tails[index[A] or miss(A)]``.
+def _tail_index(lat: Lattice, group, tails: list, tail_of):
+    """The positions in ``tails`` of an exhaustive scan's row tails, each
+    computed once per symmetry orbit (`Lattice.symmetry_orbit`, 8 k**2
+    maps on the torus), as ``(index, miss)``: the position of side A's
+    tail is ``index[A] or miss(A)``.
 
-    ``index`` has one 2-byte entry per mask, the position of its tail in
-    ``tails``, or 0 for a tail not yet computed.  On a miss the engine
-    runs once for the pair {A, B}, since S(A) = S(B), and `_try_stats`
-    and ``tail_of(part, stats, None, s_bits)`` build A's tail, then B's.
-    A torus symmetry maps the group to itself, so it keeps both values,
-    and the complement of an image is an image of B: A's position is
-    written at every image and B's at every complement.  Past
-    `TAIL_MEMO_SIZE` distinct tails a new tail is not indexed but left
-    in ``tails[0]``, and computed again at each use; once ``tails`` is
-    full a miss builds A's tail alone, so no row costs more than direct
+    ``index`` has one 2-byte entry per mask, its tail's position, or 0
+    for a tail not yet computed.  On a miss the engine runs once for the
+    pair {A, B}, since S(A) = S(B), and `_try_stats` and ``tail_of(part,
+    stats, None, s_bits)``, which adds a new tail to ``tails``, give A's
+    position, then B's.  A torus symmetry maps the group to itself, so it
+    keeps both values, and the complement of an image is an image of B:
+    A's position is written at every image and B's at every complement.
+    Once ``tails`` holds the 2**16 positions that 2 bytes index, a miss
+    gives A's position alone and indexes nothing: such a side is
+    computed again at each use, and no row costs more than direct
     evaluation.  Any order of queries thus gives the tails of direct
-    evaluation.  Memory: 2**(n+1) bytes.  Off the torus the orbit is
-    the mask alone.
+    evaluation.  Memory: 2**(n+1) bytes.  Off the torus the orbit is the
+    mask alone.
     """
     n = lat.n_links
     full = (1 << n) - 1
     index = array("H", [0]) * (1 << n)
-    tails: list = [None]
-    positions: dict[tuple, int] = {}
-
-    def position(tail) -> int:
-        i = positions.get(tail)
-        if i is None:
-            if len(tails) > TAIL_MEMO_SIZE:
-                tails[0] = tail
-                return 0
-            tails.append(tail)
-            i = positions[tail] = len(tails) - 1
-        return i
 
     def miss(mask: int) -> int:
         part = Partition(n, mask)
         s_bits = entropy_equal_superposition(group, part).s_bits
-        i = position(tail_of(part, _try_stats(lat, part), None, s_bits))
-        if i:
-            orbit = lat.symmetry_orbit(mask)
-            for image in orbit:
-                index[image] = i
-            if len(tails) <= TAIL_MEMO_SIZE:  # room for B's tail
-                rest = Partition(n, full ^ mask)
-                j = position(tail_of(rest, _try_stats(lat, rest), None, s_bits))
-                for image in orbit:
-                    index[full ^ image] = j
+        i = tail_of(part, _try_stats(lat, part), None, s_bits)
+        if len(tails) < 1 << 16:  # A's position and a new one for B fit
+            rest = Partition(n, full ^ mask)
+            j = tail_of(rest, _try_stats(lat, rest), None, s_bits)
+            for image in lat.symmetry_orbit(mask):
+                index[image], index[full ^ image] = i, j
         return i
 
-    return index, tails, miss
+    return index, miss
 
 
 def _require_count_seed(args) -> None:
@@ -742,23 +722,25 @@ def _require_count_seed(args) -> None:
 
 
 def cmd_scan(args) -> int:
-    """Print the scan's (descriptor, tail) rows sorted by descriptor.
+    """Print the scan's (descriptor, position) rows sorted by descriptor,
+    the other fields of each at its position in the scan's table of
+    distinct tails (`_scan_rows`).
 
     Exhaustive rows are made in that order, a walk subtree per block
     from the walk's suffix tables, so CSV and JSON format each block as
     it comes and write in blocks of at most `BLOCK_CHARS` characters:
     memory is `_tail_index`'s 2**(n+1) bytes (32 MiB at the 24-link
-    cap), the shared tails and their texts, plus a block.  A table walks
-    the exhaustive rows twice, for its column widths and then to write,
-    so any error comes before its first write.  Every ``--oracle`` scan
-    and the drawn modes (sorted into one block) hold all rows before
-    writing, so that an error leaves stdout empty.
+    cap), the table of tails and one text per position, plus a block.
+    A table walks the exhaustive rows twice, for its column widths and
+    then to write, so any error comes before its first write.  Every
+    ``--oracle`` scan and the drawn modes (sorted into one block) hold
+    all rows before writing, so that an error leaves stdout empty.
     """
     lat = parse_lattice_spec(args.lattice)
     group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
-    rows = _scan_rows(args, lat, group)
+    tails, rows = _scan_rows(args, lat, group)
     if args.mode != "exhaustive":
-        rows = [sorted(rows, key=lambda row: row[0])]  # one block; a tail may hold None
+        rows = [sorted(rows, key=lambda row: row[0])]  # one block, draw order kept
     elif args.oracle:
         rows = list(rows)  # an oracle cap on any row leaves stdout empty
     if args.format == "json":
@@ -769,11 +751,11 @@ def cmd_scan(args) -> int:
             "seed": args.seed,
             "count": args.count,
         }
-        emit_rows_json(fixed, rows, sys.stdout)
+        emit_rows_json(fixed, tails, rows, sys.stdout)
     elif args.format == "table":
-        emit_rows_table(rows, sys.stdout)
+        emit_rows_table(tails, rows, sys.stdout)
     else:
-        emit_rows_csv(rows, sys.stdout)
+        emit_rows_csv(tails, rows, sys.stdout)
     return 0
 
 

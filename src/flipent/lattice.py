@@ -172,26 +172,20 @@ class Lattice:
 
     @cached_property
     def _torus_shifts(self) -> tuple:
-        # On the torus, four maps of link masks, each sending stars to stars
-        # and plaquettes to plaquettes.  The column shift (i, j) -> (i+1, j)
-        # rotates each k-link row of both link blocks by one, and the row
-        # shift (i, j) -> (i, j+1) rotates each k**2-link block by k.  The
+        # On the torus, two maps of link masks and two masks, for the maps
+        # that send stars to stars and plaquettes to plaquettes.  The
         # transpose (i, j) -> (j, i) swaps h(i, j) and v(j, i), and the
         # mirror (i, j) -> (-i, j) sends h(i, j) to h(-i-1, j) and v(i, j)
-        # to v(-i, j).  Off the torus, none.
+        # to v(-i, j).  The column shift (i, j) -> (i+1, j) rotates each
+        # k-link row of both link blocks by one, the links of column k - 1
+        # wrapping, and the row shift (i, j) -> (i, j+1) rotates each
+        # k**2-link block by k, the links of row k - 1 wrapping.  Off the
+        # torus, none.
         k = self.torus_k
         if k is None:
             return ()
         n = self.n_links
         chains, rows, ladders, rungs = self._torus_loops
-        last, top = chains[-1] | ladders[-1], rows[-1] | rungs[-1]  # column, row k - 1
-
-        def column_shift(mask: int) -> int:
-            return (mask & ~last) << 1 | (mask & last) >> k - 1
-
-        def row_shift(mask: int) -> int:
-            return (mask & ~top) << k | (mask & top) >> k * k - k
-
         transpose, mirror = [0] * n, [0] * n  # the image bit of each link
         for i in range(k):
             for j in range(k):
@@ -202,7 +196,8 @@ class Lattice:
         def reflection(bits):
             return lambda mask: sum(compress(bits, _bit_flags(mask)))
 
-        return column_shift, row_shift, reflection(transpose), reflection(mirror)
+        last, top = chains[-1] | ladders[-1], rows[-1] | rungs[-1]  # column, row k - 1
+        return reflection(transpose), reflection(mirror), last, top
 
     def symmetry_orbit(self, mask: int) -> list[int]:
         """The images of a link mask under every symmetry of the torus, each
@@ -212,14 +207,12 @@ class Lattice:
         every entropy and boundary statistic."""
         if not self._torus_shifts:
             return [mask]
-        transpose, mirror = self._torus_shifts[2:]
-        chains, rows, ladders, rungs = self._torus_loops
-        last, top = chains[-1] | ladders[-1], rows[-1] | rungs[-1]  # column, row k - 1
+        transpose, mirror, last, top = self._torus_shifts
         k, images = self.torus_k, []
         keep_row, keep_block, up, down = ~last, ~top, k - 1, k * k - k
         # mirror after transpose is a quarter turn, so alternating the two
-        # reflections passes the 8 point images of the mask; the column and
-        # row shifts of `_torus_shifts` are written out
+        # reflections passes the 8 point images of the mask; each inner
+        # step is a column shift and each outer one a row shift
         for reflect in (transpose, mirror) * 4:
             for _ in range(k):
                 for _ in range(k):

@@ -544,35 +544,33 @@ def assert_one_call_per_pair_orbit(lat, masks):
     return len(pairs)
 
 
-def direct_index(lat, group, tail_of):
+def direct_index(lat, group, tails, tail_of):
     """`cli._tail_index` without the index: each side's tail evaluated on
     every query."""
     n = lat.n_links
-    tails = [None]
 
     def miss(mask):
         part = Partition(n, mask)
         s_bits = cli.entropy_equal_superposition(group, part).s_bits
-        tails[0] = tail_of(part, cli._try_stats(lat, part), None, s_bits)
-        return 0
+        return tail_of(part, cli._try_stats(lat, part), None, s_bits)
 
-    return [0] * (1 << n), tails, miss
+    return [0] * (1 << n), miss
 
 
 def scan_index(monkeypatch, lat, group):
-    """The tail builder and the `cli._tail_index` of an exhaustive scan of
-    ``lat`` in ``group``, as `cli._scan_rows` makes them."""
+    """The tail builder, the table of tails and the `cli._tail_index` of an
+    exhaustive scan of ``lat`` in ``group``, as `cli._scan_rows` makes them."""
     made = []
     tail_index = cli._tail_index
 
-    def recorded(lat, group, tail_of):
-        made.append((tail_of, tail_index(lat, group, tail_of)))
-        return made[-1][1]
+    def recorded(lat, group, tails, tail_of):
+        made.append((tail_of, tails, tail_index(lat, group, tails, tail_of)))
+        return made[-1][2]
 
     monkeypatch.setattr(cli, "_tail_index", recorded)
     cli._scan_rows(build_parser().parse_args(["scan", "--lattice", "-"]), lat, group)
-    ((tail_of, found),) = made
-    return tail_of, found
+    ((tail_of, tails, found),) = made
+    return tail_of, tails, found
 
 
 class TestPairedScan:
@@ -620,9 +618,11 @@ class TestPairedScan:
     def test_same_bytes_past_the_tail_cap(
         self, capsys, monkeypatch, engine_calls, variant
     ):
-        # with 3 tails indexed, the others are computed again at each use,
-        # and a miss past the cap computes its own side's tail alone, so no
-        # row costs more than one engine call and one stats call per walk
+        # with the table filled to 3 positions short of the 2**16 that the
+        # index holds, at most 3 tails are indexed and the others computed
+        # again at each use, and a miss past the index computes its own
+        # side's tail alone, so no row costs more than one engine call and
+        # one stats call per walk
         lattice, options = SCAN_VARIANTS[variant]
         argv = ["scan", "--lattice", SCAN_LATTICES[lattice], "--mode", "exhaustive",
                 *options]
@@ -636,8 +636,15 @@ class TestPairedScan:
             stats_calls.append(part.a_mask)
             return stats(lat, part)
 
+        tail_index = cli._tail_index
+
+        def past_the_index(lat, group, tails, tail_of):
+            filler = (0,) * (len(CSV_COLUMNS) - 1)  # positions no row has
+            tails.extend([filler] * ((1 << 16) - 3 - len(tails)))
+            return tail_index(lat, group, tails, tail_of)
+
         monkeypatch.setattr(cli, "boundary_stats", counted)
-        monkeypatch.setattr(cli, "TAIL_MEMO_SIZE", 3)
+        monkeypatch.setattr(cli, "_tail_index", past_the_index)
         engine_calls.clear()
         code, capped, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
@@ -693,13 +700,13 @@ class TestPairedScan:
         masks = list(range((1 << n) - 2, 0, -1))  # complements with link n-1 first
         if order == "shuffled":
             random.Random(n).shuffle(masks)
-        tail_of, (index, tails, miss) = scan_index(monkeypatch, lat, matrix)
+        tail_of, tails, (index, miss) = scan_index(monkeypatch, lat, matrix)
         for mask in masks + masks[::-1]:  # fill the index, then read it back
             part = Partition(n, mask)
             s_bits = entropy_equal_superposition(matrix, part).s_bits
-            assert tails[index[mask] or miss(mask)] == tail_of(
+            assert tails[index[mask] or miss(mask)] == tails[tail_of(
                 part, cli._try_stats(lat, part), None, s_bits
-            )
+            )]
         assert_one_call_per_pair_orbit(lat, engine_calls)
 
     @pytest.mark.parametrize("group", ["stars", "plaquettes"])
@@ -717,7 +724,7 @@ class TestPairedScan:
             stats_calls.append(part.a_mask)
             return try_stats(lat, part)
 
-        tail_of, (index, tails, miss) = scan_index(monkeypatch, lat, matrix)
+        tail_of, tails, (index, miss) = scan_index(monkeypatch, lat, matrix)
         monkeypatch.setattr(cli, "_try_stats", counted)
         perms = symmetries(lat)
         rng = random.Random(23)
@@ -725,8 +732,8 @@ class TestPairedScan:
             for image in images(perms, mask):
                 part = Partition(n, image)
                 got = tails[index[image] or miss(image)]
-                assert got == tail_of(part, try_stats(lat, part), None,
-                                   entropy_equal_superposition(matrix, part).s_bits)
+                s_bits = entropy_equal_superposition(matrix, part).s_bits
+                assert got == tails[tail_of(part, try_stats(lat, part), None, s_bits)]
         # a miss computes the stats of the side, then of the complement,
         # once per orbit of pairs, as the engine
         sides = stats_calls[0::2]
@@ -750,7 +757,7 @@ class TestPairedScan:
         "name", ["scan_exhaustive_k5_exit3", "scan_exhaustive_scan_cap_exit3"]
     )
     def test_capped_scan_allocates_no_memo(self, capsys, monkeypatch, name):
-        def refuse(lat, group, tail_of):
+        def refuse(lat, group, tails, tail_of):
             raise AssertionError(f"an index of 2**{lat.n_links + 1} bytes was allocated")
 
         def refuse_walk(n):
@@ -1063,36 +1070,49 @@ class TestOracleStateBuilds:
 
 
 class TestSharedTails:
-    """Scan rows with the same values share one tail object, and each
-    emitter formats a tail once per walk; values that compare equal but
-    print differently never share a tail."""
+    """Scan rows with the same values share one position in the scan's
+    table of tails, and each emitter formats a position once per walk;
+    values that compare equal but print differently never share one."""
 
     @pytest.fixture
     def tail_walks(self, monkeypatch):
-        # the tails each walk of `_row_texts` formats, one list per walk
+        # per walk of `_row_texts`, its table of tails and the tails it formats
         walks = []
         row_texts = cli._row_texts
 
-        def counted(rows, head_text, tail_text):
+        def counted(tails, rows, head_text, tail_text):
             calls = []
-            walks.append(calls)
+            walks.append((tails, calls))
 
             def counting(tail):
                 calls.append(tuple(tail))
                 return tail_text(tail)
 
-            return row_texts(rows, head_text, counting)
+            return row_texts(tails, rows, head_text, counting)
 
         monkeypatch.setattr(cli, "_row_texts", counted)
         return walks
 
     @pytest.mark.parametrize(
-        "lattice, distinct",
-        [("torus:k=2", 19), (str(GOLDEN / "cube.lat"), 65)],
-        ids=["torus-k2", "cube"],
+        "argv, distinct, positions",
+        [
+            (["--lattice", "torus:k=2", "--mode", "exhaustive"], 19, 19),
+            (["--lattice", str(GOLDEN / "cube.lat"), "--mode", "exhaustive"], 65, 65),
+            # every rect at k=3 has the same values
+            (["--lattice", "torus:k=3", "--mode", "rects", "--count", "100",
+              "--seed", "1"], 1, 1),
+            # 300 draws of the 254 sides at k=2
+            (["--lattice", "torus:k=2", "--mode", "sampled", "--count", "300",
+              "--seed", "5"], 18, 18),
+            # each row's tail without and with its oracle value
+            (["--lattice", "torus:k=3", "--mode", "table1", "--oracle"], 6, 12),
+        ],
+        ids=["torus-k2", "cube", "rects-k3", "sampled-k2", "table1-oracle"],
     )
-    def test_each_tail_formatted_once_per_walk(self, capsys, tail_walks, lattice, distinct):
-        argv = ["scan", "--lattice", lattice, "--mode", "exhaustive"]
+    def test_each_tail_formatted_once_per_walk(
+        self, capsys, tail_walks, argv, distinct, positions
+    ):
+        argv = ["scan", *argv]
         code, out, _ = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0
         tails = {tuple(r[1:]) for r in list(csv.reader(io.StringIO(out)))[1:]}
@@ -1101,8 +1121,9 @@ class TestSharedTails:
             tail_walks.clear()
             assert run_cli(capsys, *argv, "--format", fmt)[0] == 0
             assert len(tail_walks) == walk_count
-            for calls in tail_walks:
-                assert len(calls) == len(set(calls)) == distinct
+            for table, calls in tail_walks:
+                assert len(calls) == len(set(calls)) == positions
+                assert calls == table[1:]  # each position once, in order
 
     def test_oracle_zeros_and_nans_print_as_given(self, capsys, monkeypatch):
         # the oracle's 0.0, -0.0 and NaN compare equal or unequal to
@@ -1282,6 +1303,11 @@ class TestOptions:
         assert "unrecognized arguments: --enum-cap 4" in capsys.readouterr().err
 
 
+def sometimes(*options):
+    """No option, or one of ``options``."""
+    return st.one_of(st.just(()), st.sampled_from(options))
+
+
 def region_scan_argvs():
     """``scan --mode rects|disks`` argvs on tori k = 2..8: counts mostly
     small, else 0, negative or over the row budget; seeds small, negative
@@ -1299,9 +1325,6 @@ def region_scan_argvs():
         return st.tuples(st.integers(0, 7), values).map(
             lambda t: (option, str(t[1])) if t[0] else ()
         )
-
-    def sometimes(*options):
-        return st.one_of(st.just(()), st.sampled_from(options))
 
     def argv(k, mode, *options):
         return ["scan", "--lattice", f"torus:k={k}", "--mode", mode,
@@ -1336,6 +1359,96 @@ class TestRegionScanExits:
         if code in (2, 3):
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error: ")
+
+
+def entropy_argvs():
+    """``entropy`` argvs on tori k = 2..6 and the golden cube and patch:
+    named partitions, and ``spin:``, ``pair:``, ``links:``, ``rect:`` and
+    ``loop:`` specs with junk, empty, repeated or out-of-range ids;
+    ``xi:``, ``coeffs:`` (with nan, inf and huge values) and ``random:``
+    states; every group and format, with and without ``--oracle``; the
+    oracle's two caps now and then, never above their defaults."""
+    def weighted(*pairs):  # one of the strategies, each ``weight`` times in sum(weights)
+        return st.sampled_from([s for s, weight in pairs for _ in range(weight)]).flatmap(
+            lambda s: s)
+
+    junk = st.sampled_from(["", " ", "x", "1.5", "0x1", "+1", "1e3"])
+    token = weighted(
+        (st.integers(0, 6), 5),  # a link id on every lattice drawn
+        (st.integers(-3, 80), 1),  # in range, and past it on the small lattices
+        (st.integers(-(1 << 70), 1 << 70), 1),
+        (junk, 1),
+    )
+
+    def ids(size, token=token):  # mostly ``size`` ids, now and then repeats or junk
+        lists = weighted((st.lists(token, min_size=size, max_size=size), 3),
+                         (st.lists(token, max_size=6), 1))
+        return lists.flatmap(lambda ids: st.sampled_from([ids] * 3 + [ids + ids[:2]])).map(
+            lambda ids: ",".join(map(str, ids)))
+
+    partition = weighted(
+        (st.sampled_from(["chain", "ladder", "cross", "vertical", "plaquette", ""]), 2),
+        *((ids(size).map(prefix.__add__), 1) for prefix, size in
+          (("spin:", 1), ("pair:", 2), ("links:", 3), ("rect:", 4), ("loop:", 4))),
+    )
+    amplitude = st.one_of(
+        st.sampled_from(["0", "1", "-1", "0.5", "0.5j", "0.6", "0.8j", "nan", "inf",
+                         "-inf", "nanj", "1e308", "1e400", "-1e308j", "5e-324", "x", ""]),
+        st.floats().map(repr),
+        st.complex_numbers().map(str),
+    )
+    state = weighted(
+        (st.just("xi:0,0"), 4),
+        (ids(2, weighted((st.integers(0, 1), 6), (token, 1))).map("xi:".__add__), 2),
+        (st.sampled_from(["coeffs:0.6,0.8j,0,0", "coeffs:0.5,0.5,-0.5,0.5j",
+                          "coeffs:1,0,0,1e-7"]), 1),  # the last renormalized
+        (ids(4, amplitude).map("coeffs:".__add__), 1),
+        (st.one_of(st.integers(-(1 << 70), 1 << 70), token).map("random:{}".format), 1),
+    )
+    lattice = weighted(
+        (st.integers(2, 6).map("torus:k={}".format), 5),
+        (st.sampled_from([str(GOLDEN / "cube.lat"), str(GOLDEN / "patch.lat")]), 2),
+    )
+
+    def capped(option, default):  # at or below the default, so no draw needs more memory
+        caps = st.integers(-2, default).map(lambda c: (option, str(c)))
+        return st.one_of(st.just(()), caps)
+
+    def argv(lat, part, state, *options):
+        return ["entropy", "--lattice", lat, "--partition", part, "--state", state,
+                *chain.from_iterable(options)]
+
+    return st.builds(
+        argv,
+        lattice,
+        partition,
+        state,
+        sometimes(*(("--format", f) for f in ("table", "csv", "json"))),
+        sometimes(("--group", "stars"), ("--group", "plaquettes")),
+        sometimes(("--oracle",)),
+        capped("--max-links", cli.MAX_ORACLE_LINKS),
+        capped("--max-subsystem", cli.MAX_SUBSYSTEM_LINKS),
+    )
+
+
+class TestEntropyExits:
+    """The exit-code contract over ``entropy`` argvs: a result, a
+    mismatch reported as such, or a documented exit with no output."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(argv=entropy_argvs())
+    def test_exit_codes(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert 0 <= code <= 3, (argv, err.getvalue())
+        assert "internal error" not in err.getvalue()
+        if code == 1:
+            assert any("values disagree" in line for line in lines), (argv, lines)
+        if code in (2, 3):
+            assert out.getvalue() == ""
+            assert any(line.startswith("error:") for line in lines), (argv, lines)
 
 
 class TestPackageExports:
@@ -1409,15 +1522,28 @@ def random_rows(seed, count):
 
 
 def in_blocks(rows):
-    """``rows`` cut into blocks of random sizes, the first empty, as the
-    emitters take them."""
+    """(descriptor, tail) ``rows`` as the emitters take them: a table of
+    their distinct tails, position 0 no row's, and the (descriptor,
+    position) rows cut into blocks of random sizes, the first empty.  A
+    tail is matched by its repr, so tails that compare equal but print
+    differently take separate positions."""
+    tails, positions = [None], {}
+
+    def position(tail):
+        i = positions.get(repr(tail))
+        if i is None:
+            i = positions[repr(tail)] = len(tails)
+            tails.append(tail)
+        return i
+
+    rows = [(head, position(tail)) for head, tail in rows]
     rng = random.Random(len(rows))
     blocks, start = [[]], 0
     while start < len(rows):
         size = rng.randrange(130)  # now and then another empty block
         blocks.append(rows[start:start + size])
         start += size
-    return blocks
+    return tails, blocks
 
 
 def dict_rows(rows, columns=CSV_COLUMNS):
@@ -1430,7 +1556,7 @@ class TestEmitters:
     def test_csv_matches_reference(self, seed, count):
         rows = random_rows(seed, count)
         new, ref = io.StringIO(), io.StringIO()
-        emit_rows_csv(in_blocks(rows), new)
+        emit_rows_csv(*in_blocks(rows), new)
         reference_rows_csv(dict_rows(rows), ref, CSV_COLUMNS)
         assert new.getvalue() == ref.getvalue()
 
@@ -1438,7 +1564,7 @@ class TestEmitters:
     def test_table_matches_reference(self, seed, count):
         rows = random_rows(seed, count)
         new, ref = io.StringIO(), io.StringIO()
-        emit_rows_table(in_blocks(rows), new)
+        emit_rows_table(*in_blocks(rows), new)
         reference_rows_table(dict_rows(rows), ref)
         assert new.getvalue() == ref.getvalue()
 
@@ -1457,9 +1583,9 @@ class TestEmitters:
 
     @staticmethod
     def equal_tail_rows():
-        # tails that compare equal but print differently, each tail object
-        # in two rows, so that a memo keyed by value rather than by object
-        # would reuse the first text
+        # tails that compare equal but print differently, each tail in two
+        # rows, so that a position shared by value rather than by repr
+        # would print the first one's text
         nan = math.nan
         values = [0.0, -0.0, 1, 1.0, True, 0, False, nan, nan, float("nan"), None]
         rows = []
@@ -1472,8 +1598,10 @@ class TestEmitters:
 
     def test_equal_tails_that_print_differently(self):
         rows = self.equal_tail_rows()
+        tails, _ = in_blocks(rows)
+        assert tails.count(tails[1]) == 4  # the tails of 0.0, -0.0, 0 and False
         new, ref = io.StringIO(), io.StringIO()
-        emit_rows_csv(in_blocks(rows), new)
+        emit_rows_csv(*in_blocks(rows), new)
         reference_rows_csv(dict_rows(rows), ref, CSV_COLUMNS)
         assert new.getvalue() == ref.getvalue()
         assert "-0.0,3" in new.getvalue() and ",True,3," in new.getvalue()
@@ -1483,7 +1611,7 @@ class TestEmitters:
         fixed = {"command": "scan", "mode": "exhaustive", "seed": None}
         for rows in (random_rows(seed, count), self.equal_tail_rows()):
             new, ref = io.StringIO(), io.StringIO()
-            cli.emit_rows_json(fixed, in_blocks(rows), new)
+            cli.emit_rows_json(fixed, *in_blocks(rows), new)
             emit_json({**fixed, "rows": dict_rows(rows)}, ref)
             assert new.getvalue() == ref.getvalue()
 
@@ -1492,7 +1620,7 @@ class TestEmitters:
                  "links:0,1", "chain", None, 7, -0.0, True]
         rows = [(h, tail) for h, (_, tail) in zip(heads, random_rows(6, len(heads)))]
         new, ref = io.StringIO(), io.StringIO()
-        emit_rows_csv(in_blocks(rows), new)
+        emit_rows_csv(*in_blocks(rows), new)
         reference_rows_csv(dict_rows(rows), ref, CSV_COLUMNS)
         assert new.getvalue() == ref.getvalue()
 
@@ -1513,7 +1641,7 @@ class TestEmitters:
                 return super().write(text)
 
         new, ref = Recording(), io.StringIO()
-        emit_rows_csv(in_blocks(rows), new)
+        emit_rows_csv(*in_blocks(rows), new)
         reference_rows_csv(dict_rows(rows), ref, CSV_COLUMNS)
         assert new.getvalue() == ref.getvalue()
         long_rows = [n for n in new.sizes if n > cli.BLOCK_CHARS]

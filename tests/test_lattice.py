@@ -250,6 +250,18 @@ def permuted(perm: list[int], mask: int) -> int:
     return sum(1 << perm[l] for l in range(len(perm)) if mask >> l & 1)
 
 
+def torus_maps(lat) -> tuple:
+    """The unit column and row shifts of the torus, from
+    `reference_symmetry`, and its transpose and mirror, from
+    `Lattice._torus_shifts`, as maps of link masks."""
+    k = lat.torus_k
+    column = reference_symmetry(k, IDENTITY, 1, 0)
+    row = reference_symmetry(k, IDENTITY, 0, 1)
+    transpose, mirror, _, _ = lat._torus_shifts
+    return (lambda mask: permuted(column, mask), lambda mask: permuted(row, mask),
+            transpose, mirror)
+
+
 class TestTorusShifts:
     """The translations and reflections of the torus, and the symmetry
     orbit the exhaustive scan shares its values over."""
@@ -258,7 +270,7 @@ class TestTorusShifts:
     def test_shifts_map_stars_and_plaquettes_to_themselves(self, k):
         lat = build_torus(k)
         assert len(lat._torus_shifts) == 4
-        for shift in lat._torus_shifts:
+        for shift in torus_maps(lat):
             for masks in (lat.star_masks(), lat.plaquette_masks()):
                 assert sorted(map(shift, masks)) == sorted(masks)
 
@@ -269,7 +281,7 @@ class TestTorusShifts:
         n = lat.n_links
         rng = random.Random(k)
         masks = [1 << l for l in range(n)] + [rng.getrandbits(n) for _ in range(50)]
-        column_shift, row_shift, transpose, mirror = lat._torus_shifts
+        column_shift, row_shift, transpose, mirror = torus_maps(lat)
         for shift, order in ((column_shift, k), (row_shift, k), (transpose, 2), (mirror, 2)):
             for mask in masks:
                 image = mask
@@ -289,7 +301,7 @@ class TestTorusShifts:
         for mask in [1 << l for l in range(lat.n_links)] + [
             rng.getrandbits(lat.n_links) for _ in range(30)
         ]:
-            for shift, perm in zip(lat._torus_shifts, expected):
+            for shift, perm in zip(torus_maps(lat), expected):
                 assert shift(mask) == permuted(perm, mask)
             orbit = lat.symmetry_orbit(mask)
             assert orbit[0] == mask
@@ -299,7 +311,7 @@ class TestTorusShifts:
     def test_orbit_order_is_the_shifts_composed(self, k):
         # each translation after each point map, in the shifts' own order
         lat = build_torus(k)
-        column_shift, row_shift, transpose, mirror = lat._torus_shifts
+        column_shift, row_shift, transpose, mirror = torus_maps(lat)
         rng = random.Random(k)
         for mask in [1 << l for l in range(lat.n_links)] + [
             rng.getrandbits(lat.n_links) for _ in range(30)
