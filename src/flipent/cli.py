@@ -508,25 +508,29 @@ def cmd_verify(args) -> int:
 
 def _scan_rows(args, lat, group):
     """Check the mode's inputs and caps, then return ``(tails, rows)``:
-    the scan's table of distinct row tails and an iterable of its rows,
-    with the oracle's entropy under ``--oracle``.
+    the scan's table of distinct row tails and its rows in blocks, in
+    descriptor order, ready to emit, with the oracle's entropy under
+    ``--oracle``.
 
     A row is a (descriptor, position) pair, ``tails[position]`` holding
-    the other `CSV_COLUMNS` fields.  Each distinct tail is added to the
-    table once, by the first row that needs it, so that an emitter
-    formats each position once per walk (`_row_texts`); a float is
-    matched by its repr, since 0.0 and -0.0 are equal and NaN is not, and
-    each prints as its repr.  Position 0 is no row's, so that 0 in the
+    the other `CSV_COLUMNS` fields.  Each distinct tail, oracle value
+    included, is added to the table once, by the first row that needs
+    it, so that an emitter formats each position once per walk
+    (`_row_texts`) and every position is some row's; a float is matched
+    by its repr, since 0.0 and -0.0 are equal and NaN is not, and each
+    prints as its repr.  Position 0 is no row's, so that 0 in the
     exhaustive scan's index means a tail not yet computed.
 
     The checks run here, before any row, so that an error leaves stdout
-    empty even when `cmd_scan` streams the rows.  Exhaustive rows come in
-    descriptor order, a walk subtree per block (`_descriptor_walk`), as a
-    `_Rewalk` whose walks share one `_tail_index` (the engine and stats
-    run once per torus symmetry orbit): a row's own work is one index
-    read in its block's list comprehension, plus the oracle on its own
-    side.  The other modes give single rows in draw order, once.  A
-    region row names its region by the links of its boundary loop.
+    empty even when `cmd_scan` streams the rows.  Exhaustive rows come a
+    walk subtree per block (`_descriptor_walk`), as a `_Rewalk` whose
+    walks share one `_tail_index` (the engine and stats run once per
+    torus symmetry orbit): a row's own work is one index read in its
+    block's list comprehension.  Under ``--oracle``, whose trace is per
+    side anyway, each row is evaluated on its own side, with no index,
+    and all are held in a list.  The drawn modes are sorted into one
+    block, rows of one descriptor in draw order.  A region row names its
+    region by the links of its boundary loop.
     """
     mode = args.mode
     n = lat.n_links
@@ -535,93 +539,82 @@ def _scan_rows(args, lat, group):
     tails: list = [None]
     positions = {}  # the values a tail is made of -> its position in tails
 
-    def shared(key, make) -> int:
+    def tail_of(part, stats, closed, s_bits) -> int:
+        """The position of the row's tail, with the oracle's entropy of
+        ``part`` under ``--oracle``; the bounds follow from the stats."""
+        oracle_s = None if oracle is None else oracle(part)
+        key = (part.size_a, stats, s_bits, repr(closed), repr(oracle_s))
         i = positions.get(key)
         if i is None:
             i = positions[key] = len(tails)
-            tails.append(make())
-        return i
-
-    def tail_of(part, stats, closed, s_bits) -> int:
-        """The position of the row's tail, its ``oracle_S`` None."""
-        def make():
             if stats is None:
-                return (part.size_a, None, None, None, None, s_bits, closed,
-                        None, None, None)
-            length = stats.boundary_length
-            return (part.size_a, length, stats.n1, stats.n2, stats.n3, s_bits,
-                    closed, *entropy_bounds(length), None)
-
-        return shared((part.size_a, stats, s_bits,
-                       None if closed is None else repr(closed)), make)
-
-    def with_oracle(i, part):
-        if oracle is None:
-            return i
-        oracle_s = oracle(part)
-        # the position keys the other values, which are never -0.0 or NaN
-        return shared((i, repr(oracle_s)), lambda: (*tails[i][:-1], oracle_s))
-
-    def row(desc, part, stats, closed, s_bits):
-        return desc, with_oracle(tail_of(part, stats, closed, s_bits), part)
+                tails.append((part.size_a, None, None, None, None, s_bits, closed,
+                              None, None, oracle_s))
+            else:
+                length = stats.boundary_length
+                tails.append((part.size_a, length, stats.n1, stats.n2, stats.n3,
+                              s_bits, closed, *entropy_bounds(length), oracle_s))
+        return i
 
     def entropy(part):
         return entropy_equal_superposition(group, part).s_bits
 
+    def link_tail(mask):
+        part = Partition(n, mask)
+        return tail_of(part, _try_stats(lat, part), None, entropy(part))
+
     def exhaustive_rows(index, miss):
         for block in _descriptor_walk(n):
-            if oracle is None:
-                yield [(desc, index[mask] or miss(mask)) for mask, desc in block]
-            else:
-                yield [(desc, with_oracle(index[mask] or miss(mask), Partition(n, mask)))
-                       for mask, desc in block]
+            yield [(desc, index[mask] or miss(mask)) for mask, desc in block]
 
-    def link_rows(masks):
-        for mask in masks:
-            part = Partition(n, mask)
-            desc = "links:" + lat.link_list(mask)
-            yield row(desc, part, _try_stats(lat, part), None, entropy(part))
+    def drawn(rows):  # sorted into one block, draw order kept
+        return tails, [sorted(rows, key=lambda row: row[0])]
 
     def region_rows(sample, rng):
         for _ in range(args.count):
             part, stats, loop = sample(lat, rng)
             desc = "loop:" + lat.link_list(loop)
-            yield row(desc, part, stats, float(geometric_entropy(stats)), entropy(part))
+            yield desc, tail_of(part, stats, float(geometric_entropy(stats)), entropy(part))
 
     def table1_rows(k):
         for name in ("single_spin", "chain", "ladder", "cross", "vertical"):
             part = named_partition(lat, name)
             closed = closed_form_entropy(name, k)
-            yield row(name, part, _try_stats(lat, part), closed, entropy(part))
+            yield name, tail_of(part, _try_stats(lat, part), closed, entropy(part))
         side = 2 if k >= 4 else 1
         part, stats, _ = disk_region(lat, rect=(0, 0, side, side))
         desc = f"rect:0,0,{side},{side}"
-        yield row(desc, part, stats, float(geometric_entropy(stats)), entropy(part))
+        yield desc, tail_of(part, stats, float(geometric_entropy(stats)), entropy(part))
 
     if mode == "exhaustive":
         bipartition_masks(n, max_links=args.scan_cap)  # only for its link cap
+        if oracle is None:
+            found = _tail_index(lat, group, tails, tail_of)  # once per orbit, over all walks
+            return tails, _Rewalk(lambda: exhaustive_rows(*found))
         cap = args.max_subsystem
-        if oracle is not None and n - 1 > cap:
+        if n - 1 > cap:
             # rows keep up to n - 1 links on one side, so exit before any
             # trace: the first row over the cap in mask order, max(cap, 0) + 1
             # links wide, raises the cap's error before any work
             oracle(Partition(n, (1 << max(cap + 1, 1)) - 1))
-        found = _tail_index(lat, group, tails, tail_of)  # once per orbit, over all walks
-        return tails, _Rewalk(lambda: exhaustive_rows(*found))
+        # the trace is per side, so is each row; all are held, so that an
+        # oracle cap on any row leaves stdout empty
+        return tails, [[(desc, link_tail(mask)) for mask, desc in block]
+                       for block in _descriptor_walk(n)]
     if mode == "sampled":
         _require_count_seed(args)
         masks = bipartition_masks(
             n, mode, count=args.count, seed=args.seed, max_links=args.scan_cap
         )
-        return tails, link_rows(masks)
+        return drawn(("links:" + lat.link_list(mask), link_tail(mask)) for mask in masks)
     if mode in ("rects", "disks"):
         _require_count_seed(args)
         sample = random_rectangle_region if mode == "rects" else random_simple_region
-        return tails, region_rows(sample, random.Random(args.seed))
+        return drawn(region_rows(sample, random.Random(args.seed)))
     if mode == "table1":
         if lat.torus_k is None:
             raise ValueError("table1 mode needs a torus lattice")
-        return tails, table1_rows(lat.torus_k)
+        return drawn(table1_rows(lat.torus_k))
     raise ValueError(f"unknown scan mode {mode!r}")
 
 
@@ -689,7 +682,7 @@ def _tail_index(lat: Lattice, group, tails: list, tail_of):
     computed again at each use, and no row costs more than direct
     evaluation.  Any order of queries thus gives the tails of direct
     evaluation.  Memory: 2**(n+1) bytes.  Off the torus the orbit is the
-    mask alone.
+    mask alone.  Built only without ``--oracle``.
     """
     n = lat.n_links
     full = (1 << n) - 1
@@ -722,9 +715,9 @@ def _require_count_seed(args) -> None:
 
 
 def cmd_scan(args) -> int:
-    """Print the scan's (descriptor, position) rows sorted by descriptor,
-    the other fields of each at its position in the scan's table of
-    distinct tails (`_scan_rows`).
+    """Print the scan's (descriptor, position) rows, in blocks sorted by
+    descriptor, the other fields of each at its position in the scan's
+    table of distinct tails (`_scan_rows`).
 
     Exhaustive rows are made in that order, a walk subtree per block
     from the walk's suffix tables, so CSV and JSON format each block as
@@ -733,16 +726,12 @@ def cmd_scan(args) -> int:
     cap), the table of tails and one text per position, plus a block.
     A table walks the exhaustive rows twice, for its column widths and
     then to write, so any error comes before its first write.  Every
-    ``--oracle`` scan and the drawn modes (sorted into one block) hold
-    all rows before writing, so that an error leaves stdout empty.
+    ``--oracle`` scan and the drawn modes come with all rows held, so
+    that an error leaves stdout empty.
     """
     lat = parse_lattice_spec(args.lattice)
     group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
     tails, rows = _scan_rows(args, lat, group)
-    if args.mode != "exhaustive":
-        rows = [sorted(rows, key=lambda row: row[0])]  # one block, draw order kept
-    elif args.oracle:
-        rows = list(rows)  # an oracle cap on any row leaves stdout empty
     if args.format == "json":
         fixed = {
             "command": "scan",

@@ -11,7 +11,7 @@ import tracemalloc
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -42,7 +42,7 @@ from flipent.cli import (
     parse_partition_spec,
     parse_state_spec,
 )
-from flipent.lattice import Lattice, build_torus, lattice_to_document
+from flipent.lattice import Lattice, boundary_stats, build_torus, lattice_to_document
 from flipent.verify import default_suite, verify_partitions
 from tests.test_lattice import reference_symmetries
 
@@ -557,6 +557,48 @@ def direct_index(lat, group, tails, tail_of):
     return [0] * (1 << n), miss
 
 
+def direct_oracle_scan(spec, group, fmt):
+    """The bytes of an exhaustive ``--oracle`` scan of the torus ``spec``
+    in ``group``, in CSV or JSON, each side evaluated on its own: the
+    engine, `boundary_stats` and `oracle_entropy` on every mask, the rows
+    sorted by descriptor."""
+    from flipent.oracle import build_ground_state, oracle_entropy
+
+    lat = parse_lattice_spec(spec)
+    n = lat.n_links
+    matrix = star_group(lat) if group == "stars" else plaquette_group(lat)
+    state = build_ground_state(lat, GroundStateCoeffs.xi(0, 0))
+    rows = []
+    for mask in range(1, (1 << n) - 1):
+        part = Partition(n, mask)
+        try:
+            stats = boundary_stats(lat, part)
+        except ValueError:
+            stats = None
+        length = None if stats is None else stats.boundary_length
+        rows.append({
+            "partition": "links:" + ",".join(str(l) for l in range(n) if mask >> l & 1),
+            "size_A": part.size_a,
+            "L": length,
+            "n1": None if stats is None else stats.n1,
+            "n2": None if stats is None else stats.n2,
+            "n3": None if stats is None else stats.n3,
+            "S_bits": entropy_equal_superposition(matrix, part).s_bits,
+            "S_closed_form": None,
+            "lower_bound": None if stats is None else length / 3 - 1,
+            "upper_bound": None if stats is None else 7 * length / 6 - 1,
+            "oracle_S": oracle_entropy(state, part),
+        })
+    rows.sort(key=lambda r: r["partition"])
+    out = io.StringIO()
+    if fmt == "json":
+        emit_json({"command": "scan", "mode": "exhaustive", "lattice": spec,
+                   "seed": None, "count": None, "rows": rows}, out)
+    else:
+        reference_rows_csv(rows, out, CSV_COLUMNS)
+    return out.getvalue()
+
+
 def scan_index(monkeypatch, lat, group):
     """The tail builder, the table of tails and the `cli._tail_index` of an
     exhaustive scan of ``lat`` in ``group``, as `cli._scan_rows` makes them."""
@@ -576,7 +618,9 @@ def scan_index(monkeypatch, lat, group):
 class TestPairedScan:
     """The exhaustive scan asks the engine once per symmetry orbit of
     complement pairs {A, B} (each pair alone off the torus) and prints
-    the bytes that one engine call per row prints."""
+    the bytes that one engine call per row prints.  An ``--oracle`` scan,
+    whose trace is per side, evaluates each row on its own side and
+    builds no index."""
 
     @pytest.fixture
     def engine_calls(self, monkeypatch):
@@ -599,8 +643,19 @@ class TestPairedScan:
                 "--group", group, *options]
         lat = parse_lattice_spec(SCAN_LATTICES[lattice])
         n = lat.n_links
+        if "--oracle" in options:
+            # the trace is per side, so each row is evaluated on its own side
+            def refuse(lat, group, tails, tail_of):
+                raise AssertionError("an --oracle scan built an index")
+
+            monkeypatch.setattr(cli, "_tail_index", refuse)
         code, paired, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
+        if "--oracle" in options:
+            assert sorted(engine_calls) == list(range(1, (1 << n) - 1))  # once per row
+            fmt = "json" if "json" in options else "csv"
+            assert paired == direct_oracle_scan(SCAN_LATTICES[lattice], group, fmt)
+            return
         calls = assert_one_call_per_pair_orbit(lat, engine_calls)
         # 17 orbits of the 127 pairs at k=2; each pair alone off the torus
         assert calls == {"torus-k2": 17}.get(lattice, (1 << (n - 1)) - 1)
@@ -610,7 +665,7 @@ class TestPairedScan:
         code, unpaired, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         # a table walks its rows twice: widths, then writes
-        walks = 2 if "table" in options and "--oracle" not in options else 1
+        walks = 2 if "table" in options else 1
         assert len(engine_calls) == walks * ((1 << n) - 2)
         assert paired == unpaired
 
@@ -637,8 +692,10 @@ class TestPairedScan:
             return stats(lat, part)
 
         tail_index = cli._tail_index
+        indexed_scans = []
 
         def past_the_index(lat, group, tails, tail_of):
+            indexed_scans.append(lat)
             filler = (0,) * (len(CSV_COLUMNS) - 1)  # positions no row has
             tails.extend([filler] * ((1 << 16) - 3 - len(tails)))
             return tail_index(lat, group, tails, tail_of)
@@ -649,7 +706,10 @@ class TestPairedScan:
         code, capped, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert capped == indexed
-        walks = 2 if "table" in options and "--oracle" not in options else 1
+        if "--oracle" in options:
+            assert indexed_scans == []  # each row evaluated on its own side
+            return
+        walks = 2 if "table" in options else 1
         rows = (1 << parse_lattice_spec(SCAN_LATTICES[lattice]).n_links) - 2
         assert calls < len(engine_calls) <= walks * rows
         assert len(stats_calls) <= walks * rows
@@ -1094,24 +1154,25 @@ class TestSharedTails:
         return walks
 
     @pytest.mark.parametrize(
-        "argv, distinct, positions",
+        "argv, distinct",
         [
-            (["--lattice", "torus:k=2", "--mode", "exhaustive"], 19, 19),
-            (["--lattice", str(GOLDEN / "cube.lat"), "--mode", "exhaustive"], 65, 65),
+            (["--lattice", "torus:k=2", "--mode", "exhaustive"], 19),
+            (["--lattice", str(GOLDEN / "cube.lat"), "--mode", "exhaustive"], 65),
             # every rect at k=3 has the same values
             (["--lattice", "torus:k=3", "--mode", "rects", "--count", "100",
-              "--seed", "1"], 1, 1),
+              "--seed", "1"], 1),
             # 300 draws of the 254 sides at k=2
             (["--lattice", "torus:k=2", "--mode", "sampled", "--count", "300",
-              "--seed", "5"], 18, 18),
-            # each row's tail without and with its oracle value
-            (["--lattice", "torus:k=3", "--mode", "table1", "--oracle"], 6, 12),
+              "--seed", "5"], 18),
+            (["--lattice", "torus:k=3", "--mode", "table1", "--oracle"], 6),
+            (["--lattice", "torus:k=2", "--mode", "exhaustive", "--oracle"], 19),
+            (["--lattice", "torus:k=2", "--mode", "exhaustive", "--oracle",
+              "--group", "plaquettes"], 24),
         ],
-        ids=["torus-k2", "cube", "rects-k3", "sampled-k2", "table1-oracle"],
+        ids=["torus-k2", "cube", "rects-k3", "sampled-k2", "table1-oracle",
+             "exhaustive-k2-oracle", "exhaustive-k2-oracle-plaquettes"],
     )
-    def test_each_tail_formatted_once_per_walk(
-        self, capsys, tail_walks, argv, distinct, positions
-    ):
+    def test_each_tail_formatted_once_per_walk(self, capsys, tail_walks, argv, distinct):
         argv = ["scan", *argv]
         code, out, _ = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0
@@ -1122,7 +1183,8 @@ class TestSharedTails:
             assert run_cli(capsys, *argv, "--format", fmt)[0] == 0
             assert len(tail_walks) == walk_count
             for table, calls in tail_walks:
-                assert len(calls) == len(set(calls)) == positions
+                # the table holds only printed tails
+                assert len(calls) == len(set(calls)) == distinct
                 assert calls == table[1:]  # each position once, in order
 
     def test_oracle_zeros_and_nans_print_as_given(self, capsys, monkeypatch):
@@ -1308,6 +1370,20 @@ def sometimes(*options):
     return st.one_of(st.just(()), st.sampled_from(options))
 
 
+def weighted(*pairs):
+    """One of the (strategy, weight) ``pairs``' strategies, each ``weight``
+    times in sum(weights)."""
+    return st.sampled_from([s for s, weight in pairs for _ in range(weight)]).flatmap(
+        lambda s: s)
+
+
+def capped(option, default):
+    """No option, or ``option`` at or below ``default``, so no draw needs
+    more memory than the default allows."""
+    caps = st.integers(-2, default).map(lambda c: (option, str(c)))
+    return st.one_of(st.just(()), caps)
+
+
 def region_scan_argvs():
     """``scan --mode rects|disks`` argvs on tori k = 2..8: counts mostly
     small, else 0, negative or over the row budget; seeds small, negative
@@ -1368,10 +1444,6 @@ def entropy_argvs():
     ``xi:``, ``coeffs:`` (with nan, inf and huge values) and ``random:``
     states; every group and format, with and without ``--oracle``; the
     oracle's two caps now and then, never above their defaults."""
-    def weighted(*pairs):  # one of the strategies, each ``weight`` times in sum(weights)
-        return st.sampled_from([s for s, weight in pairs for _ in range(weight)]).flatmap(
-            lambda s: s)
-
     junk = st.sampled_from(["", " ", "x", "1.5", "0x1", "+1", "1e3"])
     token = weighted(
         (st.integers(0, 6), 5),  # a link id on every lattice drawn
@@ -1410,10 +1482,6 @@ def entropy_argvs():
         (st.sampled_from([str(GOLDEN / "cube.lat"), str(GOLDEN / "patch.lat")]), 2),
     )
 
-    def capped(option, default):  # at or below the default, so no draw needs more memory
-        caps = st.integers(-2, default).map(lambda c: (option, str(c)))
-        return st.one_of(st.just(()), caps)
-
     def argv(lat, part, state, *options):
         return ["entropy", "--lattice", lat, "--partition", part, "--state", state,
                 *chain.from_iterable(options)]
@@ -1449,6 +1517,109 @@ class TestEntropyExits:
         if code in (2, 3):
             assert out.getvalue() == ""
             assert any(line.startswith("error:") for line in lines), (argv, lines)
+
+
+@st.composite
+def command_argvs(draw):
+    """``verify``, ``lattice-info`` and ``scan --mode
+    exhaustive|sampled|table1`` argvs on tori k = 2..4, junk torus specs,
+    the golden cube and patch, a missing path, a directory and a file
+    that is no lattice document.  ``verify`` gets basis, other and junk
+    states and tolerances valid or not; ``scan`` gets counts and seeds
+    valid or not, every format and group, with and without
+    ``--oracle``, and its three caps now and then, never above their
+    defaults.  Every draw is cheap: an exhaustive scan of a torus of
+    k >= 3 carries ``--oracle`` or a ``--scan-cap`` below its link count,
+    each of which exits 3 before any row, and a valid ``verify`` is
+    drawn now and then only."""
+    tori = {f"torus:k={k}": 2 * k * k for k in (2, 3, 4)}  # spec -> link count
+    lattice = draw(weighted(
+        (st.sampled_from(sorted(tori)), 6),
+        (st.sampled_from(["torus:k=1", "torus:k=0", "torus:k=-2", "torus:k=",
+                          "torus:k=x", "torus:k=2.5", "torus:k=182",
+                          f"torus:k={10**6}", "torus:"]), 2),
+        (st.sampled_from([str(GOLDEN / "cube.lat"), str(GOLDEN / "patch.lat")]), 1),
+        (st.sampled_from([str(GOLDEN / "missing.lat"), str(GOLDEN),
+                          str(GOLDEN / "cases.json")]), 1),
+    ))
+    command = draw(st.sampled_from(["verify", "lattice-info", "scan"]))
+    argv = [command, "--lattice", lattice]
+    if command == "lattice-info":
+        return argv + [*draw(sometimes(("--format", "table"), ("--format", "json")))]
+    if command == "verify":
+        state = draw(weighted(
+            (st.sampled_from(["xi:0,0", "xi:1,0", "xi:0,1", "xi:1,1"]), 2),
+            (st.sampled_from(["xi:", "xi:0", "xi:2,0", "xi:0,0,0", "xi:-1,0",
+                              "xi:x,0"]), 1),
+            (st.sampled_from(["random:1", "random:x", "random:"]), 1),
+            (st.sampled_from(["coeffs:0.6,0.8j,0,0", "coeffs:1,0,0",
+                              "coeffs:nan,0,0,0"]), 1),
+            (st.sampled_from(["", "x", "xi", "0,0"]), 1),
+        ))
+        tol = sometimes(*(("--tol", t) for t in
+                          ("0", "1e-9", "-1", "-1e-300", "nan", "inf", "-inf", "x", "")))
+        return argv + ["--state", state, *draw(tol),
+                       *draw(sometimes(("--format", "table"), ("--format", "json")))]
+    mode = draw(st.sampled_from(["exhaustive", "sampled", "table1"]))
+    count = weighted((st.integers(1, 40), 4), (st.integers(-3, 0), 1),
+                     (st.integers((1 << 24) - 1, 1 << 70), 1))  # over the default budget
+    seed = st.one_of(st.integers(-3, 3), st.integers(-(1 << 70), 1 << 70))
+    def mostly(option, values):  # the option seven times in eight
+        return weighted((st.just(()), 1), (values.map(lambda v: (option, str(v))), 7))
+
+    options = [
+        draw(mostly("--count", count)),
+        draw(mostly("--seed", seed)),
+        draw(sometimes(*(("--format", f) for f in ("csv", "json", "table")))),
+        draw(sometimes(("--group", "stars"), ("--group", "plaquettes"))),
+        draw(sometimes(("--oracle",))),
+        draw(capped("--scan-cap", cli.EXHAUSTIVE_SCAN_MAX_LINKS)),
+        draw(capped("--max-links", cli.MAX_ORACLE_LINKS)),
+        draw(capped("--max-subsystem", cli.MAX_SUBSYSTEM_LINKS)),
+    ]
+    if mode == "exhaustive" and tori.get(lattice, 0) > 8:
+        # last, so that it overrides a --scan-cap drawn above
+        options.append(draw(st.one_of(
+            st.just(("--oracle",)),
+            st.integers(-2, tori[lattice] - 1).map(lambda c: ("--scan-cap", str(c))),
+        )))
+    return argv + ["--mode", mode, *chain.from_iterable(options)]
+
+
+class TestCommandExits:
+    """The exit-code contract over ``verify``, ``lattice-info`` and the
+    scans `TestRegionScanExits` leaves out: a result, a failed check
+    reported as such, or a documented exit with no output, and no draw
+    that allocates more than the default caps allow."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(argv=command_argvs())
+    # a check that fails at tolerance 0 exits 1, in either format
+    @example(argv=["verify", "--lattice", "torus:k=2", "--tol", "0"])
+    @example(argv=["verify", "--lattice", "torus:k=2", "--tol", "0", "--format", "json"])
+    def test_exit_codes(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # an argparse error, such as --tol x
+                    code = exc.code
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        lines = err.getvalue().splitlines()
+        assert 0 <= code <= 3, (argv, err.getvalue())
+        assert "internal error" not in err.getvalue()
+        if code == 1:
+            assert "FAIL " in out.getvalue() or '"passed": false' in out.getvalue(), argv
+        if code in (2, 3):
+            assert out.getvalue() == ""
+            # main's own line, or argparse's "flipent <command>: error: ..."
+            assert any(line.startswith("error:") or ": error: " in line
+                       for line in lines), (argv, lines)
+        assert peak < 64 << 20, (argv, peak)
 
 
 class TestPackageExports:
