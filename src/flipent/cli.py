@@ -44,6 +44,7 @@ from .errors import (
     ORACLE_TOL,
     LatticeFormatError,
     ResourceLimitError,
+    _check_subsystem,
 )
 from .lattice import (
     BoundaryStats,
@@ -335,20 +336,26 @@ def _oracle(args, lat: Lattice, coeffs):
     """The oracle's entropy of a partition in the state ``coeffs``, under
     the command's ``--max-links`` and ``--max-subsystem`` caps.
 
-    The first call imports the oracle, checks for a torus and builds the
-    state and its support, so a command's own input checks come first.
-    Each distinct side A is traced once: drawn regions on small tori repeat.
+    Each call checks for a torus and, once the lattice is within
+    ``--max-links`` (whose error comes first, as the state build gives
+    it), side A's links against ``--max-subsystem`` before it imports
+    the oracle.  The first call that passes builds the state and its
+    support, so a command's own input checks come first and a refused
+    side builds nothing.  Each distinct side A is traced once: drawn
+    regions on small tori repeat.
     """
     state = support = None
     memo: dict[int, float] = {}  # a_mask -> oracle_S
 
     def oracle_s(part: Partition) -> float:
         nonlocal state, support
+        if lat.torus_k is None:
+            raise ValueError("the statevector oracle needs a torus lattice")
+        if lat.n_links <= args.max_links:
+            _check_subsystem(part.size_a, args.max_subsystem)
         from . import oracle
 
         if state is None:
-            if lat.torus_k is None:
-                raise ValueError("the statevector oracle needs a torus lattice")
             state = oracle.build_ground_state(lat, coeffs, max_links=args.max_links)
             support = oracle.support(state)
         s = memo.get(part.a_mask)

@@ -2,7 +2,8 @@
 across the package.
 
 These constants live here, not in `oracle`, so that the CLI can offer
-them as option defaults without importing numpy.
+them as option defaults, and check the partial-trace cap, without
+importing numpy.
 """
 
 #: statevector cap of the oracle, in links (2**n amplitudes)
@@ -32,3 +33,11 @@ class LatticeFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _check_subsystem(size: int, max_subsystem: int) -> None:
+    # the partial-trace cap on ``size`` links of side A
+    if size > max_subsystem:
+        raise ResourceLimitError(
+            f"subsystem of {size} links exceeds the {max_subsystem}-link cap"
+        )

@@ -21,7 +21,13 @@ import math
 
 import numpy as np
 
-from .errors import MAX_ORACLE_LINKS, MAX_SUBSYSTEM_LINKS, ORACLE_TOL, ResourceLimitError
+from .errors import (
+    MAX_ORACLE_LINKS,
+    MAX_SUBSYSTEM_LINKS,
+    ORACLE_TOL,
+    ResourceLimitError,
+    _check_subsystem,
+)
 from .lattice import Lattice, Partition, ladder_operators, star_group
 from .states import GroundStateCoeffs
 
@@ -100,13 +106,6 @@ def support(state: np.ndarray) -> np.ndarray:
     or `oracle_entropy` when tracing one state over many partitions.
     """
     return np.flatnonzero(state)
-
-
-def _check_subsystem(size: int, max_subsystem: int) -> None:
-    if size > max_subsystem:
-        raise ResourceLimitError(
-            f"subsystem of {size} links exceeds the {max_subsystem}-link cap"
-        )
 
 
 def reduced_density_matrix(

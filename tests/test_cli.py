@@ -57,6 +57,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_traced(argv):
+    """Run ``main`` with stdout and stderr captured, under tracemalloc:
+    ``(code, out, err, peak)``, an argparse exit's code as the code."""
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # an argparse error, such as --tol x
+                code = exc.code
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, out.getvalue(), err.getvalue(), peak
+
+
 def load_schema(name):
     ref = resources.files("flipent") / "schemas" / name
     return json.loads(ref.read_text())
@@ -239,6 +256,17 @@ class TestEntropyCommand:
             "--max-links", "4",
         )
         assert code == 3
+
+    def test_two_dual_cycles_are_no_disk(self, capsys):
+        # the vertical links of rows 0 and 2 are two dual cycles that split
+        # off row 0; taken as a disk, its S would be the same in every
+        # ground state, 5.0, where the oracle gives 5.82 for this state
+        code, out, err = run_cli(
+            capsys, "entropy", "--lattice", "torus:k=3",
+            "--partition", "loop:9,10,11,15,16,17", "--state", "random:1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: dual edges form 2 components; a disk's loop is one cycle\n"
 
     def test_default_subsystem_cap_exit_3_before_allocating(self, capsys):
         # |A| = 13 is over the default cap of 12 links; its reduced matrix
@@ -1106,6 +1134,56 @@ class TestOracleStateBuilds:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert builds == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entropy", "--lattice", "torus:k=3", "--partition",
+             "links:" + ",".join(map(str, range(13)))],
+            ["scan", "--lattice", "torus:k=3", "--mode", "exhaustive"],
+            ["scan", "--lattice", "torus:k=2", "--mode", "exhaustive",
+             "--max-subsystem", "3"],
+        ],
+        ids=["entropy-13-links", "exhaustive-k3", "exhaustive-k2-cap3"],
+    )
+    def test_subsystem_cap_comes_before_the_state(self, capsys, builds, argv):
+        code, out, err = run_cli(capsys, *argv, "--oracle")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: subsystem of ")
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "lattice, options, message",
+        [
+            ("torus:k=4", [], "32 links exceed the 26-link oracle cap"),
+            ("torus:k=3", ["--max-links", "17"], "18 links exceed the 17-link oracle cap"),
+        ],
+        ids=["k4-default", "k3-max-links-17"],
+    )
+    def test_link_cap_comes_before_the_subsystem_cap(self, capsys, lattice, options,
+                                                     message):
+        # a 13-link side over both caps gets the statevector cap's error
+        code, out, err = run_cli(
+            capsys, "entropy", "--lattice", lattice,
+            "--partition", "links:" + ",".join(map(str, range(13))), "--oracle", *options,
+        )
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_subsystem_cap_imports_no_numpy(self):
+        code = (
+            "import sys\n"
+            "from flipent.cli import main\n"
+            "argv = ['scan', '--lattice', 'torus:k=3', '--mode', 'exhaustive', '--oracle']\n"
+            "assert main(argv) == 3\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flipent.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "error: subsystem of 13 links exceeds the 12-link cap\n"
+
     def test_oracle_entropy_once_per_distinct_partition(self, capsys, monkeypatch):
         from flipent import oracle, random_rectangle_region
 
@@ -1422,19 +1500,19 @@ def region_scan_argvs():
 
 class TestRegionScanExits:
     """The exit-code contract over region scan argvs: a result or a
-    documented exit, and no output before an error."""
+    documented exit, no output before an error, and no draw that
+    allocates more than the default caps allow."""
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(argv=region_scan_argvs())
     def test_exit_codes(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert 0 <= code <= 3, (argv, err.getvalue())
-        assert "internal error" not in err.getvalue()
+        code, out, err, peak = run_traced(argv)
+        assert 0 <= code <= 3, (argv, err)
+        assert "internal error" not in err
         if code in (2, 3):
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith("error: ")
+            assert out == ""
+            assert err.startswith("error: ")
+        assert peak < 64 << 20, (argv, peak)
 
 
 def entropy_argvs():
@@ -1501,22 +1579,25 @@ def entropy_argvs():
 
 class TestEntropyExits:
     """The exit-code contract over ``entropy`` argvs: a result, a
-    mismatch reported as such, or a documented exit with no output."""
+    mismatch reported as such, or a documented exit with no output, and
+    no draw that allocates more than the default caps allow."""
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(argv=entropy_argvs())
+    # two parallel dual cycles split the sites in two, but are no disk's loop
+    @example(argv=["entropy", "--lattice", "torus:k=3", "--partition",
+                   "loop:9,10,11,15,16,17", "--state", "random:1"])
     def test_exit_codes(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        lines = err.getvalue().splitlines()
-        assert 0 <= code <= 3, (argv, err.getvalue())
-        assert "internal error" not in err.getvalue()
+        code, out, err, peak = run_traced(argv)
+        lines = err.splitlines()
+        assert 0 <= code <= 3, (argv, err)
+        assert "internal error" not in err
         if code == 1:
             assert any("values disagree" in line for line in lines), (argv, lines)
         if code in (2, 3):
-            assert out.getvalue() == ""
+            assert out == ""
             assert any(line.startswith("error:") for line in lines), (argv, lines)
+        assert peak < 64 << 20, (argv, peak)
 
 
 @st.composite
@@ -1598,24 +1679,14 @@ class TestCommandExits:
     @example(argv=["verify", "--lattice", "torus:k=2", "--tol", "0"])
     @example(argv=["verify", "--lattice", "torus:k=2", "--tol", "0", "--format", "json"])
     def test_exit_codes(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # an argparse error, such as --tol x
-                    code = exc.code
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        lines = err.getvalue().splitlines()
-        assert 0 <= code <= 3, (argv, err.getvalue())
-        assert "internal error" not in err.getvalue()
+        code, out, err, peak = run_traced(argv)
+        lines = err.splitlines()
+        assert 0 <= code <= 3, (argv, err)
+        assert "internal error" not in err
         if code == 1:
-            assert "FAIL " in out.getvalue() or '"passed": false' in out.getvalue(), argv
+            assert "FAIL " in out or '"passed": false' in out, argv
         if code in (2, 3):
-            assert out.getvalue() == ""
+            assert out == ""
             # main's own line, or argparse's "flipent <command>: error: ..."
             assert any(line.startswith("error:") or ": error: " in line
                        for line in lines), (argv, lines)

@@ -533,6 +533,19 @@ class TestDiskRegion:
         with pytest.raises(ValueError):
             disk_region(torus_k3, dual_loop=ring)
 
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    @pytest.mark.parametrize(
+        "link", [torus_v, lambda k, i, j: torus_h(k, j, i)], ids=["rows", "columns"]
+    )
+    def test_parallel_noncontractible_loops_rejected(self, k, link):
+        # the links of rows 0 and 2 (or columns 0 and 2) are two dual
+        # cycles; they split the sites in two, and each plaquette they
+        # meet they meet twice, yet they are no disk's loop
+        lat = build_torus(k)
+        band = [link(k, i, j) for j in (0, 2) for i in range(k)]
+        with pytest.raises(ValueError, match="^dual edges form 2 components; "):
+            disk_region(lat, dual_loop=band)
+
     def test_non_simple_loop_rejected(self):
         lat = build_torus(5)
         fig8 = sorted(set(lat.star_links[0]) | set(lat.star_links[6]))

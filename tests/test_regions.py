@@ -275,7 +275,7 @@ class TestAgainstReferenceWalks:
     @pytest.mark.parametrize("k", [4, 5, 8, 13, 32])
     def test_disks_on_the_seam_match_draw_for_draw(self, make_rng, k):
         # windows with x0 and y0 in {k - 2, k - 1} wrap the torus seam both
-        # ways, and so do their bounding boxes and the fill's flood
+        # ways, and so do their blobs and the fill's flood
         lat = build_torus(k)
         holes = []
         for x0 in (k - 2, k - 1):
