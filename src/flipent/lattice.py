@@ -171,6 +171,27 @@ class Lattice:
         )
 
     @cached_property
+    def _site_shifts(self) -> tuple:
+        # On the torus, four maps of k**2-bit site masks, bit j*k + i for
+        # site (i, j): east, west, north and south, whose bit at each site
+        # is the input's bit at that neighbour, rows and columns wrapping.
+        # Off the torus, none.
+        k = self.torus_k
+        if k is None:
+            return ()
+        n, row = k * k, (1 << k) - 1  # row 0
+        full = (1 << n) - 1
+        first = full // row  # column 0: bit j*k of each row j
+        last, low = first << k - 1, full >> k  # column k - 1, rows 0 .. k - 2
+        inner, outer, up = full ^ first, full ^ last, n - k
+        return (
+            lambda m: (m & inner) >> 1 | (m & first) << k - 1,
+            lambda m: (m & outer) << 1 | (m & last) >> k - 1,
+            lambda m: m >> k | (m & row) << up,
+            lambda m: (m & low) << k | m >> up,
+        )
+
+    @cached_property
     def _torus_shifts(self) -> tuple:
         # On the torus, two maps of link masks and two masks, for the maps
         # that send stars to stars and plaquettes to plaquettes.  The
@@ -610,11 +631,30 @@ def boundary_stats(
 ) -> BoundaryStats:
     """Classify every site by how many of its incident links lie in A.
 
-    A site with no links counts in sigma_a.  ``sites``, when given, are
-    distinct site ids that include every site with a link in A, such as
-    a region and its neighbours: only their stars are tested, and every
-    other site counts in sigma_b, or in sigma_a if it has no links.
+    A site with no links counts in sigma_a.  The torus reads no star
+    mask.  Elsewhere ``sites``, when given, are distinct site ids that
+    include every site with a link in A, such as a region and its
+    neighbours: only their stars are tested, and every other site counts
+    in sigma_b, or in sigma_a if it has no links.
     """
+    if lat._site_shifts:
+        # A's links as four site masks, each site's east, north, west and
+        # south link, summed by a bit-sliced adder: a fixed number of
+        # whole-mask operations
+        _, west, _, south = lat._site_shifts
+        n = lat.n_sites
+        east = p.a_mask & (1 << n) - 1  # h(i, j) at site (i, j)
+        north = p.a_mask >> n  # v(i, j) at site (i, j)
+        west, south = west(east), south(north)  # h(i - 1, j), v(i, j - 1)
+        # half adders per pair, then the count's ones, twos and fours
+        ew, ns = east ^ west, north ^ south
+        ew2, ns2 = east & west, north & south
+        ones, fours = ew ^ ns, ew2 & ns2
+        twos = ew2 ^ ns2 | ew & ns
+        n3 = (ones & twos).bit_count()
+        sigma_a = fours.bit_count()
+        n1, n2 = ones.bit_count() - n3, twos.bit_count() - n3
+        return BoundaryStats(sigma_a, n - sigma_a - n1 - n2 - n3, n1, n2, n3)
     stars = lat.star_masks()
     if sites is None:
         sigma_a = sigma_b = 0
@@ -676,28 +716,35 @@ class Region(NamedTuple):
     loop: int
 
 
-def region_from_sites(lat: Lattice, sites: Iterable[int]) -> Region:
-    """The region of the given sites, its A side every link touching them.
+def region_from_sites(lat: Lattice, sites: int) -> Region:
+    """The region of a site mask, bit s for site s; its A side is every
+    link touching those sites.
 
-    Site ids must lie in ``0..n_sites-1``.  One pass over the region's
-    stars ORs them into A and XORs them into the loop; the stats test
-    only the stars of the region and of the loop's far ends, the sites
-    A's links touch.
+    The mask must fit ``n_sites`` bits.  Off the torus one pass over the
+    region's stars ORs them into A and XORs them into the loop; the
+    stats test only the stars of the region and of the loop's far ends.
     """
-    inside = set(sites)
     n = lat.n_sites
-    for s in inside:
-        if not 0 <= s < n:
-            raise ValueError(f"site id {s} out of range for {n} sites")
-    if not inside or len(inside) >= n:
+    if sites < 0 or sites >> n:
+        raise ValueError(f"site mask out of range for {n} sites")
+    if not sites or sites == (1 << n) - 1:
         raise ValueError("region must enclose some but not all sites")
+    if lat._site_shifts:
+        # h(i, j) is in A when site (i, j) or its east neighbour is in the
+        # region, and on the loop when exactly one is; v(i, j) likewise
+        # with the north neighbour
+        east, _, north, _ = lat._site_shifts
+        east, north = east(sites), north(sites)
+        part = Partition(lat.n_links, sites | east | (sites | north) << n)
+        return Region(part, boundary_stats(lat, part), sites ^ east | (sites ^ north) << n)
     a_mask = loop = 0
-    for star in map(lat.star_masks().__getitem__, inside):
+    for star in compress(lat.star_masks(), _bit_flags(sites)):
         a_mask |= star
         loop ^= star
     part = Partition(lat.n_links, a_mask)
+    inside = compress(range(n), _bit_flags(sites))
     loop_ends = chain.from_iterable(compress(lat.link_sites, _bit_flags(loop)))
-    stats = boundary_stats(lat, part, sites=inside.union(loop_ends))
+    stats = boundary_stats(lat, part, sites=set(chain(inside, loop_ends)))
     return Region(part, stats, loop)
 
 
@@ -728,7 +775,7 @@ def disk_region(
             raise ValueError(
                 f"rect sides must be in 1..{k - 1} so the region stays a disk"
             )
-        return region_from_sites(lat, compress(range(k * k), _torus_block(k, x, y, w, h)))
+        return region_from_sites(lat, _site_mask(_torus_block(k, x, y, w, h)))
 
     crossed = mask_from_indices(dual_loop, lat.n_links)
     if crossed.bit_count() != len(dual_loop):
@@ -760,7 +807,7 @@ def disk_region(
     comps.sort(key=len)
     if len(comps[0]) == len(comps[1]):
         raise ValueError("interior is ambiguous: both sides have equal area")
-    region = region_from_sites(lat, comps[0])
+    region = region_from_sites(lat, mask_from_indices(comps[0], lat.n_sites))
     if region.loop != crossed:
         raise ValueError("loop does not bound the region it encloses")
     return region
@@ -823,14 +870,12 @@ def random_simple_region(lat: Lattice, rng: random.Random) -> Region:
     rectilinear dual loop), generally with concave notches contributing
     n2/n3 sites.
 
-    Python steps per site come in proportion to the region: the growth's
-    draws, and the stars of the region and its neighbours that
-    `region_from_sites` ORs and tests.  The rest works on whole rows or
-    masks: the window is byte flags filled by row slices, packed into a
-    k**2-bit site mask, and each flood step, a dozen whole-mask
-    operations, reaches one site further into the window.  A flood takes
-    about k/2 steps: 16.2 on average and 23 at most over 1000 draws at
-    k = 32, 64.0 and 71 over 50 draws at k = 128.
+    Only the growth's draws take Python steps per site.  The rest works
+    on whole rows or masks: the window is byte flags filled by row
+    slices, packed into a k**2-bit site mask, each flood step shifts the
+    whole mask four ways, and `region_from_sites` shifts the region's
+    mask.  A flood takes about k/2 steps: 16.2 on average and 23 at most
+    over 1000 draws at k = 32, 64.0 and 71 over 50 draws at k = 128.
     """
     if lat.torus_k is None:
         raise ValueError("blob regions are only defined for the torus builder")
@@ -872,16 +917,11 @@ def random_simple_region(lat: Lattice, rng: random.Random) -> Region:
     # are connected and free of the blob, and a site joins the region
     # when no path off the blob links it to them.
     n = lat.n_sites
-    full, row = (1 << n) - 1, (1 << k) - 1
-    first = full // row  # column 0: bit j*k of each row j
-    last = first << k - 1
+    full = (1 << n) - 1
     open_sites = full ^ window ^ _site_mask(free)  # every site off the blob
+    east, west, north, south = lat._site_shifts
     reach, grown = 0, full ^ window
     while grown != reach:  # each step reaches one site further, four ways
         reach = grown
-        grown |= open_sites & (
-            (reach & ~last) << 1 | (reach & last) >> k - 1
-            | (reach & ~first) >> 1 | (reach & first) << k - 1
-            | reach << k | reach >> n - k | reach >> k | reach << n - k
-        )
-    return region_from_sites(lat, compress(range(n), _bit_flags(full ^ reach)))
+        grown |= open_sites & (east(reach) | west(reach) | north(reach) | south(reach))
+    return region_from_sites(lat, full ^ reach)

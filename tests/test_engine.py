@@ -198,7 +198,7 @@ class TestGeometricEntropy:
         block = {j * 6 + i for i in range(4) for j in range(3)}
         block.discard(2 * 6 + 3)
         block.discard(2 * 6 + 1)
-        st = region_from_sites(lat, block).stats
+        st = region_from_sites(lat, gf2.mask_from_indices(block, lat.n_sites)).stats
         assert (st.n2, st.n3) == (1, 1)
         assert geometric_entropy(st) == st.boundary_length - 4
 

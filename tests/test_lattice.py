@@ -443,20 +443,28 @@ class TestDiskRegion:
         block = {(j % k) * k + (i % k) for i in range(4) for j in range(3)}
         block.discard(2 * k + 3)  # corner notch
         block.discard(2 * k + 1)  # deep notch
-        st = region_from_sites(lat, block).stats
+        st = region_from_sites(lat, mask_from_indices(block, lat.n_sites)).stats
         assert st.n2 == 1
         assert st.n3 == 1
 
     @pytest.mark.parametrize("site", [-1, 16])
     def test_site_ids_outside_the_lattice_rejected(self, site):
-        # -1 would index the last site, 16 past the end of the star masks
+        # the mask -1 has every bit set, above the 16 sites too; bit 16 is
+        # the first bit past the last site
         lat = build_torus(4)
-        with pytest.raises(ValueError, match=f"site id {site} out of range for 16 sites"):
-            region_from_sites(lat, [5, site])
+        mask = site if site < 0 else 1 << 5 | 1 << site
+        with pytest.raises(ValueError, match="site mask out of range for 16 sites"):
+            region_from_sites(lat, mask)
+
+    @pytest.mark.parametrize("mask", [0, (1 << 16) - 1], ids=["empty", "full"])
+    def test_empty_and_full_regions_rejected(self, mask):
+        lat = build_torus(4)
+        with pytest.raises(ValueError, match="region must enclose some but not all sites"):
+            region_from_sites(lat, mask)
 
     def test_last_site_id_accepted(self):
         lat = build_torus(4)
-        part, st, loop = region_from_sites(lat, [15])
+        part, st, loop = region_from_sites(lat, 1 << 15)
         assert part.a_links() == lat.star_links[15]
         assert loop == part.a_mask
         assert (st.sigma_a, st.n1) == (1, 4)
@@ -468,7 +476,7 @@ class TestDiskRegion:
         block = {(j % k) * k + (i % k) for i in range(4) for j in range(3)}
         block.discard(2 * k + 3)
         block.discard(2 * k + 1)
-        direct = region_from_sites(lat, block)
+        direct = region_from_sites(lat, mask_from_indices(block, lat.n_sites))
         crossed = [
             l
             for l, (a, b) in enumerate(lat.link_sites)
@@ -485,7 +493,7 @@ class TestDiskRegion:
             "LATTICE v1 open\nSITES\n0\n1\n2\n3\n"
             "LINKS\n0 1\n1 2\n2 3\n2 3\nPLAQUETTES\n"
         )
-        assert region_from_sites(lat, {0}).loop == 0b1
+        assert region_from_sites(lat, 0b1).loop == 0b1
         with pytest.raises(ValueError, match="loop does not bound the region"):
             disk_region(lat, dual_loop=[0, 3])
 
@@ -524,7 +532,7 @@ class TestDiskRegion:
             l for l, (a, b) in enumerate(lat.link_sites) if (a in block) != (b in block)
         ]
         region = disk_region(lat, dual_loop=crossed)
-        assert region == region_from_sites(lat, block)
+        assert region == region_from_sites(lat, mask_from_indices(block, lat.n_sites))
         assert region.loop == mask_from_indices(crossed, lat.n_links)
         assert region.stats.boundary_length == 8
 

@@ -1,12 +1,15 @@
 """Region layer: disk regions, boundary buckets and scan descriptors.
 
-The region code computes everything from star masks: a region's loop,
-the links its boundary crosses, is the XOR of its stars, and a site's
-bucket is the popcount of its star within A.  The reference functions
-below are the earlier whole-lattice walks over ``link_sites`` and
-``star_links``, and the descriptor that scans built from a region's
-link mask alone; the tests require identical results from both, draw
-for draw.
+The region code takes a region as a site mask.  On the torus it shifts
+that mask to each site's east and north neighbour: a link is in A when
+either end is in the region and on the loop, the links the boundary
+crosses, when exactly one is; a site's bucket, the count of its links
+in A, is the sum of four shifted link masks.  Elsewhere a region's loop
+is the XOR of its stars, and a bucket the popcount of a star within A.
+The reference functions below are the earlier whole-lattice walks over
+``link_sites`` and ``star_links``, and the descriptor that scans built
+from a region's link mask alone; the tests require identical results
+from both, draw for draw.
 """
 
 import csv
@@ -32,7 +35,8 @@ from flipent import (
     star_group,
 )
 from flipent.cli import main, parse_partition_spec
-from flipent.lattice import BoundaryStats, Partition
+from flipent.gf2 import mask_from_indices
+from flipent.lattice import BoundaryStats, Lattice, Partition
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -299,7 +303,7 @@ class TestAgainstReferenceWalks:
             assert random_simple_region(lat, rng) == reference_simple_region(lat, ref_rng)
             assert rng.getstate() == ref_rng.getstate()
 
-    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    @pytest.mark.parametrize("k", [*range(2, 9), 16])
     def test_boundary_stats_on_random_partitions(self, k):
         lat = build_torus(k)
         rng = random.Random(k)
@@ -403,9 +407,10 @@ class TestCutSpace:
 
 
 class TestRegionStats:
-    """`region_from_sites` tests only the stars of the region and its
-    neighbours; every other site must land where the whole-lattice
-    `boundary_stats` puts it."""
+    """Off the torus `region_from_sites` tests only the stars of the
+    region and its neighbours, and on it the stats come from shifts of
+    the site mask; every site must land where the whole-lattice
+    `boundary_stats` and the reference walks put it."""
 
     @pytest.mark.parametrize("name", LATTICES)
     @PROPERTY_SETTINGS
@@ -419,19 +424,61 @@ class TestRegionStats:
         for s in sites:
             a_mask |= lat.star_masks()[s]
         part = Partition(lat.n_links, a_mask)
+        mask = mask_from_indices(sites, lat.n_sites)
         try:
             expected = boundary_stats(lat, part)
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                region_from_sites(lat, sites)
+                region_from_sites(lat, mask)
             return
-        region = region_from_sites(lat, sites)
+        region = region_from_sites(lat, mask)
         assert region == (part, expected, reference_loop(lat, sites))
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_torus_site_masks_match_the_reference(self, k, data):
+        # a block with its corner in the last two columns and rows wraps
+        # the seam, alone or mixed with a random mask
+        lat = LATTICES[f"torus{k}"]
+        full = (1 << lat.n_sites) - 1
+        x, y = data.draw(st.integers(k - 2, k - 1)), data.draw(st.integers(k - 2, k - 1))
+        w, h = data.draw(st.integers(1, k)), data.draw(st.integers(1, k))
+        block = mask_from_indices(
+            {((y + b) % k) * k + (x + a) % k for a in range(w) for b in range(h)},
+            lat.n_sites,
+        )
+        noise = data.draw(st.integers(0, full))
+        for mask in (noise, block, block ^ noise, block | noise):
+            if mask in (0, full):
+                with pytest.raises(ValueError, match="some but not all sites"):
+                    region_from_sites(lat, mask)
+                continue
+            sites = [s for s in range(lat.n_sites) if mask >> s & 1]
+            assert region_from_sites(lat, mask) == reference_region_from_sites(lat, sites)
+
+    def test_torus_regions_read_no_star_mask(self, monkeypatch):
+        # on the torus the stats, A and the loop come from site-mask shifts
+        def refused(self):
+            raise AssertionError("star masks read")
+
+        monkeypatch.setattr(Lattice, "star_masks", refused)
+        lat = build_torus(8)
+        rng, ref_rng = random.Random(8), random.Random(8)
+        for _ in range(20):
+            p = Partition(lat.n_links, rng.getrandbits(lat.n_links))
+            assert boundary_stats(lat, p) == reference_boundary_stats(lat, p)
+            ref_rng.getrandbits(lat.n_links)
+            region = random_simple_region(lat, rng)
+            assert region == reference_simple_region(lat, ref_rng)
+            mask = mask_from_indices(reference_inside_sites(lat, region.partition), lat.n_sites)
+            assert region_from_sites(lat, mask) == region
+        assert disk_region(lat, rect=(6, 7, 3, 4)).stats.boundary_length == 14
 
     def test_isolated_site_stays_in_sigma_a(self):
         # site 6 of the star of five has no links
         lat = LATTICES["star_of_five"]
-        stats = region_from_sites(lat, {1}).stats
+        stats = region_from_sites(lat, 0b10).stats
         assert (stats.sigma_a, stats.sigma_b, stats.n1) == (2, 4, 1)
 
 
