@@ -13,9 +13,12 @@ the cut space of the face graph (a valid lattice puts each link on at
 most two faces, and an outer vertex ends the others), so every lattice
 group is graphic.  Its rank on any set of columns is then the size of
 a spanning forest of those columns' edges, found by union-find in
-near-linear time.  A matrix built from rows alone is
-ranked by Gaussian elimination (`_echelonize`), which also stays the
-reference the graphs are tested against.
+near-linear time.  On a k x k torus with k >= `GRID_MIN_K` the graphs
+carry a grid layout, and `Graph.rank` floods one component over whole
+vertex masks and union-finds only the links left; on smaller tori the
+flood's fixed cost loses to union-find on a handful of links.  A matrix
+built from rows alone is ranked by Gaussian elimination (`_echelonize`),
+which also stays the reference the graphs are tested against.
 
 A graph may also carry its dual: the other graph on the same columns,
 whose cuts, together with a few loop classes of this graph's cycles,
@@ -38,6 +41,10 @@ from .errors import ResourceLimitError
 
 #: default cap on row-space enumeration, as log2 of the element count
 DEFAULT_ENUM_MAX_RANK = 20
+
+#: smallest torus size whose graphs flood by grid layout: at k = 12 the flood
+#: and union-find cost the same per disk, at k = 16 the flood is faster
+GRID_MIN_K = 16
 
 
 def mask_from_indices(indices: Iterable[int], n: int) -> int:
@@ -103,6 +110,11 @@ class Graph:
     columns whose cuts and one loop of each class span this graph's
     cycle space; it stays None where no such graph is known.  Where
     `spans_on(X)` holds, the dual's rank on X is the cycle space's.
+
+    ``grid``, when given, is ``(w, (fwd1, back1), (fwd2, back2))``: column
+    c < w joins vertex c to the vertex that ``fwd1`` moves bit c to, column
+    w + c joins vertex c to ``fwd2``'s image of it, and each ``back`` is its
+    ``fwd``'s inverse, all maps of w-bit vertex masks.
     """
 
     def __init__(
@@ -110,10 +122,12 @@ class Graph:
         n_vertices: int,
         edges: Sequence[tuple[int, int]],
         loop_classes: Sequence[Sequence[int]] = (),
+        grid: tuple | None = None,
     ):
         self.n_vertices = n_vertices
         self.edges = edges
         self.loop_classes = loop_classes
+        self.grid = grid
         self.dual: Graph | None = None
 
     def spans_on(self, mask: int) -> bool:
@@ -127,9 +141,27 @@ class Graph:
         return True
 
     def rank(self, mask: int) -> int:
-        """Rank of the cuts on the columns in ``mask``: a spanning forest."""
+        """Rank of the cuts on the columns in ``mask``: a spanning forest.
+
+        With a grid layout, the component of the lowest touched vertex is
+        flooded over vertex masks, a tree of |C| - 1 edges, and only the
+        columns off it are union-found."""
+        size = 0
+        if self.grid and mask:
+            w, (fwd1, back1), (fwd2, back2) = self.grid
+            low = (1 << w) - 1
+            e1, e2 = mask & low, mask >> w & low
+            touched = e1 | fwd1(e1) | e2 | fwd2(e2)
+            comp, grown = 0, touched & -touched
+            while grown != comp:
+                comp = grown
+                grown |= fwd1(comp & e1) | e1 & back1(comp) | fwd2(comp & e2) | e2 & back2(comp)
+            size = comp.bit_count() - 1
+            mask ^= e1 & comp | (e2 & comp) << w
+            if not mask:
+                return size
         chosen = compress(self.edges, _bit_flags(mask))
-        return _forest_size(self.n_vertices, chosen)
+        return size + _forest_size(self.n_vertices, chosen)
 
     @cached_property
     def full_rank(self) -> int:

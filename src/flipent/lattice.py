@@ -29,7 +29,7 @@ from itertools import chain, compress
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import LatticeFormatError, ResourceLimitError
-from .gf2 import Gf2Matrix, Graph, _bit_flags, mask_from_indices
+from .gf2 import GRID_MIN_K, Gf2Matrix, Graph, _bit_flags, mask_from_indices
 
 DOCUMENT_HEADER = "LATTICE v1"
 
@@ -143,10 +143,18 @@ class Lattice:
         # two faces.  Each graph's cycle space is spanned by the other's cuts
         # and one loop of each of its own classes: on the torus always, off it
         # only if the cuts alone span it (the faces of a sphere or of a planar
-        # patch), since no loops are known there.
+        # patch), since no loops are known there.  A torus of size GRID_MIN_K
+        # or more also gives both graphs their grid layout: link c joins site
+        # c to its east and link k**2 + c to its north neighbour, and joins
+        # plaquette c to its south and to its west neighbour.
         loops, n = self._torus_loops, self.n_links
-        sites = Graph(self.n_sites, self.link_sites, loops[:2])
-        faces = Graph(self.n_plaquettes + 1, self.link_faces, loops[2:])
+        site_grid = face_grid = None
+        if (self.torus_k or 0) >= GRID_MIN_K:
+            east, west, north, south = self._site_shifts
+            site_grid = self.n_sites, (west, east), (south, north)
+            face_grid = self.n_sites, (north, south), (east, west)
+        sites = Graph(self.n_sites, self.link_sites, loops[:2], site_grid)
+        faces = Graph(self.n_plaquettes + 1, self.link_faces, loops[2:], face_grid)
         if self.torus_k is not None or sites.full_rank + faces.full_rank == n:
             sites.dual, faces.dual = faces, sites
         return sites, faces

@@ -277,12 +277,74 @@ class TestDegeneracy:
         assert "ground_degeneracy: 4" in capsys.readouterr().out
         assert len(forests) == 2
 
+    def test_each_group_is_flood_ranked_once(self, monkeypatch, capsys):
+        # from GRID_MIN_K on a full group floods without union-find, so this
+        # counts the full-column calls of Graph.rank
+        full_ranks = []
+        rank = gf2.Graph.rank
+
+        def counted(graph, mask):
+            if mask == (1 << len(graph.edges)) - 1:
+                full_ranks.append(graph.n_vertices)
+            return rank(graph, mask)
+
+        monkeypatch.setattr(gf2.Graph, "rank", counted)
+        k = gf2.GRID_MIN_K
+        lat = build_torus(k)
+        assert all(graph.grid for graph in lat._graphs)
+        for _ in range(2):
+            assert star_group(lat).rank() == plaquette_group(lat).rank() == k * k - 1
+            assert independent_generator_count(lat) == 2 * k * k - 2
+            assert ground_degeneracy(lat) == 4
+        assert len(full_ranks) == 2
+        full_ranks.clear()
+        assert main(["lattice-info", "--lattice", f"torus:k={k}"]) == 0
+        assert "ground_degeneracy: 4" in capsys.readouterr().out
+        assert len(full_ranks) == 2
+
     def test_open_lattice_unsupported(self):
         from tests.test_lattice import planar_patch_document
 
         lat = parse_lattice_document(planar_patch_document())
         with pytest.raises(ValueError):
             ground_degeneracy(lat)
+
+
+class TestFloodRanks:
+    """From GRID_MIN_K on, the torus ranks a connected column set by one
+    flood over site masks, with no union-find."""
+
+    def test_disks_and_rects_run_no_union_find(self, monkeypatch):
+        def refused(n_vertices, edges):
+            raise AssertionError("union-find ran")
+
+        monkeypatch.setattr(gf2, "_forest_size", refused)
+        lat = build_torus(32)
+        rng = random.Random(32)
+        regions = [random_simple_region(lat, rng) for _ in range(20)]
+        regions += [random_rectangle_region(lat, rng) for _ in range(20)]
+        for region in regions:
+            stars = entropy_equal_superposition(star_group(lat), region.partition)
+            assert stars.s_bits == region.stats.sigma_ab - 1
+            plaqs = entropy_equal_superposition(plaquette_group(lat), region.partition)
+            assert 0 < plaqs.s_bits <= region.stats.boundary_length
+
+    def test_vertical_cut_union_finds_its_other_cycles(self, monkeypatch):
+        # all vertical links are k cycles of the site graph: one floods and
+        # the other k - 1 go through union-find
+        forests = []
+        forest_size = gf2._forest_size
+
+        def counted(n_vertices, edges):
+            forests.append(n_vertices)
+            return forest_size(n_vertices, edges)
+
+        monkeypatch.setattr(gf2, "_forest_size", counted)
+        k = 16
+        lat = build_torus(k)
+        report = entropy_equal_superposition(star_group(lat), named_partition(lat, "vertical"))
+        assert report.s_bits == (k - 1) ** 2
+        assert forests
 
 
 class TestClosedStringNets:

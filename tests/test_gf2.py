@@ -1,11 +1,29 @@
+import functools
 import random
+from itertools import compress
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flipent import Gf2Matrix, ResourceLimitError
-from flipent.gf2 import Graph, _echelonize, mask_from_indices
-from flipent.lattice import Partition, named_partition, parse_lattice_document
+from flipent.gf2 import (
+    GRID_MIN_K,
+    Graph,
+    _bit_flags,
+    _echelonize,
+    _forest_size,
+    mask_from_indices,
+)
+from flipent.lattice import (
+    Partition,
+    build_torus,
+    named_partition,
+    parse_lattice_document,
+    random_rectangle_region,
+    random_simple_region,
+    region_from_sites,
+)
+from tests.test_lattice import cube_document
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, database=None, max_examples=300, deadline=None
@@ -315,3 +333,82 @@ class TestGraphicRank:
         assert m.graph is None
         assert (m.rank(), m.restricted_rank(mask)) == eliminated_ranks(rows, mask)
         assert "_echelon" in m.__dict__
+
+
+GRID_KS = (2, 3, 4, 5, 6, 7, 8, 16, 20)
+
+
+@functools.cache
+def grid_case(k):
+    """The k x k torus, its site and face graphs with the grid layout, and
+    each graph's group as a matrix of rows alone.  Below `GRID_MIN_K` the
+    graphs are built here from the torus's site shifts; from it on they
+    are the lattice's own."""
+    lat = build_torus(k)
+    sites, faces = lat._graphs
+    if k < GRID_MIN_K:
+        assert sites.grid is None and faces.grid is None
+        east, west, north, south = lat._site_shifts
+        w = lat.n_sites
+        sites = Graph(sites.n_vertices, sites.edges, grid=(w, (west, east), (south, north)))
+        faces = Graph(faces.n_vertices, faces.edges, grid=(w, (north, south), (east, west)))
+    assert sites.grid and faces.grid
+    rows = (Gf2Matrix(lat.star_masks(), lat.n_links), Gf2Matrix(lat.plaquette_masks(), lat.n_links))
+    return lat, (sites, faces), rows
+
+
+@st.composite
+def grid_masks(draw):
+    """A torus size and a link mask: random sparse, dense or uniform bits,
+    the links of a site block that may wrap the seams, or its complement,
+    a disk, a rect, a named cut, no link or every link."""
+    k = draw(st.sampled_from(GRID_KS))
+    lat, n = grid_case(k)[0], 2 * k * k
+    full = (1 << n) - 1
+    kind = draw(st.sampled_from(
+        ["sparse", "dense", "uniform", "block", "disk", "rect", "named", "empty", "full"]
+    ))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "sparse":
+        return k, rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+    if kind == "dense":
+        return k, rng.getrandbits(n) | rng.getrandbits(n) | rng.getrandbits(n)
+    if kind == "uniform":
+        return k, rng.getrandbits(n)
+    if kind == "block":
+        x, y, h = (draw(st.integers(0, k - 1)) for _ in range(3))
+        w = draw(st.integers(0, k - 2))  # not every site
+        sites = [(x + i) % k + (y + j) % k * k for i in range(w + 1) for j in range(h + 1)]
+        a = region_from_sites(lat, mask_from_indices(sites, k * k)).partition.a_mask
+        return k, draw(st.sampled_from([a, full ^ a]))
+    if kind == "disk" and k >= 4:
+        return k, random_simple_region(lat, rng).partition.a_mask
+    if kind == "rect" and k >= 3:
+        return k, random_rectangle_region(lat, rng).partition.a_mask
+    if kind == "named":
+        name = draw(st.sampled_from(["single_spin", "pair", "chain", "ladder", "cross", "vertical"]))
+        ids = (0, n - 1) if name == "pair" else ()
+        return k, named_partition(lat, name, *ids).a_mask
+    return k, full if kind == "full" else 0
+
+
+class TestGridFlood:
+    """On a torus grid, `Graph.rank` floods one component over vertex masks
+    and union-finds the rest; plain union-find and elimination are the
+    references, on both graphs."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(case=grid_masks())
+    def test_flood_rank_equals_union_find_and_elimination(self, case):
+        k, mask = case
+        _, graphs, groups = grid_case(k)
+        for graph, group in zip(graphs, groups):
+            chosen = compress(graph.edges, _bit_flags(mask))
+            forest = _forest_size(graph.n_vertices, chosen)
+            assert graph.rank(mask) == forest == group.restricted_rank(mask)
+
+    def test_only_large_tori_flood(self):
+        assert all(g.grid is None for g in build_torus(GRID_MIN_K - 1)._graphs)
+        assert all(g.grid for g in build_torus(GRID_MIN_K)._graphs)
+        lat = parse_lattice_document(cube_document())
+        assert all(g.grid is None for g in lat._graphs)
