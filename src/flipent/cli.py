@@ -12,8 +12,10 @@ for a fixed configuration (including seed) is byte-identical between
 runs: rows are sorted by partition descriptor and floats rendered via
 repr.
 
-The statevector oracle, and numpy with it, is imported only by
-``verify`` and on the ``--oracle`` paths.
+Each side is evaluated by `engine.evaluate`, whose ``mismatch`` is the
+exit 1 of ``entropy`` and ``verify``; this module parses, picks the
+sides and emits.  `verify.oracle_handle`, the statevector oracle and
+numpy are imported only by ``verify`` and on the ``--oracle`` paths.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from .engine import (
     EXHAUSTIVE_SCAN_MAX_LINKS,
     bipartition_masks,
     entropy_bounds,
-    entropy_equal_superposition,
-    geometric_entropy,
+    evaluate,
     ground_degeneracy,
 )
 from .errors import (
@@ -44,7 +45,6 @@ from .errors import (
     ORACLE_TOL,
     LatticeFormatError,
     ResourceLimitError,
-    _check_subsystem,
 )
 from .lattice import (
     BoundaryStats,
@@ -60,7 +60,7 @@ from .lattice import (
     random_simple_region,
     star_group,
 )
-from .states import GroundStateCoeffs, amplitude_norm, closed_form_entropy
+from .states import GroundStateCoeffs, amplitude_norm
 
 COEFF_NORM_SLACK = 1e-6
 
@@ -332,59 +332,13 @@ def emit_rows_table(tails, rows, out) -> None:
 # ---------------------------------------------------------------------------
 # entropy command
 
-def _oracle(args, lat: Lattice, coeffs):
-    """The oracle's entropy of a partition in the state ``coeffs``, under
-    the command's ``--max-links`` and ``--max-subsystem`` caps.
+def _oracle_handle(args, lat: Lattice, coeffs):
+    """`verify.oracle_handle` under the command's caps, or None without
+    ``--oracle``; only then are `verify` and the oracle imported."""
+    if args.oracle:
+        from .verify import oracle_handle
 
-    Each call checks for a torus and, once the lattice is within
-    ``--max-links`` (whose error comes first, as the state build gives
-    it), side A's links against ``--max-subsystem`` before it imports
-    the oracle.  The first call that passes builds the state and its
-    support, so a command's own input checks come first and a refused
-    side builds nothing.  Each distinct side A is traced once: drawn
-    regions on small tori repeat.
-    """
-    state = support = None
-    memo: dict[int, float] = {}  # a_mask -> oracle_S
-
-    def oracle_s(part: Partition) -> float:
-        nonlocal state, support
-        if lat.torus_k is None:
-            raise ValueError("the statevector oracle needs a torus lattice")
-        if lat.n_links <= args.max_links:
-            _check_subsystem(part.size_a, args.max_subsystem)
-        from . import oracle
-
-        if state is None:
-            state = oracle.build_ground_state(lat, coeffs, max_links=args.max_links)
-            support = oracle.support(state)
-        s = memo.get(part.a_mask)
-        if s is None:
-            s = memo[part.a_mask] = oracle.oracle_entropy(
-                state, part, max_subsystem=args.max_subsystem, support=support
-            )
-        return s
-
-    return oracle_s
-
-
-def _state_entropy(lat: Lattice, parsed: ParsedPartition, coeffs, is_basis, report):
-    """Best value for the requested state plus the closed-form entry."""
-    closed = None
-    if parsed.closed_form_name is not None and lat.torus_k is not None:
-        closed = closed_form_entropy(
-            parsed.closed_form_name,
-            lat.torus_k,
-            None if is_basis else coeffs,
-        )
-    if is_basis:
-        return float(report.s_bits), closed
-    if closed is not None:
-        return closed, closed
-    if parsed.is_disk:
-        # disk entropy is the same for every ground state
-        return float(report.s_bits), None
-    return None, None
+        return oracle_handle(lat, coeffs, args.max_links, args.max_subsystem)
 
 
 def cmd_entropy(args) -> int:
@@ -396,22 +350,10 @@ def cmd_entropy(args) -> int:
             "loaded lattices only support the plain equal superposition xi:0,0"
         )
     group = plaquette_group(lat) if args.group == "plaquettes" else star_group(lat)
-    report = entropy_equal_superposition(group, parsed.partition)
-    s_state, closed = _state_entropy(lat, parsed, coeffs, is_basis, report)
-
-    geometric = geometric_entropy(parsed.stats) if parsed.is_disk else None
-    oracle_s = None
-    if args.oracle:
-        oracle_s = _oracle(args, lat, coeffs)(parsed.partition)
-
-    mismatch = False
-    if is_basis and closed is not None and closed != report.s_bits:
-        mismatch = True
-    if geometric is not None and geometric != report.s_bits:
-        mismatch = True
-    if oracle_s is not None and s_state is not None:
-        if abs(oracle_s - s_state) > ORACLE_TOL:
-            mismatch = True
+    ev = evaluate(lat, group, parsed.partition, name=parsed.closed_form_name,
+                  stats=parsed.stats, disk=parsed.is_disk, coeffs=None if is_basis else coeffs,
+                  oracle=_oracle_handle(args, lat, coeffs))
+    report = ev.report
 
     stats = parsed.stats
     out = {
@@ -427,9 +369,9 @@ def cmd_entropy(args) -> int:
         "log2_inside_B": report.log2_inside_b,
         "log2_free": report.log2_free,
         "diagonal": report.diagonal,
-        "S": s_state,
-        "S_closed_form": closed,
-        "S_geometric": geometric,
+        "S": ev.s,
+        "S_closed_form": ev.closed,
+        "S_geometric": ev.geometric,
         "L": stats.boundary_length if stats else None,
         "n1": stats.n1 if stats else None,
         "n2": stats.n2 if stats else None,
@@ -437,8 +379,8 @@ def cmd_entropy(args) -> int:
         "sigma_A": stats.sigma_a if stats else None,
         "sigma_B": stats.sigma_b if stats else None,
         "sigma_AB": stats.sigma_ab if stats else None,
-        "oracle_S": oracle_s,
-        "mismatch": mismatch,
+        "oracle_S": ev.oracle_s,
+        "mismatch": ev.mismatch,
     }
     if args.format == "json":
         emit_json(out, sys.stdout)
@@ -446,10 +388,10 @@ def cmd_entropy(args) -> int:
         sys.stdout.write(_csv_line(out) + _csv_line(out.values()))
     else:
         emit_fields(out, sys.stdout)
-    if mismatch:
+    if ev.mismatch:
         print(
             "error: closed-form/engine/oracle values disagree "
-            f"(S_bits={report.s_bits}, closed={closed}, oracle={oracle_s})",
+            f"(S_bits={report.s_bits}, closed={ev.closed}, oracle={ev.oracle_s})",
             file=sys.stderr,
         )
         return 1
@@ -541,15 +483,13 @@ def _scan_rows(args, lat, group):
     """
     mode = args.mode
     n = lat.n_links
-    oracle = _oracle(args, lat, GroundStateCoeffs.xi(0, 0)) if args.oracle else None
+    oracle = _oracle_handle(args, lat, GroundStateCoeffs.xi(0, 0))
 
     tails: list = [None]
     positions = {}  # the values a tail is made of -> its position in tails
 
-    def tail_of(part, stats, closed, s_bits) -> int:
-        """The position of the row's tail, with the oracle's entropy of
-        ``part`` under ``--oracle``; the bounds follow from the stats."""
-        oracle_s = None if oracle is None else oracle(part)
+    def tail_of(part, stats, closed, s_bits, oracle_s=None) -> int:
+        """The position of the row's tail; the bounds follow from the stats."""
         key = (part.size_a, stats, s_bits, repr(closed), repr(oracle_s))
         i = positions.get(key)
         if i is None:
@@ -563,12 +503,16 @@ def _scan_rows(args, lat, group):
                               s_bits, closed, *entropy_bounds(length), oracle_s))
         return i
 
-    def entropy(part):
-        return entropy_equal_superposition(group, part).s_bits
-
-    def link_tail(mask):
-        part = Partition(n, mask)
-        return tail_of(part, _try_stats(lat, part), None, entropy(part))
+    def side_tail(part, stats=None, name=None, disk=False) -> int:
+        """The position of the tail of side A's `evaluate` record, with the
+        oracle's entropy under ``--oracle``; a cut's closed form or a
+        disk's geometric value is the row's ``S_closed_form``.  A disk
+        comes with its stats, any other side has `_try_stats`."""
+        if not disk:
+            stats = _try_stats(lat, part)
+        ev = evaluate(lat, group, part, name=name, stats=stats, disk=disk, oracle=oracle)
+        closed = ev.closed if ev.geometric is None else float(ev.geometric)
+        return tail_of(part, stats, closed, ev.report.s_bits, ev.oracle_s)
 
     def exhaustive_rows(index, miss):
         for block in _descriptor_walk(n):
@@ -580,18 +524,14 @@ def _scan_rows(args, lat, group):
     def region_rows(sample, rng):
         for _ in range(args.count):
             part, stats, loop = sample(lat, rng)
-            desc = "loop:" + lat.link_list(loop)
-            yield desc, tail_of(part, stats, float(geometric_entropy(stats)), entropy(part))
+            yield "loop:" + lat.link_list(loop), side_tail(part, stats, disk=True)
 
     def table1_rows(k):
         for name in ("single_spin", "chain", "ladder", "cross", "vertical"):
-            part = named_partition(lat, name)
-            closed = closed_form_entropy(name, k)
-            yield name, tail_of(part, _try_stats(lat, part), closed, entropy(part))
+            yield name, side_tail(named_partition(lat, name), name=name)
         side = 2 if k >= 4 else 1
         part, stats, _ = disk_region(lat, rect=(0, 0, side, side))
-        desc = f"rect:0,0,{side},{side}"
-        yield desc, tail_of(part, stats, float(geometric_entropy(stats)), entropy(part))
+        yield f"rect:0,0,{side},{side}", side_tail(part, stats, disk=True)
 
     if mode == "exhaustive":
         bipartition_masks(n, max_links=args.scan_cap)  # only for its link cap
@@ -606,14 +546,14 @@ def _scan_rows(args, lat, group):
             oracle(Partition(n, (1 << max(cap + 1, 1)) - 1))
         # the trace is per side, so is each row; all are held, so that an
         # oracle cap on any row leaves stdout empty
-        return tails, [[(desc, link_tail(mask)) for mask, desc in block]
+        return tails, [[(desc, side_tail(Partition(n, mask))) for mask, desc in block]
                        for block in _descriptor_walk(n)]
     if mode == "sampled":
         _require_count_seed(args)
         masks = bipartition_masks(
             n, mode, count=args.count, seed=args.seed, max_links=args.scan_cap
         )
-        return drawn(("links:" + lat.link_list(mask), link_tail(mask)) for mask in masks)
+        return drawn(("links:" + lat.link_list(m), side_tail(Partition(n, m))) for m in masks)
     if mode in ("rects", "disks"):
         _require_count_seed(args)
         sample = random_rectangle_region if mode == "rects" else random_simple_region
@@ -678,7 +618,7 @@ def _tail_index(lat: Lattice, group, tails: list, tail_of):
     tail is ``index[A] or miss(A)``.
 
     ``index`` has one 2-byte entry per mask, its tail's position, or 0
-    for a tail not yet computed.  On a miss the engine runs once for the
+    for a tail not yet computed.  On a miss `evaluate` runs once for the
     pair {A, B}, since S(A) = S(B), and `_try_stats` and ``tail_of(part,
     stats, None, s_bits)``, which adds a new tail to ``tails``, give A's
     position, then B's.  A torus symmetry maps the group to itself, so it
@@ -697,7 +637,7 @@ def _tail_index(lat: Lattice, group, tails: list, tail_of):
 
     def miss(mask: int) -> int:
         part = Partition(n, mask)
-        s_bits = entropy_equal_superposition(group, part).s_bits
+        s_bits = evaluate(lat, group, part).report.s_bits
         i = tail_of(part, _try_stats(lat, part), None, s_bits)
         if len(tails) < 1 << 16:  # A's position and a new one for B fit
             rest = Partition(n, full ^ mask)

@@ -22,17 +22,22 @@ give r⊥(X) when each class has a loop that misses X, as for the rects
 and disks that `scan` draws inside a (k-2) x (k-2) window.  When a
 group has no graph, its graph no dual, or X meets every loop of a
 class (`cross`, `vertical`), the engine ranks both sides instead.
+
+`evaluate` is the one evaluation of a side that `entropy`, `scan` and
+`verify` share.  Its oracle is a callable, so this module never
+imports numpy.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .errors import ResourceLimitError
+from .errors import ORACLE_TOL, ResourceLimitError
 from .gf2 import Gf2Matrix
-from .lattice import BoundaryStats, Lattice, Partition, plaquette_group, star_group
+from .lattice import BoundaryStats, Lattice, Partition, _site_mask, plaquette_group, star_group
+from .states import GroundStateCoeffs, closed_form_entropy
 
 EXHAUSTIVE_SCAN_MAX_LINKS = 24
 
@@ -110,6 +115,55 @@ def geometric_entropy(stats: BoundaryStats) -> int:
     return stats.sigma_ab - 1
 
 
+class Evaluation(NamedTuple):
+    """One side's values, as `entropy` prints them.
+
+    ``closed`` is the published closed form of a named torus cut,
+    ``geometric`` a disk's sigma_AB - 1, ``s`` the state's entropy where
+    it is known (every basis state, a closed form for a generic state, a
+    disk in any state), ``oracle_s`` the oracle's, and ``mismatch`` is
+    True when any of them disagrees with the ranks.
+    """
+
+    report: EntropyReport
+    closed: float | None
+    geometric: int | None
+    s: float | None
+    oracle_s: float | None
+    mismatch: bool
+
+
+def evaluate(
+    lat: Lattice, group: Gf2Matrix, part: Partition, *, name: str | None = None,
+    stats: BoundaryStats | None = None, disk: bool = False,
+    coeffs: GroundStateCoeffs | None = None,
+    oracle: Callable[[Partition], float] | None = None, tol: float = ORACLE_TOL,
+) -> Evaluation:
+    """Evaluate side A of ``part`` in ``group``'s equal superposition.
+
+    ``name`` is a cut of `closed_form_entropy`, whose value is taken on a
+    torus; ``disk`` says that ``stats`` are those of a disk, whose
+    geometric value is compared.  As in `closed_form_entropy`,
+    ``coeffs=None`` is a basis state.  ``oracle(part)`` is the oracle's
+    entropy in the state it holds, compared with ``s`` to ``tol``.
+    """
+    report = entropy_equal_superposition(group, part)
+    k = lat.torus_k
+    closed = None if name is None or k is None else closed_form_entropy(name, k, coeffs)
+    geometric = geometric_entropy(stats) if disk else None
+    # S is the ranks' for a basis state, and for a disk in any state; for
+    # another state it is the closed form, if any, which then only the
+    # oracle can contradict
+    s = float(report.s_bits) if coeffs is None or disk else closed
+    oracle_s = None if oracle is None else oracle(part)
+    mismatch = (
+        closed is not None and closed != s
+        or geometric is not None and geometric != s
+        or oracle_s is not None and s is not None and not abs(oracle_s - s) <= tol
+    )
+    return Evaluation(report, closed, geometric, s, oracle_s, mismatch)
+
+
 def entropy_bounds(boundary_length: int) -> tuple[float, float]:
     """Linear lower/upper bounds (L/3 - 1, 7L/6 - 1) on disk entropy."""
     return boundary_length / 3 - 1, 7 * boundary_length / 6 - 1
@@ -175,7 +229,10 @@ def bipartition_masks(
         masks = []
         for _ in range(count):
             size = rng.randint(1, n - 1)
-            masks.append(sum(1 << l for l in rng.sample(range(n), size)))
+            flags = bytearray(n)
+            for link in rng.sample(range(n), size):
+                flags[link] = 1
+            masks.append(_site_mask(flags))
         return masks
     raise ValueError(f"unknown scan mode {mode!r}")
 

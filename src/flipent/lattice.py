@@ -860,7 +860,8 @@ _FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _site_mask(flags: bytearray) -> int:
-    # the site mask, bit s set when flags[s] is 1, of one 0/1 byte per site
+    # the site mask, bit s set when flags[s] is 1, of one 0/1 byte per site;
+    # `bipartition_masks` makes link masks with it, one byte per link
     return int(flags[::-1].translate(_FLAG_DIGITS), 2)
 
 

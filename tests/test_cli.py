@@ -29,7 +29,7 @@ from flipent import (
     plaquette_group,
     star_group,
 )
-from flipent import cli, gf2
+from flipent import cli, engine, gf2
 from flipent.cli import (
     CSV_COLUMNS,
     build_parser,
@@ -42,7 +42,9 @@ from flipent.cli import (
     parse_partition_spec,
     parse_state_spec,
 )
-from flipent.lattice import Lattice, boundary_stats, build_torus, lattice_to_document
+from flipent.lattice import (
+    Lattice, boundary_stats, build_torus, disk_region, lattice_to_document,
+)
 from flipent.verify import default_suite, verify_partitions
 from tests.test_lattice import reference_symmetries
 
@@ -579,7 +581,7 @@ def direct_index(lat, group, tails, tail_of):
 
     def miss(mask):
         part = Partition(n, mask)
-        s_bits = cli.entropy_equal_superposition(group, part).s_bits
+        s_bits = cli.evaluate(lat, group, part).report.s_bits
         return tail_of(part, cli._try_stats(lat, part), None, s_bits)
 
     return [0] * (1 << n), miss
@@ -658,7 +660,7 @@ class TestPairedScan:
             calls.append(part.a_mask)
             return entropy_equal_superposition(group, part)
 
-        monkeypatch.setattr(cli, "entropy_equal_superposition", counted)
+        monkeypatch.setattr(engine, "entropy_equal_superposition", counted)
         return calls
 
     @pytest.mark.parametrize("group", ["stars", "plaquettes"])
@@ -1065,7 +1067,7 @@ class TestOracleStateBuilds:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        from flipent import oracle, verify
+        from flipent import oracle
 
         calls = []
         build = oracle.build_ground_state
@@ -1075,7 +1077,6 @@ class TestOracleStateBuilds:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "build_ground_state", counted)
-        monkeypatch.setattr(verify, "build_ground_state", counted)
         return calls
 
     @pytest.mark.parametrize(
@@ -1205,6 +1206,85 @@ class TestOracleStateBuilds:
         drawn = [random_rectangle_region(lat, rng)[0].a_mask for _ in range(100)]
         assert sorted(masks) == sorted(set(drawn))
         assert len(masks) < 100
+
+
+class TestOneEvaluation:
+    """`entropy`, `scan` and `verify` evaluate each side through
+    `engine.evaluate`, with `verify.oracle_handle` as the oracle."""
+
+    @pytest.mark.parametrize("state", ["xi:0,0", "xi:1,1", "random:3"])
+    @pytest.mark.parametrize("group", ["stars", "plaquettes"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_record_is_what_entropy_prints(self, capsys, k, group, state):
+        from flipent.verify import oracle_handle
+
+        lat = build_torus(k)
+        matrix = star_group(lat) if group == "stars" else plaquette_group(lat)
+        _, coeffs, is_basis = parse_state_spec(state)
+        oracle = oracle_handle(lat, coeffs)
+        cuts = {"spin:0": ("single_spin", named_partition(lat, "single_spin", 0))}
+        cuts.update((name, (name, named_partition(lat, name)))
+                    for name in ("chain", "ladder", "cross", "vertical"))
+        region = disk_region(lat, rect=(0, 0, 1, 1))
+        for spec in [*cuts, "rect:0,0,1,1"]:
+            if spec in cuts:
+                name, part = cuts[spec]
+                ev = engine.evaluate(lat, matrix, part, name=name,
+                                     coeffs=None if is_basis else coeffs, oracle=oracle)
+            else:
+                ev = engine.evaluate(lat, matrix, region.partition, stats=region.stats,
+                                     disk=True, coeffs=None if is_basis else coeffs,
+                                     oracle=oracle)
+            code, out, _ = run_cli(
+                capsys, "entropy", "--lattice", f"torus:k={k}", "--group", group,
+                "--partition", spec, "--state", state, "--format", "json", "--oracle",
+            )
+            printed = json.loads(out)
+            report = ev.report
+            assert printed["S_bits"] == report.s_bits
+            assert printed["log2_group"] == report.log2_group
+            assert printed["log2_inside_A"] == report.log2_inside_a
+            assert printed["log2_inside_B"] == report.log2_inside_b
+            assert printed["log2_free"] == report.log2_free
+            assert printed["diagonal"] == report.diagonal
+            assert printed["S"] == ev.s
+            assert printed["S_closed_form"] == ev.closed
+            assert printed["S_geometric"] == ev.geometric
+            assert printed["oracle_S"] == ev.oracle_s
+            assert printed["mismatch"] == ev.mismatch
+            assert code == (1 if ev.mismatch else 0)
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["entropy", "--lattice", "torus:k=3", "--partition", "chain"], 1),
+            (["entropy", "--lattice", "torus:k=3", "--partition", "rect:0,0,1,1",
+              "--state", "random:3", "--oracle"], 1),
+            (["scan", "--lattice", "torus:k=3", "--mode", "table1"], 6),
+            (["scan", "--lattice", "torus:k=3", "--mode", "table1", "--oracle"], 6),
+            (["verify", "--lattice", "torus:k=3"], 5),
+            (["verify", "--lattice", "torus:k=2"], 254),
+            # once per miss: the 17 orbits of the 127 complement pairs
+            (["scan", "--lattice", "torus:k=2"], 17),
+        ],
+        ids=["entropy", "entropy-oracle", "table1", "table1-oracle", "verify-k3",
+             "verify-k2", "exhaustive-k2"],
+    )
+    def test_one_evaluation_per_side(self, capsys, monkeypatch, argv, calls):
+        from flipent import verify
+
+        sides = []
+        evaluate = engine.evaluate
+
+        def counted(lat, group, part, **kwargs):
+            sides.append(part.a_mask)
+            return evaluate(lat, group, part, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", counted)
+        monkeypatch.setattr(verify, "evaluate", counted)
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(sides) == calls
 
 
 class TestSharedTails:
