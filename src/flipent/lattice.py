@@ -25,8 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
-from typing import Collection, Iterable, NamedTuple, Sequence
+from itertools import compress
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import LatticeFormatError, ResourceLimitError
 from .gf2 import GRID_MIN_K, Gf2Matrix, Graph, _bit_flags, mask_from_indices
@@ -260,11 +260,6 @@ class Lattice:
             tuple(sum(ends[l]) - v for l in star)
             for v, star in enumerate(self.star_links)
         )
-
-    @cached_property
-    def _empty_stars(self) -> int:
-        # sites with no link, which every partition counts in sigma_a
-        return self.star_links.count(())
 
 
 class _PartitionFields(NamedTuple):
@@ -634,16 +629,12 @@ def named_partition(lat: Lattice, name: str, *ids: int) -> Partition:
 # ---------------------------------------------------------------------------
 # boundary statistics and disk regions
 
-def boundary_stats(
-    lat: Lattice, p: Partition, *, sites: Collection[int] | None = None
-) -> BoundaryStats:
+def boundary_stats(lat: Lattice, p: Partition) -> BoundaryStats:
     """Classify every site by how many of its incident links lie in A.
 
     A site with no links counts in sigma_a.  The torus reads no star
-    mask.  Elsewhere ``sites``, when given, are distinct site ids that
-    include every site with a link in A, such as a region and its
-    neighbours: only their stars are tested, and every other site counts
-    in sigma_b, or in sigma_a if it has no links.
+    mask: a fixed number of shifts of A's site masks counts every site.
+    Elsewhere each site's star mask is tested against A.
     """
     if lat._site_shifts:
         # A's links as four site masks, each site's east, north, west and
@@ -663,16 +654,10 @@ def boundary_stats(
         sigma_a = fours.bit_count()
         n1, n2 = ones.bit_count() - n3, twos.bit_count() - n3
         return BoundaryStats(sigma_a, n - sigma_a - n1 - n2 - n3, n1, n2, n3)
-    stars = lat.star_masks()
-    if sites is None:
-        sigma_a = sigma_b = 0
-    else:
-        stars = [stars[s] for s in sites]
-        sigma_a = lat._empty_stars - stars.count(0)
-        sigma_b = lat.n_sites - len(stars) - sigma_a
+    sigma_a = sigma_b = 0
     buckets = [0, 0, 0]
     a_mask = p.a_mask
-    for star in stars:
+    for star in lat.star_masks():
         inside = star & a_mask
         if inside == star:
             sigma_a += 1
@@ -688,29 +673,6 @@ def boundary_stats(
             buckets[count - 1] += 1
     n1, n2, n3 = buckets
     return BoundaryStats(sigma_a, sigma_b, n1, n2, n3)
-
-
-def _components_avoiding(lat: Lattice, crossed: int) -> list[set[int]]:
-    # connected components of sites, walking only uncrossed links
-    nbrs, stars = lat._neighbor_sites, lat.star_links
-    cut = set(Partition(lat.n_links, crossed).a_links())
-    seen = [False] * lat.n_sites
-    comps = []
-    for start in range(lat.n_sites):
-        if seen[start]:
-            continue
-        comp = {start}
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v, l in zip(nbrs[u], stars[u]):
-                if not seen[v] and l not in cut:
-                    seen[v] = True
-                    comp.add(v)
-                    stack.append(v)
-        comps.append(comp)
-    return comps
 
 
 class Region(NamedTuple):
@@ -729,8 +691,8 @@ def region_from_sites(lat: Lattice, sites: int) -> Region:
     link touching those sites.
 
     The mask must fit ``n_sites`` bits.  Off the torus one pass over the
-    region's stars ORs them into A and XORs them into the loop; the
-    stats test only the stars of the region and of the loop's far ends.
+    region's stars ORs them into A and XORs them into the loop, and the
+    stats test every star.
     """
     n = lat.n_sites
     if sites < 0 or sites >> n:
@@ -750,10 +712,7 @@ def region_from_sites(lat: Lattice, sites: int) -> Region:
         a_mask |= star
         loop ^= star
     part = Partition(lat.n_links, a_mask)
-    inside = compress(range(n), _bit_flags(sites))
-    loop_ends = chain.from_iterable(compress(lat.link_sites, _bit_flags(loop)))
-    stats = boundary_stats(lat, part, sites=set(chain(inside, loop_ends)))
-    return Region(part, stats, loop)
+    return Region(part, boundary_stats(lat, part), loop)
 
 
 def disk_region(
@@ -765,12 +724,15 @@ def disk_region(
 
     ``rect=(x, y, w, h)`` encloses the w x h block of sites with corner
     (x, y); the crossed links are the block's outgoing links, so the
-    boundary length is 2*(w+h).  ``dual_loop`` lists the crossed link
-    ids of an explicit dual-edge cycle; it must be a single simple cycle,
-    one component of the face graph, that separates the sites into two
-    components (a noncontractible loop does not, and a pair of parallel
-    ones is two cycles), and the smaller component becomes the interior,
-    whose region's ``loop`` must be exactly those links.
+    boundary length is 2*(w+h).  The block is a disk of sites, but a side
+    of k - 1 puts a whole row or column of links in A, and A is then no
+    disk of links: its entropy depends on the state.  ``dual_loop`` lists
+    the crossed link ids of an explicit dual-edge cycle; it must be a
+    single simple cycle, one component of the face graph, that separates
+    the sites into two components (a noncontractible loop does not, and
+    a pair of parallel ones is two cycles), counted by the site graph's
+    rank on the other links.  The side with fewer sites becomes the
+    interior, whose region's ``loop`` must be exactly those links.
     """
     if (rect is None) == (dual_loop is None):
         raise ValueError("specify exactly one of rect or dual_loop")
@@ -806,16 +768,33 @@ def disk_region(
         raise ValueError(
             f"dual edges form {parts} components; a disk's loop is one cycle"
         )
-    comps = _components_avoiding(lat, crossed)
-    if len(comps) != 2:
+    # the uncrossed links' spanning forest counts the site components,
+    # isolated sites included, as the faces' forest counted the loop's
+    n = lat.n_sites
+    parts = n - lat._graphs[0].rank(crossed ^ (1 << lat.n_links) - 1)
+    if parts != 2:
         raise ValueError(
-            f"loop splits the sites into {len(comps)} components; a simple "
+            f"loop splits the sites into {parts} components; a simple "
             "contractible loop gives exactly 2"
         )
-    comps.sort(key=len)
-    if len(comps[0]) == len(comps[1]):
+    # one walk over the uncrossed links finds site 0's side; the interior
+    # is that side or the other, whichever holds fewer sites
+    side, stack, cut = bytearray(n), [0], set(dual_loop)
+    side[0] = 1
+    nbrs, stars = lat._neighbor_sites, lat.star_links
+    while stack:
+        u = stack.pop()
+        for v, l in zip(nbrs[u], stars[u]):
+            if not side[v] and l not in cut:
+                side[v] = 1
+                stack.append(v)
+    size = side.count(1)
+    if 2 * size == n:
         raise ValueError("interior is ambiguous: both sides have equal area")
-    region = region_from_sites(lat, mask_from_indices(comps[0], lat.n_sites))
+    interior = _site_mask(side)
+    if 2 * size > n:
+        interior ^= (1 << n) - 1
+    region = region_from_sites(lat, interior)
     if region.loop != crossed:
         raise ValueError("loop does not bound the region it encloses")
     return region

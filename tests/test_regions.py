@@ -6,10 +6,11 @@ either end is in the region and on the loop, the links the boundary
 crosses, when exactly one is; a site's bucket, the count of its links
 in A, is the sum of four shifted link masks.  Elsewhere a region's loop
 is the XOR of its stars, and a bucket the popcount of a star within A.
-The reference functions below are the earlier whole-lattice walks over
-``link_sites`` and ``star_links``, and the descriptor that scans built
-from a region's link mask alone; the tests require identical results
-from both, draw for draw.
+A dual loop's sides are counted by the site graph's rank and one of
+them is walked.  The reference functions below are the earlier
+whole-lattice walks over ``link_sites`` and ``star_links``, and the
+descriptor that scans built from a region's link mask alone; the tests
+require identical results from both, draw for draw.
 """
 
 import csv
@@ -114,6 +115,46 @@ def reference_components_avoiding(lat, crossed):
                     stack.append(v)
         comps.append(comp)
     return comps
+
+
+def reference_dual_loop_region(lat, crossed):
+    """`disk_region(dual_loop=)` by walks: each plaquette meets the loop 0
+    or 2 times, its links form one component of the face graph, and they
+    split the sites into two components, of which the smaller is the
+    interior and is bounded by exactly those links."""
+    ids = [l for l in range(lat.n_links) if crossed >> l & 1]
+    hits = [0] * lat.n_plaquettes
+    for l in ids:
+        for f in lat.link_faces[l]:
+            if f < lat.n_plaquettes:
+                hits[f] += 1
+    for f, d in enumerate(hits):
+        if d not in (0, 2):
+            raise ValueError(f"dual edges meet plaquette {f} {d} times; not a simple cycle")
+    faces = {f for l in ids for f in lat.link_faces[l]}
+    face_sets = {f: {f} for f in faces}
+    for l in ids:
+        a, b = (face_sets[f] for f in lat.link_faces[l])
+        if a is not b:
+            a |= b
+            for f in b:
+                face_sets[f] = a
+    parts = len({id(c) for c in face_sets.values()})
+    if parts != 1:
+        raise ValueError(f"dual edges form {parts} components; a disk's loop is one cycle")
+    comps = reference_components_avoiding(lat, crossed)
+    if len(comps) != 2:
+        raise ValueError(
+            f"loop splits the sites into {len(comps)} components; a simple "
+            "contractible loop gives exactly 2"
+        )
+    small, large = sorted(comps, key=len)
+    if len(small) == len(large):
+        raise ValueError("interior is ambiguous: both sides have equal area")
+    region = reference_region_from_sites(lat, small)
+    if region[2] != crossed:
+        raise ValueError("loop does not bound the region it encloses")
+    return region
 
 
 def reference_simple_region(lat, rng, holes=None):
@@ -247,6 +288,14 @@ def star_of_five_document():
     lines = ["LATTICE v1 open", "SITES"] + [str(s) for s in range(7)]
     lines += ["LINKS"] + [f"0 {s}" for s in range(1, 6)] + ["PLAQUETTES"]
     return "\n".join(lines) + "\n"
+
+
+def unfilled_ladder_document():
+    # a 2 x 3 ladder of sites with no plaquettes: every link's dual edge
+    # is a loop at the outer face, so a loop may cross a link inside a side
+    lines = ["LATTICE v1 open", "SITES"] + [str(s) for s in range(6)]
+    lines += ["LINKS", "0 1", "1 2", "3 4", "4 5", "0 3", "1 4", "2 5"]
+    return "\n".join(lines + ["PLAQUETTES"]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +435,60 @@ LATTICES = {
     "patch": parse_lattice_document((GOLDEN / "patch.lat").read_text()),
     "star_of_five": parse_lattice_document(star_of_five_document()),
 }
+DUAL_LOOP_LATTICES = {
+    **LATTICES,
+    "torus16": build_torus(16),  # ranks the site graph by grid floods
+    "unfilled_ladder": parse_lattice_document(unfilled_ladder_document()),
+}
+
+
+@st.composite
+def site_sets(draw, lat):
+    """A set of sites: any set, or a connected blob grown one drawn
+    neighbour at a time to a drawn size, often half the sites."""
+    n = lat.n_sites
+    if draw(st.booleans()):
+        return draw(st.sets(st.integers(0, n - 1)))
+    nbrs = reference_site_neighbors(lat)
+    size = draw(st.just(n // 2) | st.integers(1, min(n, 16)))
+    blob = {draw(st.integers(0, n - 1))}
+    while len(blob) < size:
+        frontier = sorted({v for u in blob for v, _ in nbrs[u]} - blob)
+        if not frontier:
+            break
+        blob.add(frontier[draw(st.integers(0, len(frontier) - 1))])
+    return blob
+
+
+class TestDualLoopDisks:
+    """`disk_region(dual_loop=)` counts the sites' components by the site
+    graph's rank and walks one side of the loop; the reference walks every
+    component.  The loops are the crossed links of a drawn site set,
+    sometimes XORed with a noncontractible dual loop on a torus and with
+    one link elsewhere, so that each refusal occurs: a plaquette met 4
+    times, several dual components, 1 or 3 or more site components,
+    sides of equal area, and a crossed link inside a side."""
+
+    @pytest.mark.parametrize("name", DUAL_LOOP_LATTICES)
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_matches_the_reference_walks(self, name, data):
+        lat = DUAL_LOOP_LATTICES[name]
+        crossed = reference_loop(lat, data.draw(site_sets(lat)))
+        if not data.draw(st.integers(0, 3)):
+            if lat.torus_k is None:
+                crossed ^= 1 << data.draw(st.integers(0, lat.n_links - 1))
+            else:
+                _, _, ladders, rungs = lat._torus_loops
+                crossed ^= data.draw(st.sampled_from(ladders + rungs))
+        ids = [l for l in range(lat.n_links) if crossed >> l & 1]
+        try:
+            expected = reference_dual_loop_region(lat, crossed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                disk_region(lat, dual_loop=ids)
+            return
+        assert disk_region(lat, dual_loop=ids) == expected
 
 
 class TestCutSpace:
@@ -407,10 +510,10 @@ class TestCutSpace:
 
 
 class TestRegionStats:
-    """Off the torus `region_from_sites` tests only the stars of the
-    region and its neighbours, and on it the stats come from shifts of
-    the site mask; every site must land where the whole-lattice
-    `boundary_stats` and the reference walks put it."""
+    """Off the torus `region_from_sites` XORs the region's stars into its
+    loop, and on it the loop and the stats come from shifts of the site
+    mask; every site must land where `boundary_stats` and the reference
+    walks put it."""
 
     @pytest.mark.parametrize("name", LATTICES)
     @PROPERTY_SETTINGS
