@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import random
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from . import __version__
 from .engine import (
@@ -79,8 +78,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass
-class ParsedPartition:
+class ParsedPartition(NamedTuple):
     descriptor: str
     partition: Partition
     stats: BoundaryStats | None
@@ -208,6 +206,8 @@ WALK_TABLE_DEPTH = 7
 
 
 def emit_json(obj, out) -> None:
+    import json  # only the JSON paths load it
+
     json.dump(obj, out, indent=2)
     out.write("\n")
 
@@ -217,6 +217,8 @@ def emit_rows_json(fixed: dict, tails, rows, out) -> None:
     the blocks of (descriptor, position) ``rows`` as objects keyed by
     `CSV_COLUMNS`, the other fields ``tails[position]``, a block at a time
     (`_row_texts`, `_write_blocks`)."""
+    import json
+
     keys = [json.dumps(c) for c in CSV_COLUMNS]
     head = ",\n    {\n      %s: " % keys[0]
 

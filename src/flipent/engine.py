@@ -31,7 +31,6 @@ imports numpy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ORACLE_TOL, ResourceLimitError
@@ -192,8 +191,7 @@ def independent_generator_count(lat: Lattice) -> int:
     return star_group(lat).rank() + plaquette_group(lat).rank()
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     min_s_bits: int
     argmin: Partition
     evaluated: int

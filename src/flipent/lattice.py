@@ -23,7 +23,6 @@ arithmetic consistent with the statevector oracle's basis ordering.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
@@ -41,25 +40,39 @@ DOCUMENT_HEADER = "LATTICE v1"
 MAX_TORUS_BYTES = 1 << 30
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Immutable incidence description of a lattice with spins on links.
-
-    Stored: the site count, each link's two end sites, each plaquette's
-    links, the genus of a closed surface and the size of a torus.  Derived
-    and cached: `n_links`, `n_plaquettes`, `star_links`, each site's links
-    in ascending order, and `link_faces`.  Construction, also through
-    ``dataclasses.replace``, runs `validate_lattice`.
-    """
-
+class _LatticeFields(NamedTuple):
     n_sites: int
     link_sites: tuple[tuple[int, int], ...]
     plaquette_links: tuple[tuple[int, ...], ...]
     genus: int | None = None
     torus_k: int | None = None
 
-    def __post_init__(self) -> None:
-        validate_lattice(self)
+
+class Lattice(_LatticeFields):
+    """Immutable incidence description of a lattice with spins on links.
+
+    Stored: the site count, each link's two end sites, each plaquette's
+    links, the genus of a closed surface and the size of a torus.  Derived
+    and cached: `n_links`, `n_plaquettes`, `star_links`, each site's links
+    in ascending order, and `link_faces`.  A named tuple whose every
+    constructor, ``_make`` and ``_replace`` included, runs
+    `validate_lattice`.  It keeps a ``__dict__`` for the cached values,
+    but setting or deleting an attribute raises ``AttributeError``.
+    """
+
+    def __new__(cls, *args, **kwargs) -> "Lattice":
+        lat = super().__new__(cls, *args, **kwargs)  # the fields' calls and defaults
+        validate_lattice(lat)
+        return lat
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Lattice":
+        return cls(*iterable)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a Lattice is immutable")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def n_links(self) -> int:
@@ -385,7 +398,8 @@ def build_torus(k: int) -> Lattice:
 def validate_lattice(lat: Lattice) -> None:
     """Check link ends, face incidence, commutation and the Euler count.
 
-    `Lattice` runs this when it is built.  Each link must join two
+    `Lattice` runs this when it is built, by ``_make`` and ``_replace``
+    too, so no lattice skips it.  Each link must join two
     distinct sites in ``0..n_sites-1``, and lie on at most two plaquettes
     (`Lattice.link_faces`), exactly two on a closed surface.  Overlap
     parities are counted through that incidence: each link of a star

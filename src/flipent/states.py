@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 ENDPOINT_TOL = 1e-12
 NORMALIZATION_TOL = 1e-12
@@ -32,25 +32,35 @@ def amplitude_norm(amps) -> float:
     return norm if norm != math.inf else math.hypot(*parts)  # NaN stays NaN
 
 
-@dataclass(frozen=True)
-class GroundStateCoeffs:
-    """Amplitudes of a toric ground state in the ladder-flip basis.
-
-    ``a[i][j]`` multiplies the basis state with i vertical-loop and j
-    horizontal-loop ladder applications; the four moduli must square-sum
-    to one.
-    """
-
+class _CoeffFields(NamedTuple):
     a00: complex
     a01: complex
     a10: complex
     a11: complex
 
-    def __post_init__(self) -> None:
-        if not abs(self.norm_sq() - 1.0) <= NORMALIZATION_TOL:  # rejects NaN too
+
+class GroundStateCoeffs(_CoeffFields):
+    """Amplitudes of a toric ground state in the ladder-flip basis.
+
+    ``a[i][j]`` multiplies the basis state with i vertical-loop and j
+    horizontal-loop ladder applications; the four moduli must square-sum
+    to one.  A named tuple whose every constructor, ``_make`` and
+    ``_replace`` included, checks that normalization.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "GroundStateCoeffs":
+        coeffs = super().__new__(cls, *args, **kwargs)
+        if not abs(coeffs.norm_sq() - 1.0) <= NORMALIZATION_TOL:  # rejects NaN too
             raise ValueError(
-                f"coefficients are not normalized: |c|^2 = {self.norm_sq()!r}"
+                f"coefficients are not normalized: |c|^2 = {coeffs.norm_sq()!r}"
             )
+        return coeffs
+
+    @classmethod
+    def _make(cls, iterable: Iterable[complex]) -> "GroundStateCoeffs":
+        return cls(*iterable)
 
     def norm_sq(self) -> float:
         norm = amplitude_norm(self.as_tuple())

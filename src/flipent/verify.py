@@ -6,7 +6,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import bipartition_masks, evaluate
 from .errors import MAX_ORACLE_LINKS, MAX_SUBSYSTEM_LINKS, ORACLE_TOL, _check_subsystem
@@ -17,8 +17,7 @@ from .states import GroundStateCoeffs
 VERIFY_MAX_K = 3
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     name: str
     s_engine: int
     s_oracle: float

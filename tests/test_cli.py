@@ -1446,6 +1446,32 @@ class TestLatticeInfoCommand:
         assert proc.returncode == 0, proc.stderr
         assert "ground_degeneracy: 4" in proc.stdout
 
+    def test_cli_start_loads_only_what_it_runs(self):
+        # -S: no site hooks, which may import anything; json only on the
+        # paths that write it
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "unwanted = {'dataclasses', 'inspect', 'json', 'numpy'}\n"
+            "import flipent.cli\n"
+            "extra = unwanted & (set(sys.modules) - before)\n"
+            "assert not extra, ('import flipent.cli', sorted(extra))\n"
+            "argv = ['lattice-info', '--lattice', 'torus:k=4']\n"
+            "assert flipent.cli.main(argv) == 0\n"
+            "extra = unwanted & (set(sys.modules) - before)\n"
+            "assert not extra, ('lattice-info', sorted(extra))\n"
+            "assert flipent.cli.main([*argv, '--format', 'json']) == 0\n"
+            "assert 'json' in sys.modules, '--format json'\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flipent.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ground_degeneracy: 4" in proc.stdout
+        assert '"ground_degeneracy": 4' in proc.stdout
+
     def test_document_ranks_each_graph_once(self, capsys, monkeypatch):
         # deciding the duals and the group ranks share one full rank per graph
         full_ranks = []

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from flipent import engine, gf2
 from flipent.cli import main
 from flipent.engine import EntropyReport, ScanResult, entropy_bounds
 from flipent.lattice import BoundaryStats, Lattice, torus_h, torus_v
+from flipent.states import GroundStateCoeffs
 from tests.test_lattice import cube_document
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -97,6 +97,64 @@ class TestValueTypes:
         assert (stats.sigma_ab, stats.boundary_length) == (4, 6)
         report = EntropyReport(2, 7, 0, 3)
         assert (report.log2_free, report.diagonal) == (4, True)
+
+
+class TestValidatedValueTypes:
+    """`Lattice` and `GroundStateCoeffs` are named tuples that check their
+    fields on every constructor, ``_make`` and ``_replace`` included."""
+
+    def test_lattice_replace_and_make_validate(self):
+        lat = build_torus(3)
+        ends = list(lat.link_sites)
+        ends[4] = (2, 2)
+        loop = "^link 4 is a self-loop at site 2$"
+        with pytest.raises(LatticeFormatError, match=loop):
+            lat._replace(link_sites=tuple(ends))
+        with pytest.raises(LatticeFormatError, match=loop):
+            Lattice._make((9, tuple(ends), *lat[2:]))
+        euler = "^Euler count 0 inconsistent with genus 2$"
+        with pytest.raises(LatticeFormatError, match=euler):
+            lat._replace(genus=2)
+        with pytest.raises(LatticeFormatError, match=euler):
+            Lattice._make((*lat[:3], 2, 3))
+        for same in (Lattice._make(lat), lat._replace(), Lattice(*lat), Lattice(**lat._asdict())):
+            assert type(same) is Lattice and same == lat
+
+    def test_lattice_is_read_only(self):
+        lat = build_torus(2)
+        assert lat.star_links is lat.star_links  # cached in the instance
+        for name in (*Lattice._fields, "star_links", "n_links", "other"):
+            with pytest.raises(AttributeError):
+                setattr(lat, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(lat, name)
+        assert lat == build_torus(2) and lat.star_links == build_torus(2).star_links
+        assert repr(Lattice(2, ((0, 1),), ())) == (
+            "Lattice(n_sites=2, link_sites=((0, 1),), plaquette_links=(), "
+            "genus=None, torus_k=None)"
+        )
+
+    def test_equal_lattices_hash_equal(self):
+        a, b = build_torus(3), build_torus(3)
+        a.star_masks(), a.link_faces  # cached values enter neither
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != build_torus(4)
+
+    def test_coeffs_replace_and_make_normalize(self):
+        for make in (
+            lambda: GroundStateCoeffs.xi(0, 0)._replace(a00=2),
+            lambda: GroundStateCoeffs._make((2, 0, 0, 0)),
+        ):
+            with pytest.raises(
+                ValueError, match=r"^coefficients are not normalized: \|c\|\^2 = 4\.0$"
+            ):
+                make()
+        assert GroundStateCoeffs._make((0, 1, 0, 0)) == GroundStateCoeffs.xi(0, 1)
+        assert repr(GroundStateCoeffs.xi(0, 0)) == (
+            "GroundStateCoeffs(a00=(1+0j), a01=0j, a10=0j, a11=0j)"
+        )
 
 
 class TestEqualSuperpositionEntropy:
@@ -777,8 +835,8 @@ class TestDualPath:
         # graph, so the disk takes the dual path and gets the torus's S
         torus = build_torus(6)
         links = torus.plaquette_links
-        lat = dataclasses.replace(
-            torus, plaquette_links=((links[0][0], *links[0]), *links[1:])
+        lat = torus._replace(
+            plaquette_links=((links[0][0], *links[0]), *links[1:])
         )
         assert lat.plaquette_masks() == torus.plaquette_masks()
         p = disk_region(lat, rect=(0, 0, 2, 2))[0]
@@ -858,7 +916,7 @@ class TestOneIncidence:
         # Links 0 and 9 trading ends in link_sites only: the stars no longer
         # commute with the plaquettes.  Unchecked, the dual path gave S = 7
         # where elimination gives 8 on 2 of 200 partitions; construction,
-        # also through dataclasses.replace, now refuses the lattice.
+        # also through ``_replace``, now refuses the lattice.
         torus = build_torus(3)
         ends = list(torus.link_sites)
         ends[0], ends[9] = ends[9], ends[0]
@@ -866,4 +924,4 @@ class TestOneIncidence:
             LatticeFormatError,
             match="^star 1 and plaquette 2 share an odd number of links$",
         ):
-            dataclasses.replace(torus, link_sites=tuple(ends))
+            torus._replace(link_sites=tuple(ends))

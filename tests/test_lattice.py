@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 import tracemalloc
@@ -112,7 +111,7 @@ class TestBuildTorus:
             for j in range(k)
             for i in range(k)
         )
-        assert [f.name for f in dataclasses.fields(Lattice)] == [
+        assert list(Lattice._fields) == [
             "n_sites", "link_sites", "plaquette_links", "genus", "torus_k"
         ]
 
@@ -726,7 +725,7 @@ class TestDocumentProperty:
 def incidence(lat: Lattice, **changes) -> dict:
     """The stored fields of ``lat`` with ``changes`` applied: the raw
     incidence that `Lattice` validates when it is built."""
-    fields = {f.name: getattr(lat, f.name) for f in dataclasses.fields(Lattice)}
+    fields = {name: getattr(lat, name) for name in Lattice._fields}
     return {**fields, **changes}
 
 
@@ -830,7 +829,7 @@ class TestValidateLattice:
         lat = build_torus(3)
         rows = list(getattr(lat, field))
         rows[0] = rows[0] + rows[0][:1]
-        doubled = dataclasses.replace(lat, **{field: tuple(rows)})
+        doubled = lat._replace(**{field: tuple(rows)})
         assert pairwise_and_outcome(incidence(doubled)) is None
         assert doubled.link_faces == lat.link_faces
 
@@ -840,7 +839,7 @@ class TestValidateLattice:
         with pytest.raises(
             LatticeFormatError, match="^plaquette 3 lists link 8, outside 0..7$"
         ):
-            dataclasses.replace(lat, plaquette_links=(*plaqs, last + (8,)))
+            lat._replace(plaquette_links=(*plaqs, last + (8,)))
 
     @pytest.mark.parametrize(
         "ends,message",
@@ -855,7 +854,7 @@ class TestValidateLattice:
         ends_list = list(lat.link_sites)
         ends_list[4] = ends
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            dataclasses.replace(lat, link_sites=tuple(ends_list))
+            lat._replace(link_sites=tuple(ends_list))
 
     def test_euler_check_unchanged(self):
         fields = incidence(build_torus(3), genus=2)
